@@ -1,12 +1,22 @@
 """Successive-shortest-path min-cost flow on integer supplies.
 
-Internal engine behind the exact Kantorovich solver, the assignment solver,
-and the Wasserstein-1 norms (Kantorovich-Rubinstein, flat norm, Beckmann).
-Arcs are uncapacitated and directed; supplies are int64 and must sum to
-zero.  Flows stay integral throughout, so conservation at every node is
-exact.  Node potentials are maintained with reduced-cost Dijkstra (Johnson
-updates), which yields optimal LP duals on termination: an arc carries flow
-only if its reduced cost is zero.
+Two engines share one algorithm.  Supplies are int64 and flows stay
+integral, so conservation at every node is exact.  Node potentials are
+maintained with reduced-cost shortest paths (Johnson updates), which
+yields optimal LP duals on termination: an arc carries flow only if its
+reduced cost is zero.
+
+* `solve_transportation` is the dense bipartite engine behind the exact
+  Kantorovich solver and the assignment solver.  Plan, potentials and
+  excesses are arrays over the n x m cost matrix; shortest distances come
+  from whole-matrix numpy passes, not from a heap over arc lists.
+* `solve_min_cost_flow` is the generic engine on directed, uncapacitated
+  arc lists, used by the Wasserstein-1 norms (Kantorovich-Rubinstein,
+  flat norm, Beckmann).  It runs a heap Dijkstra per augmentation.
+
+Given the same bipartite arcs, both engines make the same augmentations
+and return the same plan and potentials bit for bit; the tests hold the
+dense engine to the generic one.
 """
 
 from __future__ import annotations
@@ -227,6 +237,12 @@ def quantize_balanced(masses, scale):
 def solve_transportation(a_int, b_int, C, forestify=True):
     """Exact transportation LP with integer marginals.
 
+    Runs successive shortest paths on the complete bipartite graph of
+    ``C`` with the state held in dense arrays (see `_dense_ssp`).  Each
+    augmentation is the one `solve_min_cost_flow` makes on the same graph
+    (rows ``0..n-1``, columns ``n..n+m-1``, arcs in row-major order), so
+    plan, duals and augmentation count equal that engine's bit for bit.
+
     Parameters
     ----------
     a_int, b_int : int64 arrays with equal positive sums.
@@ -249,17 +265,158 @@ def solve_transportation(a_int, b_int, C, forestify=True):
         raise ValidationError("marginal lengths do not match the cost matrix")
     if int(a_int.sum()) != int(b_int.sum()):
         raise ValidationError("integer marginals are unbalanced")
-    tails = np.repeat(np.arange(n), m)
-    heads = n + np.tile(np.arange(m), n)
-    costs = C.reshape(-1)
-    supplies = np.concatenate([a_int, -b_int])
-    res = solve_min_cost_flow(n + m, tails, heads, costs, supplies)
-    plan_int = res.flows.reshape(n, m)
-    if forestify and res.status == "optimal":
+    plan_int, u, v, augmentations, status = _dense_ssp(a_int, b_int, C)
+    if forestify and status == "optimal":
         plan_int = _cancel_support_cycles(plan_int, C)
-    f = -res.potentials[:n]
-    g = res.potentials[n:]
-    return plan_int, f, g, res.augmentations, res.status
+    return plan_int, -u, v, augmentations, status
+
+
+def _dense_ssp(a_int, b_int, C):
+    """Successive shortest paths from rows to columns of a dense cost matrix.
+
+    ``u`` and ``v`` are the row and column node potentials; the reduced
+    cost of arc (i, j) is ``C_ij + u_i - v_j`` and that of the reverse of
+    a support entry is ``-C_ij + v_j - u_i``, both clamped at 0 and
+    evaluated in the same order as `solve_min_cost_flow` does.  Each
+    augmentation finds distances by whole-array passes
+    (`_shortest_distances`), picks the nearest column with unmet demand
+    (lowest index on ties), rebuilds the heap Dijkstra's predecessors from
+    those distances (`_dijkstra_predecessors`), applies the Johnson update
+    ``pot += min(dist, d_t)`` and pushes the integer bottleneck.
+    """
+    n, m = C.shape
+    plan = np.zeros((n, m), dtype=np.int64)
+    supply = a_int.copy()
+    demand = b_int.copy()
+    u = np.zeros(n)
+    v = np.zeros(m)
+    if plan.size and C.min() < 0.0:
+        # The Bellman-Ford start of the generic engine: on a bipartite
+        # graph it settles after one round.
+        v = np.minimum(0.0, C.min(axis=0))
+    max_augmentations = 1000 + 40 * (n + m + n * m)
+    augmentations = 0
+    while True:
+        sources = supply > 0
+        if not sources.any():
+            return plan, u, v, augmentations, "optimal"
+        if augmentations >= max_augmentations:
+            raise ConvergenceError(
+                f"transportation exceeded {max_augmentations} augmentations"
+            )
+        sinks = demand > 0
+        si, sj = np.nonzero(plan)
+        rc = np.maximum(C + u[:, None] - v, 0.0)
+        back = np.maximum(-C[si, sj] + v[sj] - u[si], 0.0)
+        dr, dc, sums = _shortest_distances(rc, si, sj, back, sources, sinks)
+        reachable = np.flatnonzero(sinks & np.isfinite(dc))
+        if reachable.size == 0:
+            return plan, u, v, augmentations, "infeasible"
+        t = int(reachable[np.argmin(dc[reachable])])
+        d_t = dc[t]
+        prev = _dijkstra_predecessors(sums, dr, dc, si, sj, back, sources, t)
+        u += np.minimum(dr, d_t)
+        v += np.minimum(dc, d_t)
+
+        # The path alternates forward arcs (rows[k], cols[k]) and reversed
+        # support entries (rows[k], cols[k + 1]) back to a source row.
+        rows = [prev[n + t]]
+        cols = [t]
+        while supply[rows[-1]] <= 0:
+            cols.append(prev[rows[-1]] - n)
+            rows.append(prev[cols[-1] + n])
+        s = rows[-1]
+        bottleneck = min(int(supply[s]), int(demand[t]))
+        if len(rows) > 1:
+            bottleneck = min(bottleneck, int(plan[rows[:-1], cols[1:]].min()))
+            plan[rows[:-1], cols[1:]] -= bottleneck
+        plan[rows, cols] += bottleneck
+        supply[s] -= bottleneck
+        demand[t] -= bottleneck
+        augmentations += 1
+
+
+def _shortest_distances(rc, si, sj, back, sources, sinks):
+    """Reduced-cost distances from all source rows by label correcting.
+
+    A pass relaxes every arc out of the rows whose label fell in the last
+    pass (one column-wise min over those rows of ``dist_i + rc_ij``), then
+    the reversed support entries out of the columns whose label fell.
+    Both sides converge to the minimum over paths of the left-to-right
+    floating-point path sums, which is exactly what the heap Dijkstra
+    computes.  Labels above the nearest sink's are not relaxed further:
+    nothing beyond that sink is used, and ``min(dist, d_t)`` caps them.
+
+    Returns the row and column labels and the matrix of ``dist_i + rc_ij``
+    from each row's last relaxation (inf for rows never relaxed).  A row is
+    relaxed again whenever its label falls, so every row at or below the
+    nearest sink was last relaxed with its final label.
+    """
+    n, m = rc.shape
+    dr = np.where(sources, 0.0, np.inf)
+    dc = np.full(m, np.inf)
+    sums = np.full((n, m), np.inf)
+    frontier = sources.nonzero()[0]
+    for _ in range(n + m + 1):
+        block = dr[frontier, None] + rc[frontier]
+        sums[frontier] = block
+        new_c = np.minimum(dc, block.min(axis=0))
+        bound = new_c.min(where=sinks, initial=np.inf)
+        fell = (new_c < dc) & (new_c <= bound)
+        dc = new_c
+        k = fell[sj].nonzero()[0]
+        if k.size == 0:
+            return dr, dc, sums
+        new_r = dr.copy()
+        np.minimum.at(new_r, si[k], dc[sj[k]] + back[k])
+        frontier = ((new_r < dr) & (new_r <= bound)).nonzero()[0]
+        dr = new_r
+        if frontier.size == 0:
+            return dr, dc, sums
+    raise ConvergenceError(
+        f"shortest-path labels still falling after {n + m + 1} passes"
+    )
+
+
+def _dijkstra_predecessors(sums, dr, dc, si, sj, back, sources, t):
+    """Predecessor map the heap Dijkstra of `solve_min_cost_flow` ends with.
+
+    That Dijkstra pops nodes by (distance, node id) and gives a node the
+    first popped neighbour whose label plus reduced cost equals the
+    node's distance.  With the distances known, replaying the heap over
+    just those arcs reproduces its pops and predecessors exactly; the
+    replay stops when column ``t`` pops.  Sources pop first, in index
+    order, so their share is done with one argmax.  Node ids are rows
+    ``0..n-1`` and columns ``n..n+m-1``.
+    """
+    n = sums.shape[0]
+    d_t = dc[t]
+    tight = (sums == dc) & (dc <= d_t)
+    src_rows = np.flatnonzero(sources)
+    from_src = tight[src_rows]
+    first = src_rows[np.argmax(from_src, axis=0)]
+    reached = np.flatnonzero(from_src.any(axis=0))
+    dist = dr.tolist() + dc.tolist()
+    prev = dict(zip((reached + n).tolist(), first[reached].tolist()))
+    heap = [(dist[x], x) for x in prev]
+    heapq.heapify(heap)
+    prev.update(dict.fromkeys(src_rows.tolist(), -1))
+    succ = {}
+    ti, tj = np.nonzero(tight & ~sources[:, None])
+    for i, j in zip(ti.tolist(), (tj + n).tolist()):
+        succ.setdefault(i, []).append(j)
+    k = np.flatnonzero((dc[sj] <= d_t) & (dc[sj] + back == dr[si]))
+    for j, i in zip((sj[k] + n).tolist(), si[k].tolist()):
+        succ.setdefault(j, []).append(i)
+    target = n + t
+    while True:
+        x = heapq.heappop(heap)[1]
+        if x == target:
+            return prev
+        for y in succ.get(x, ()):
+            if y not in prev:
+                prev[y] = x
+                heapq.heappush(heap, (dist[y], y))
 
 
 def _cancel_support_cycles(plan_int, C):
@@ -267,11 +424,12 @@ def _cancel_support_cycles(plan_int, C):
 
     At optimality every support cycle has zero cost (up to rounding), so
     flow is pushed in the direction whose cost change is <= 0 until some
-    arc empties.  Terminates because each push zeroes at least one entry.
+    arc empties.  Each push zeroes at least one entry and creates none, so
+    more than nnz(plan) pushes means a broken cycle search.
     """
     plan = plan_int.copy()
-    n, m = plan.shape
-    while True:
+    budget = int(np.count_nonzero(plan))
+    for _ in range(budget + 1):
         cycle = _find_support_cycle(plan)
         if cycle is None:
             return plan
@@ -285,6 +443,9 @@ def _cancel_support_cycles(plan_int, C):
         push = min(shrink)
         for i, j, fwd in cycle:
             plan[i, j] += push if fwd else -push
+    raise ConvergenceError(
+        f"support still has a cycle after {budget} cycle-cancelling pushes"
+    )
 
 
 def _find_support_cycle(plan):

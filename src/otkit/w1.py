@@ -104,19 +104,17 @@ def flat_norm(m: SignedDiscreteMeasure, dist) -> float:
     scale = WEIGHT_DENOMINATOR
     q = np.rint(m.masses * scale).astype(np.int64)
     supplies = np.concatenate([q, [-q.sum()]])
-    tails, heads, costs = [], [], []
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                tails.append(i)
-                heads.append(j)
-                costs.append(D[i, j])
-        # arcs to and from the virtual absorbing node
-        tails.extend([i, n])
-        heads.extend([n, i])
-        costs.extend([1.0, 1.0])
-    res = solve_min_cost_flow(n + 1, np.array(tails), np.array(heads),
-                              np.array(costs), supplies)
+    # Row i lists the arcs i -> j for j != i, then the arcs to and from
+    # the virtual absorbing node n; the rows are laid out one after another.
+    ii, jj = np.nonzero(~np.eye(n, dtype=bool))
+    atom = np.arange(n)[:, None]
+    node = np.full((n, 1), n)
+    unit = np.ones((n, 1))
+    tails = np.hstack([ii.reshape(n, n - 1), atom, node])
+    heads = np.hstack([jj.reshape(n, n - 1), node, atom])
+    costs = np.hstack([D[ii, jj].reshape(n, n - 1), unit, unit])
+    res = solve_min_cost_flow(n + 1, tails.ravel(), heads.ravel(),
+                              costs.ravel(), supplies)
     return res.cost / scale
 
 

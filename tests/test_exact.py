@@ -2,10 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from otkit import _mincostflow
+from otkit._mincostflow import (
+    quantize_simplex,
+    solve_min_cost_flow,
+    solve_transportation,
+)
 from otkit.duality import check_feasibility, duality_gap
-from otkit.errors import MetricAxiomError, ValidationError
+from otkit.errors import ConvergenceError, MetricAxiomError, ValidationError
 from otkit.exact import (
     is_extremal_coupling,
     solve_1d_sorted,
@@ -137,6 +145,139 @@ class TestKantorovich:
         C = build_cost_matrix(x, x, CostSpec.euclidean())
         res = solve_kantorovich(a, a, C)
         assert_allclose(res.cost, 0.0, rtol=0, atol=1e-12)
+
+
+@st.composite
+def transport_instances(draw):
+    """Small integer transport problems, degenerate ones included.
+
+    Draws zero-weight atoms, points shared by both sides and points on a
+    coarse grid (tied costs), uniform weights, a small common denominator
+    (more ties in the marginals) and cost scales from 1e-8 to 1e8.
+    """
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.random((n, 2))
+    y = rng.random((m, 2))
+    shared = draw(st.integers(0, min(n, m)))
+    y[:shared] = x[:shared]
+    if draw(st.booleans()):
+        x, y = np.round(2 * x) / 2, np.round(2 * y) / 2
+    C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    C *= 10.0 ** draw(st.integers(-8, 8))
+    denominator = draw(st.sampled_from([12, 10**9]))
+
+    def weights(k):
+        w = np.ones(k) if draw(st.booleans()) else rng.uniform(0.1, 1.0, k)
+        w[: draw(st.integers(0, k - 1))] = 0.0
+        w = rng.permutation(w)
+        return quantize_simplex(w / w.sum(), denominator)
+
+    return weights(n), weights(m), C
+
+
+# A sink at the nearest sink's distance is reached only through a
+# non-sink column whose label ties that distance, so labels equal to the
+# nearest sink's must still be relaxed.
+TIED_AT_THE_NEAREST_SINK = (
+    np.array([2, 2, 2, 2, 1, 1, 1, 1]),
+    np.array([2, 2, 1, 1, 2, 3, 1]),
+    np.array([[0.25, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
+              [1.25, 0.5, 0.0, 0.5, 0.5, 2.0, 0.5],
+              [0.25, 0.5, 2.0, 0.5, 0.5, 0.0, 0.5],
+              [0.25, 0.0, 0.5, 0.0, 0.0, 0.5, 0.0],
+              [0.5, 0.25, 1.25, 0.25, 0.25, 0.25, 0.25],
+              [0.25, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5],
+              [0.25, 0.5, 1.0, 0.5, 0.5, 1.0, 0.5],
+              [0.5, 0.25, 0.25, 0.25, 0.25, 1.25, 0.25]]),
+)
+
+
+class TestDenseTransportEngine:
+    """The dense engine against the generic arc-list engine."""
+
+    @given(transport_instances())
+    @example(TIED_AT_THE_NEAREST_SINK)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_generic_engine(self, instance):
+        a, b, C = instance
+        n, m = C.shape
+        ref = solve_min_cost_flow(
+            n + m, np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n),
+            C.reshape(-1), np.concatenate([a, -b]),
+        )
+        plan, f, g, augmentations, status = solve_transportation(
+            a, b, C, forestify=False)
+        assert status == ref.status == "optimal"
+        assert augmentations == ref.augmentations
+        # Same augmentations, so the same plan and duals to the last bit.
+        assert np.array_equal(plan, ref.flows.reshape(n, m))
+        assert np.array_equal(-f, ref.potentials[:n])
+        assert np.array_equal(g, ref.potentials[n:])
+
+        forest, f, g, _, _ = solve_transportation(a, b, C)
+        assert np.array_equal(forest.sum(axis=1), a)
+        assert np.array_equal(forest.sum(axis=0), b)
+        assert np.count_nonzero(forest) <= n + m - 1
+        scale = float(np.abs(C).max())
+        assert_allclose(float(np.sum(forest * C)), ref.cost,
+                        rtol=1e-12, atol=1e-12 * scale * a.sum())
+        slack = C - f[:, None] - g[None, :]
+        tol = 1e-12 * scale
+        assert slack.min() >= -tol
+        assert np.abs(slack[forest > 0]).max() <= tol
+
+    def test_assignment_sizes_match_generic_engine(self, rng):
+        for n in (16, 40):
+            C = build_cost_matrix(random_points(rng, n, 2),
+                                  random_points(rng, n, 2),
+                                  CostSpec.sq_euclidean())
+            for a, b in ((np.ones(n, dtype=np.int64),) * 2,
+                         (quantize_simplex(random_simplex(rng, n), 10**9),
+                          quantize_simplex(random_simplex(rng, n), 10**9))):
+                ref = solve_min_cost_flow(
+                    2 * n, np.repeat(np.arange(n), n),
+                    n + np.tile(np.arange(n), n), C.reshape(-1),
+                    np.concatenate([a, -b]),
+                )
+                plan, f, g, augmentations, _ = solve_transportation(
+                    a, b, C, forestify=False)
+                assert augmentations == ref.augmentations
+                assert np.array_equal(plan, ref.flows.reshape(n, n))
+                assert np.array_equal(g, ref.potentials[n:])
+
+
+class TestCancelSupportCycles:
+    def test_four_cycle_becomes_a_forest(self):
+        for C in (np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[0.0, 1.0], [1.0, 2.0]])):
+            plan = np.array([[2, 1], [1, 2]], dtype=np.int64)
+            out = _mincostflow._cancel_support_cycles(plan, C)
+            assert np.count_nonzero(out) <= 3
+            assert _mincostflow._find_support_cycle(out) is None
+            assert np.array_equal(out.sum(axis=1), plan.sum(axis=1))
+            assert np.array_equal(out.sum(axis=0), plan.sum(axis=0))
+            assert np.sum(out * C) <= np.sum(plan * C)
+
+    def test_cycle_inside_a_larger_support(self):
+        plan = np.array([[3, 1, 0], [2, 0, 4], [0, 5, 1]], dtype=np.int64)
+        C = np.arange(9.0).reshape(3, 3) % 4
+        out = _mincostflow._cancel_support_cycles(plan, C)
+        assert np.count_nonzero(out) <= 5
+        assert _mincostflow._find_support_cycle(out) is None
+        assert np.array_equal(out.sum(axis=1), plan.sum(axis=1))
+        assert np.array_equal(out.sum(axis=0), plan.sum(axis=0))
+        assert np.sum(out * C) <= np.sum(plan * C)
+
+    def test_budget_stops_a_search_that_keeps_finding_cycles(self,
+                                                           monkeypatch):
+        plan = np.array([[2, 1], [1, 2]], dtype=np.int64)
+        cycle = _mincostflow._find_support_cycle(plan)
+        monkeypatch.setattr(_mincostflow, "_find_support_cycle",
+                            lambda _plan: cycle)
+        with pytest.raises(ConvergenceError):
+            _mincostflow._cancel_support_cycles(plan, np.zeros((2, 2)))
 
 
 class TestMonotone1D:

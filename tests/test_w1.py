@@ -189,6 +189,33 @@ class TestFlatNorm:
         assert_allclose(v3, 3.0 * v, rtol=1e-7, atol=1e-9)
 
 
+    def test_arcs_keep_the_loop_order(self, rng, monkeypatch):
+        # The arc order fixes SSP tie-breaking, so it must not change.
+        import otkit.w1 as w1_module
+
+        seen = []
+        solve = w1_module.solve_min_cost_flow
+        monkeypatch.setattr(
+            w1_module, "solve_min_cost_flow",
+            lambda *args: seen.append(args[1:4]) or solve(*args))
+        for k in range(1, 7):
+            pts = random_points(rng, k, 2)
+            D = euclidean_dist(pts)
+            flat_norm(SignedDiscreteMeasure(pts, rng.normal(size=k)), D)
+            tails, heads, costs = [], [], []
+            for i in range(k):
+                for j in range(k):
+                    if i != j:
+                        tails.append(i)
+                        heads.append(j)
+                        costs.append(D[i, j])
+                tails.extend([i, k])
+                heads.extend([k, i])
+                costs.extend([1.0, 1.0])
+            for got, want in zip(seen[-1], (tails, heads, costs)):
+                assert np.array_equal(got, np.array(want))
+
+
 class TestBeckmann:
     def test_path_graph(self):
         g = FlowGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [1.0, 0.0, -1.0])
