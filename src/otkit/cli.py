@@ -39,7 +39,9 @@ from . import gaussian as gaussian_mod
 from . import semidiscrete, w1
 from .errors import ConvergenceError, OTError, ValidationError
 from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
-                       build_cost_matrix, load_measure_csv, measure_from_dict)
+                       as_float_array, build_cost_matrix, check_cost_matrix,
+                       check_points, load_measure_csv, measure_from_dict,
+                       product_coupling)
 from .selftest import run_selftest
 
 
@@ -170,13 +172,13 @@ def _load_signed_measure(path) -> w1.SignedDiscreteMeasure:
 
 def _load_gaussian(path):
     payload = _read_json(path)
-    mean = np.asarray(_get(payload, "mean", path), dtype=float)
-    cov = np.asarray(_get(payload, "covariance", path), dtype=float)
-    if mean.ndim != 1 or cov.shape != (mean.shape[0], mean.shape[0]):
-        raise ValidationError(
-            f"{path}: mean must be a vector and covariance a matching "
-            "square matrix")
-    return mean, cov
+    mean = check_points(_get(payload, "mean", path), f"{path}: mean")
+    if mean.shape[1] != 1:
+        raise ValidationError(f"{path}: mean must be a vector")
+    d = mean.shape[0]
+    cov = check_cost_matrix(_get(payload, "covariance", path), (d, d),
+                            f"{path}: covariance")
+    return mean[:, 0], cov
 
 
 def _cost_spec(text) -> CostSpec:
@@ -317,16 +319,10 @@ def _cmd_gaussian(args):
 
 
 def _cmd_semidiscrete(args):
-    targets = np.asarray(_read_json(args.targets), dtype=float)
-    if targets.ndim == 1:
-        targets = targets[:, None]
-    weights = np.asarray(_read_json(args.weights), dtype=float)
-    if targets.ndim != 2 or weights.ndim != 1:
-        raise ValidationError(
-            "targets must be a JSON array of points and weights a JSON "
-            "array of masses")
+    targets = check_points(_read_json(args.targets), "targets")
     sampler = _sampler_spec(args.sampler, targets.shape[1])
-    problem = semidiscrete.SemiDiscreteProblem(sampler, targets, weights)
+    problem = semidiscrete.SemiDiscreteProblem(sampler, targets,
+                                               _read_json(args.weights))
     config = semidiscrete.SGDConfig(
         n_iter=args.iters, seed=args.seed, tau0=args.tau0, ell0=args.ell0,
         eval_every=args.eval_every, heldout_samples=args.heldout_samples)
@@ -388,7 +384,7 @@ def _cmd_divergence(args):
 def _parse_float(token, context):
     try:
         return float(token)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"bad number in {context!r}") from exc
 
 
@@ -396,7 +392,7 @@ def _parse_float(token, context):
 
 def _linear_preset(spec, dim):
     name = _get(spec, "name", "potential")
-    center = np.asarray(spec.get("center", np.zeros(dim)), dtype=float)
+    center = as_float_array(spec.get("center", np.zeros(dim)), "center")
     if center.shape != (dim,):
         raise ValidationError(f"potential center must have dimension {dim}")
     if name == "quadratic":
@@ -406,7 +402,7 @@ def _linear_preset(spec, dim):
         def grad_h(x):
             return x - center
     elif name == "gaussian_well":
-        sigma = float(spec.get("sigma", 1.0))
+        sigma = _parse_float(spec.get("sigma", 1.0), "gaussian_well sigma")
         if sigma <= 0:
             raise ValidationError("gaussian_well sigma must be positive")
 
@@ -433,7 +429,7 @@ def _interaction_preset(spec, dim):
         def grad_k(x, y):
             return x - y
     elif name == "gaussian":
-        sigma = float(spec.get("sigma", 1.0))
+        sigma = _parse_float(spec.get("sigma", 1.0), "gaussian kernel sigma")
         if sigma <= 0:
             raise ValidationError("gaussian kernel sigma must be positive")
 
@@ -450,9 +446,7 @@ def _interaction_preset(spec, dim):
 
 
 def _flow_gradient(cfg, path):
-    x0 = np.asarray(_get(cfg, "x0", path), dtype=float)
-    if x0.ndim != 2:
-        raise ValidationError("x0 must be an array of points")
+    x0 = check_points(_get(cfg, "x0", path), "x0")
     kind = _get(cfg, "kind", path)
     if kind == "linear":
         spec = _linear_preset(_get(cfg, "potential", path), x0.shape[1])
@@ -514,7 +508,6 @@ def _flow_flowmatch(cfg, path):
         cpath = dynamics.CouplingPath.monge(source.points, target.points,
                                             source.weights)
     elif mode in ("product", "optimal"):
-        from .measures import product_coupling
         if mode == "product":
             coupling = product_coupling(source, target)
         else:
@@ -525,23 +518,15 @@ def _flow_flowmatch(cfg, path):
     else:
         raise ValidationError(
             f"unknown coupling {mode!r}; expected monge, product or optimal")
-    x0 = np.asarray(cfg.get("x0", source.points), dtype=float)
-    dt = float(_get(cfg, "dt", path))
     bandwidth = cfg.get("bandwidth")
     if bandwidth is None:
-        scale = max(float(np.max(np.abs(cpath.source_points))),
-                    float(np.max(np.abs(cpath.target_points))))
-        bandwidth = 1e-7 * (1.0 + scale)
-    steps = dynamics._step_count(dt, 1.0)
-    Z = x0.copy()
-    trace = [{"t": 0.0, "positions": Z.copy()}]
-    for s in range(steps):
-        t = s * dt
-        for i in range(Z.shape[0]):
-            Z[i] += dt * dynamics.flow_match_velocity(cpath, t, Z[i],
-                                                      bandwidth)
-        trace.append({"t": (s + 1) * dt, "positions": Z.copy()})
-    payload = {"endpoint": Z, "n_steps": steps, "bandwidth": float(bandwidth)}
+        bandwidth = cpath.default_bandwidth
+    traj = dynamics.flow_match_trajectory(
+        cpath, cfg.get("x0", source.points), _get(cfg, "dt", path), bandwidth)
+    payload = {"endpoint": traj.final_state, "n_steps": traj.n_times - 1,
+               "bandwidth": float(bandwidth)}
+    trace = [{"t": float(t), "positions": state}
+             for t, state in zip(traj.times, traj.states)]
     return payload, trace
 
 

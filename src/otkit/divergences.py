@@ -33,7 +33,8 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .measures import DiscreteMeasure, align_supports
+from .measures import (DiscreteMeasure, align_supports, check_cost_matrix,
+                       check_weights)
 
 
 def _phi_kl(s):
@@ -126,18 +127,6 @@ def from_name(name: str) -> EntropyFunction:
     return presets[name]()
 
 
-def _weight_pair(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValidationError("weight vectors must be 1-D of equal length")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValidationError("weights must be finite")
-    if np.any(a < 0) or np.any(b < 0):
-        raise ValidationError("weights must be nonnegative")
-    return a, b
-
-
 def phi_divergence(a, b, entropy: EntropyFunction) -> float:
     """Divergence of weight vector ``a`` from ``b`` on a shared support.
 
@@ -146,7 +135,8 @@ def phi_divergence(a, b, entropy: EntropyFunction) -> float:
     is ``np.inf``.  The convention ``0 * phi'_inf = 0`` applies, so mass
     absent from both vectors costs nothing.
     """
-    a, b = _weight_pair(a, b)
+    a = check_weights(a, "a")
+    b = check_weights(b, "b", n=a.shape[0])
     total = 0.0
     for ai, bi in zip(a, b):
         if bi > 0:
@@ -233,11 +223,7 @@ class KernelSpec:
     @classmethod
     def custom_matrix(cls, matrix,
                       conditionally_positive: bool = False) -> "KernelSpec":
-        M = np.asarray(matrix, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValidationError("custom kernel matrix must be square")
-        if not np.all(np.isfinite(M)):
-            raise ValidationError("custom kernel matrix must be finite")
+        M = check_cost_matrix(matrix, name="custom kernel matrix")
         if not np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
             raise ValidationError("custom kernel matrix must be symmetric")
         return cls(kind="custom_matrix", matrix=M,

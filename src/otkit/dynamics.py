@@ -32,7 +32,8 @@ from .errors import (
     ValidationError,
     VanishingDensityError,
 )
-from .measures import Coupling, GridDensity1D
+from .measures import (Coupling, GridDensity1D, as_float_array, check_points,
+                       check_weights)
 
 __all__ = [
     "ParticleTrajectory",
@@ -43,6 +44,7 @@ __all__ = [
     "entropy_flow_1d",
     "CouplingPath",
     "flow_match_velocity",
+    "flow_match_trajectory",
     "integrate_flow_match",
     "dacorogna_moser_1d",
     "attention_velocity",
@@ -51,22 +53,11 @@ __all__ = [
 ]
 
 
-def _as_point_array(obj):
-    pts = np.asarray(obj, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValidationError(
-            f"expected an (n, d) point array, got shape {np.shape(obj)}"
-        )
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError("points contain non-finite values")
-    return pts
-
-
 def _step_count(dt, horizon):
-    dt = float(dt)
-    horizon = float(horizon)
+    try:
+        dt, horizon = float(dt), float(horizon)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"dt and the horizon must be numbers: {exc}") from exc
     if not np.isfinite(dt) or dt <= 0.0:
         raise ValidationError("dt must be positive")
     if not np.isfinite(horizon) or horizon <= 0.0:
@@ -96,7 +87,6 @@ class ParticleTrajectory:
     def __init__(self, times, states, weights):
         times = np.asarray(times, dtype=float)
         states = np.asarray(states, dtype=float)
-        weights = np.asarray(weights, dtype=float)
         if times.ndim != 1 or times.shape[0] < 1:
             raise ValidationError("times must be a nonempty 1-D array")
         if np.any(np.diff(times) <= 0):
@@ -107,10 +97,7 @@ class ParticleTrajectory:
             )
         if not np.all(np.isfinite(times)) or not np.all(np.isfinite(states)):
             raise ValidationError("trajectory contains non-finite values")
-        if weights.shape != (states.shape[1],) or np.any(weights < 0):
-            raise ValidationError("weights must be nonnegative, one per particle")
-        if abs(float(weights.sum()) - 1.0) > 1e-9:
-            raise ValidationError("weights must sum to 1")
+        weights = check_weights(weights, n=states.shape[1], probability=True)
         self.times = times
         self.states = states
         self.weights = weights
@@ -242,18 +229,14 @@ class FunctionalSpec:
         a sigma(<w, u>) to the mean prediction G(u) = (1/n) sum_i psi; the
         functional is the empirical risk (1/2N) sum_k (G(u_k) - y_k)^2.
         """
-        U = np.asarray(features, dtype=float)
-        if U.ndim == 1:
-            U = U[:, None]
-        y = np.asarray(labels, dtype=float)
-        if U.ndim != 2 or U.shape[0] < 1:
-            raise ValidationError("features must be an (N, d) array")
+        U = check_points(features, "features")
+        y = as_float_array(labels, "labels")
         if y.shape != (U.shape[0],):
             raise ValidationError(
                 f"labels shape {y.shape} does not match {U.shape[0]} samples"
             )
-        if not np.all(np.isfinite(U)) or not np.all(np.isfinite(y)):
-            raise ValidationError("features or labels contain non-finite values")
+        if not np.all(np.isfinite(y)):
+            raise ValidationError("labels contain non-finite values")
         if activation not in _ACTIVATIONS:
             raise ValidationError(
                 f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}"
@@ -262,15 +245,11 @@ class FunctionalSpec:
                    activation=activation)
 
     def _as_particles(self, X):
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None]
-        if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] != self.dim:
+        X = check_points(X, "particles")
+        if X.shape[1] != self.dim:
             raise ValidationError(
                 f"expected particles of shape (n, {self.dim}), got {X.shape}"
             )
-        if not np.all(np.isfinite(X)):
-            raise ValidationError("particles contain non-finite values")
         return X
 
     def _sigma(self, z):
@@ -376,15 +355,16 @@ def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
         )
     X = functional._as_particles(x0)
     steps = _step_count(dt, T)
+    dt = float(dt)
     states = np.empty((steps + 1,) + X.shape)
     states[0] = X
     for s in range(steps):
         if scheme == "explicit":
             X = X + dt * functional.velocity(X)
         else:
-            X = _proximal_step(functional, X, float(dt), inner_tol, max_inner)
+            X = _proximal_step(functional, X, dt, inner_tol, max_inner)
         states[s + 1] = X
-    times = np.arange(steps + 1) * float(dt)
+    times = np.arange(steps + 1) * dt
     weights = np.full(X.shape[0], 1.0 / X.shape[0])
     return ParticleTrajectory(times, states, weights)
 
@@ -596,8 +576,8 @@ class CouplingPath:
 
     def __init__(self, source_points, target_points, coupling,
                  interpolation=None, d_dt=None):
-        X = _as_point_array(source_points)
-        Y = _as_point_array(target_points)
+        X = check_points(source_points, "source points")
+        Y = check_points(target_points, "target points")
         if not isinstance(coupling, Coupling):
             raise ValidationError("coupling must be a Coupling instance")
         n, m = coupling.shape
@@ -638,9 +618,7 @@ class CouplingPath:
     @classmethod
     def monge(cls, points, targets, weights):
         """Paired path: atom i moves from points[i] to targets[i]."""
-        w = np.asarray(weights, dtype=float)
-        if w.ndim != 1:
-            raise ValidationError("weights must be a 1-D array")
+        w = check_weights(weights)
         return cls(points, targets, Coupling(np.diag(w), w, w))
 
     @property
@@ -650,6 +628,18 @@ class CouplingPath:
     @property
     def n_atoms(self) -> int:
         return self.pairs.shape[0]
+
+    @property
+    def default_bandwidth(self) -> float:
+        """Flow-matching radius: a small multiple of the coordinate scale.
+
+        Tight enough for paired couplings whose integrated points ride
+        single atom trajectories; branched couplings need an explicit,
+        coarser radius.
+        """
+        scale = max(float(np.max(np.abs(self.source_points))),
+                    float(np.max(np.abs(self.target_points))))
+        return 1e-7 * (1.0 + scale)
 
     def atoms_at(self, t):
         """Positions and velocities of the path's atoms at time t.
@@ -706,46 +696,53 @@ def flow_match_velocity(path: CouplingPath, t, z, bandwidth) -> np.ndarray:
     return (w @ vel[near]) / float(np.sum(w))
 
 
-def integrate_flow_match(path: CouplingPath, x0, dt, bandwidth=None) -> np.ndarray:
+def flow_match_trajectory(path: CouplingPath, x0, dt,
+                          bandwidth=None) -> ParticleTrajectory:
     """Euler-integrate dz/dt = v_t(z) from t=0 to t=1.
 
     Parameters
     ----------
-    x0 : array_like, shape (s, d) or (d,)
-        Start points, expected on the atoms of the path at t=0.
+    x0 : array_like, shape (s, d)
+        Start points, expected on the atoms of the path at t=0; a 1-D
+        array is read as s points in R.
     dt : float
         Step size; 1 must be an integer multiple of dt.
     bandwidth : float, optional
-        Match radius for the velocity queries.  The default is a small
-        multiple of the path's coordinate scale, tight enough for paired
-        couplings whose integrated points ride single atom trajectories;
-        branched couplings need an explicit, coarser radius.
+        Match radius for the velocity queries; defaults to
+        ``path.default_bandwidth``.
 
     Returns
     -------
-    ndarray
-        Endpoint positions at t=1, same shape as `x0`.
+    ParticleTrajectory
+        States at times 0, dt, ..., 1 with uniform weights.
     """
-    Z = np.asarray(x0, dtype=float)
-    single = Z.ndim == 1
-    if single:
-        Z = Z[None, :]
-    if Z.ndim != 2 or Z.shape[1] != path.dim or not np.all(np.isfinite(Z)):
-        raise ValidationError(f"x0 must be finite points in R^{path.dim}")
+    Z = check_points(x0, "x0").copy()
+    if Z.shape[1] != path.dim:
+        raise ValidationError(f"x0 must be points in R^{path.dim}")
     steps = _step_count(dt, 1.0)
-    if bandwidth is None:
-        scale = max(
-            float(np.max(np.abs(path.source_points))),
-            float(np.max(np.abs(path.target_points))),
-        )
-        bandwidth = 1e-7 * (1.0 + scale)
-    Z = Z.copy()
     dt = float(dt)
+    if bandwidth is None:
+        bandwidth = path.default_bandwidth
+    states = np.empty((steps + 1,) + Z.shape)
+    states[0] = Z
     for s in range(steps):
         t = s * dt
         for i in range(Z.shape[0]):
             Z[i] += dt * flow_match_velocity(path, t, Z[i], bandwidth)
-    return Z[0] if single else Z
+        states[s + 1] = Z
+    weights = np.full(Z.shape[0], 1.0 / Z.shape[0])
+    return ParticleTrajectory(np.arange(steps + 1) * dt, states, weights)
+
+
+def integrate_flow_match(path: CouplingPath, x0, dt, bandwidth=None) -> np.ndarray:
+    """Endpoint at t=1 of `flow_match_trajectory`, same shape as `x0`.
+
+    Unlike the trajectory, a 1-D `x0` of shape (d,) is one point in R^d.
+    """
+    Z = check_points(x0, "x0")
+    single = np.ndim(x0) == 1
+    traj = flow_match_trajectory(path, Z.T if single else Z, dt, bandwidth)
+    return traj.final_state[0] if single else traj.final_state
 
 
 def _cumulative_mass(grid, rho):
@@ -811,12 +808,12 @@ def attention_velocity(tokens, Q, K, V, queries) -> np.ndarray:
     reductions use exactly rounded summation, so the output is invariant
     under any reordering of the tokens.
     """
-    Y = _as_point_array(tokens)
-    X = _as_point_array(queries)
+    Y = check_points(tokens, "tokens")
+    X = check_points(queries, "queries")
     d = Y.shape[1]
-    Q = np.asarray(Q, dtype=float)
-    K = np.asarray(K, dtype=float)
-    V = np.asarray(V, dtype=float)
+    Q = as_float_array(Q, "Q")
+    K = as_float_array(K, "K")
+    V = as_float_array(V, "V")
     if (Q.ndim != 2 or K.ndim != 2 or Q.shape[0] != d or K.shape[0] != d
             or Q.shape[1] != K.shape[1]):
         raise ValidationError(
@@ -849,7 +846,7 @@ def transformer_flow(tokens, Q, K, V, depth) -> ParticleTrajectory:
     token transport ODE.  Permuting the input tokens permutes the output
     states identically, bit for bit.
     """
-    X = _as_point_array(tokens)
+    X = check_points(tokens, "tokens")
     depth = int(depth)
     if depth < 1:
         raise ValidationError("depth must be at least 1")

@@ -35,7 +35,7 @@ from scipy.special import logsumexp
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
-from .measures import Coupling, DiscreteMeasure
+from .measures import Coupling, check_cost_matrix, check_weights
 
 __all__ = [
     "SinkhornConfig",
@@ -169,18 +169,6 @@ class SinkhornResult(NamedTuple):
     cost_linear: float
 
 
-def _weights_vector(obj, name):
-    if isinstance(obj, DiscreteMeasure):
-        w = obj.weights
-    else:
-        w = np.asarray(obj, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError(f"{name} must be a nonempty 1-D weight vector")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValidationError(f"{name} must be finite and nonnegative")
-    return w
-
-
 def sinkhorn(a, b, C, config: SinkhornConfig,
              tolerances: Tolerances = DEFAULT_TOLERANCES) -> SinkhornResult:
     """Entropic optimal transport between probability vectors.
@@ -202,18 +190,9 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
         ``cost_reg = <f, a> + <g, b> - eps (mass - 1)`` and the linear
         cost ``<C, P>``.
     """
-    aw = _weights_vector(a, "a")
-    bw = _weights_vector(b, "b")
-    C = np.asarray(C, dtype=float)
-    if C.shape != (aw.size, bw.size):
-        raise ValidationError(
-            f"cost matrix shape {C.shape}, expected ({aw.size}, {bw.size})"
-        )
-    if not np.all(np.isfinite(C)):
-        raise ValidationError("cost matrix contains non-finite values")
-    for name, w in (("a", aw), ("b", bw)):
-        if abs(float(w.sum()) - 1.0) > tolerances.marginal:
-            raise ValidationError(f"{name} must sum to 1")
+    aw = check_weights(a, "a", probability=True, tolerances=tolerances)
+    bw = check_weights(b, "b", probability=True, tolerances=tolerances)
+    C = check_cost_matrix(C, (aw.size, bw.size))
 
     active_a = np.flatnonzero(aw > 0)
     active_b = np.flatnonzero(bw > 0)
@@ -224,10 +203,8 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
     if config.reference_weights is None:
         ref_a, ref_b = sub_a, sub_b
     else:
-        ra = _weights_vector(config.reference_weights[0], "reference a")
-        rb = _weights_vector(config.reference_weights[1], "reference b")
-        if ra.size != aw.size or rb.size != bw.size:
-            raise ValidationError("reference weights must match marginal sizes")
+        ra = check_weights(config.reference_weights[0], "reference a", n=aw.size)
+        rb = check_weights(config.reference_weights[1], "reference b", n=bw.size)
         if np.any(ra[active_a] <= 0) or np.any(rb[active_b] <= 0):
             raise ValidationError(
                 "reference weights must be positive on the support"

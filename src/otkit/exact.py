@@ -19,7 +19,8 @@ from . import _mincostflow as mcf
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .duality import DualPotentials
 from .errors import MetricAxiomError, UnbalancedError, ValidationError
-from .measures import Coupling, DiscreteMeasure
+from .measures import (Coupling, DiscreteMeasure, check_cost_matrix,
+                       check_weights)
 
 __all__ = [
     "TransportResult",
@@ -59,34 +60,6 @@ class AssignmentResult(NamedTuple):
     cost: float
 
 
-def _probability_vector(obj, name, tolerances):
-    if isinstance(obj, DiscreteMeasure):
-        w = obj.weights
-    else:
-        w = np.asarray(obj, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError(f"{name} must be a nonempty 1-D weight vector")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError(f"{name} contains non-finite weights")
-    if np.any(w < 0):
-        raise ValidationError(f"{name} has negative weights")
-    total = float(np.sum(w))
-    if abs(total - 1.0) > tolerances.marginal:
-        raise ValidationError(
-            f"{name} must be a probability vector, total mass {total!r}"
-        )
-    return w
-
-
-def _cost_matrix(C, n, m):
-    C = np.asarray(C, dtype=float)
-    if C.shape != (n, m):
-        raise ValidationError(f"cost matrix shape {C.shape}, expected ({n}, {m})")
-    if not np.all(np.isfinite(C)):
-        raise ValidationError("cost matrix contains non-finite values")
-    return C
-
-
 def solve_kantorovich(a, b, C, tolerances: Tolerances = DEFAULT_TOLERANCES
                       ) -> TransportResult:
     """Exact discrete optimal transport between probability vectors.
@@ -106,9 +79,9 @@ def solve_kantorovich(a, b, C, tolerances: Tolerances = DEFAULT_TOLERANCES
         the attached potentials satisfy ``f_i + g_j <= C_ij`` with
         equality on the support.
     """
-    aw = _probability_vector(a, "a", tolerances)
-    bw = _probability_vector(b, "b", tolerances)
-    C = _cost_matrix(C, aw.shape[0], bw.shape[0])
+    aw = check_weights(a, "a", probability=True, tolerances=tolerances)
+    bw = check_weights(b, "b", probability=True, tolerances=tolerances)
+    C = check_cost_matrix(C, (aw.shape[0], bw.shape[0]))
     a_int = mcf.quantize_simplex(aw, WEIGHT_DENOMINATOR)
     b_int = mcf.quantize_simplex(bw, WEIGHT_DENOMINATOR)
     plan_int, f, g, augmentations, status = mcf.solve_transportation(a_int, b_int, C)
@@ -144,11 +117,7 @@ def solve_assignment(C) -> AssignmentResult:
         that minimal value, which equals `solve_kantorovich` on uniform
         weights.
     """
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2 or C.shape[0] != C.shape[1]:
-        raise ValidationError(f"assignment requires a square matrix, got {C.shape}")
-    if not np.all(np.isfinite(C)):
-        raise ValidationError("cost matrix contains non-finite values")
+    C = check_cost_matrix(C)
     n = C.shape[0]
     ones = np.ones(n, dtype=np.int64)
     plan_int, _, _, _, status = mcf.solve_transportation(
@@ -191,8 +160,8 @@ def solve_1d_sorted(alpha, beta, p, tolerances: Tolerances = DEFAULT_TOLERANCES
     for name, mu in (("alpha", alpha), ("beta", beta)):
         if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
             raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
-    aw = _probability_vector(alpha, "alpha", tolerances)
-    bw = _probability_vector(beta, "beta", tolerances)
+    aw = check_weights(alpha, "alpha", probability=True, tolerances=tolerances)
+    bw = check_weights(beta, "beta", probability=True, tolerances=tolerances)
     n, m = alpha.n, beta.n
     order_a = np.argsort(alpha.points[:, 0], kind="stable")
     order_b = np.argsort(beta.points[:, 0], kind="stable")
@@ -256,7 +225,7 @@ def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     for name, mu in (("alpha", alpha), ("beta", beta)):
         if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
             raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
-        _probability_vector(mu, name, tolerances)
+        check_weights(mu, name, probability=True, tolerances=tolerances)
     xa, ca = _sorted_support(alpha, tolerances)
     xb, cb = _sorted_support(beta, tolerances)
     xs = np.union1d(xa, xb)
@@ -267,17 +236,13 @@ def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     return float(np.sum(np.abs(Fa[:-1] - Fb[:-1]) * np.diff(xs)))
 
 
-def is_extremal_coupling(coupling, threshold=0.0) -> bool:
-    """Whether a plan is a vertex of its transportation polytope.
+def connected_components(n, edges):
+    """Component label of each of ``n`` nodes joined by undirected edges.
 
-    A feasible plan is extremal iff its support graph (rows and columns as
-    nodes, positive entries as edges) contains no cycle.  Checked by
-    union-find: an edge whose endpoints are already connected closes a
-    cycle.
+    ``edges`` yields ``(u, v, ...)`` tuples; fields after the two node ids
+    are ignored.  Labels run 0, 1, ... over the components.
     """
-    plan = coupling.plan if isinstance(coupling, Coupling) else np.asarray(coupling)
-    n, m = plan.shape
-    parent = list(range(n + m))
+    parent = list(range(n))
 
     def find(x):
         while parent[x] != x:
@@ -285,12 +250,26 @@ def is_extremal_coupling(coupling, threshold=0.0) -> bool:
             x = parent[x]
         return x
 
-    for i, j in np.argwhere(plan > threshold):
-        ri, rj = find(int(i)), find(int(n + j))
-        if ri == rj:
-            return False
-        parent[ri] = rj
-    return True
+    for u, v, *_ in edges:
+        ru, rv = find(int(u)), find(int(v))
+        if ru != rv:
+            parent[ru] = rv
+    _, labels = np.unique([find(i) for i in range(n)], return_inverse=True)
+    return labels
+
+
+def is_extremal_coupling(coupling, threshold=0.0) -> bool:
+    """Whether a plan is a vertex of its transportation polytope.
+
+    A feasible plan is extremal iff its support graph (rows and columns as
+    nodes, positive entries as edges) contains no cycle, that is, iff it
+    is a forest: #edges = #nodes - #components.
+    """
+    plan = coupling.plan if isinstance(coupling, Coupling) else np.asarray(coupling)
+    n, m = plan.shape
+    edges = np.argwhere(plan > threshold) + [0, n]
+    labels = connected_components(n + m, edges)
+    return len(edges) == n + m - (labels.max(initial=-1) + 1)
 
 
 def validate_metric(D, tolerances: Tolerances = DEFAULT_TOLERANCES):
@@ -301,11 +280,7 @@ def validate_metric(D, tolerances: Tolerances = DEFAULT_TOLERANCES):
     MetricAxiomError
         Naming the failed axiom and an index tuple exhibiting it.
     """
-    D = np.asarray(D, dtype=float)
-    if D.ndim != 2 or D.shape[0] != D.shape[1]:
-        raise ValidationError(f"distance matrix must be square, got {D.shape}")
-    if not np.all(np.isfinite(D)):
-        raise ValidationError("distance matrix contains non-finite values")
+    D = check_cost_matrix(D, name="distance matrix")
     n = D.shape[0]
     atol = tolerances.equality * max(1.0, float(np.max(np.abs(D))))
     i, j = np.unravel_index(np.argmin(D), D.shape)

@@ -8,6 +8,24 @@ provides the measure-level operations that are purely combinatorial:
 pushforward under a map, cdf/quantile construction, product couplings, and
 the gluing of two plans that share a middle marginal.
 
+Input checks
+------------
+The solvers, the flows and the command line check the weight vectors,
+point clouds and cost matrices they are given through the three checkers
+here, so that one rule decides what a valid input is:
+
+* `check_points`: a finite (n, d) array with n >= 1; 1-D input is read as
+  n points in R^1.
+* `check_weights`: a `DiscreteMeasure`'s weights or a finite, nonnegative
+  1-D array, optionally of a given length; with ``probability=True`` it
+  must also sum to 1 within the ``marginal`` tolerance.
+* `check_cost_matrix`: a finite, nonempty matrix of the expected shape
+  (square when no shape is given).
+
+All three coerce through `as_float_array`, which reports input that is not
+a numeric array (strings, ragged nesting) as a `ValidationError` naming
+the argument.
+
 File formats
 ------------
 Point measures travel as JSON ``{"points": [[...], ...], "weights": [...]}``
@@ -47,29 +65,73 @@ __all__ = [
 ]
 
 
-def _as_points(points):
-    """Coerce input to a float array of shape (n, d)."""
-    pts = np.asarray(points, dtype=float)
+def as_float_array(obj, name):
+    """``np.asarray(obj, dtype=float)``, raising `ValidationError` on failure."""
+    try:
+        return np.asarray(obj, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} is not a numeric array: {exc}") from exc
+
+
+def check_points(obj, name="points"):
+    """The points of a `DiscreteMeasure`, or ``obj`` as a finite (n, d) array.
+
+    A 1-D array is read as n points in R^1; at least one point is required.
+    """
+    if isinstance(obj, DiscreteMeasure):
+        return obj.points
+    pts = as_float_array(obj, name)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2:
-        raise ValidationError(f"points must be 1-D or 2-D, got shape {pts.shape}")
+    if pts.ndim != 2 or pts.shape[0] < 1:
+        raise ValidationError(
+            f"{name} must be a nonempty 1-D or 2-D array, got shape {pts.shape}")
     if not np.all(np.isfinite(pts)):
-        raise ValidationError("points contain non-finite values")
+        raise ValidationError(f"{name} has non-finite values")
     return pts
 
 
-def _as_weights(weights, n=None):
-    w = np.asarray(weights, dtype=float)
+def check_weights(obj, name="weights", n=None, probability=False,
+                  tolerances: Tolerances = DEFAULT_TOLERANCES):
+    """The weights of a `DiscreteMeasure`, or ``obj`` as a weight vector.
+
+    Weights are a finite, nonnegative 1-D array, of length ``n`` when it is
+    given.  With ``probability`` they must also sum to 1 within
+    ``tolerances.marginal``, which rules out an empty vector.
+    """
+    if isinstance(obj, DiscreteMeasure):
+        w = obj.weights
+    else:
+        w = as_float_array(obj, name)
     if w.ndim != 1:
-        raise ValidationError(f"weights must be 1-D, got shape {w.shape}")
+        raise ValidationError(f"{name} must be 1-D, got shape {w.shape}")
     if n is not None and w.shape[0] != n:
-        raise ValidationError(f"expected {n} weights, got {w.shape[0]}")
+        raise ValidationError(f"expected {n} {name}, got {w.shape[0]}")
     if not np.all(np.isfinite(w)):
-        raise ValidationError("weights contain non-finite values")
+        raise ValidationError(f"{name} has non-finite values")
     if np.any(w < 0):
-        raise ValidationError("weights must be nonnegative")
+        raise ValidationError(f"{name} must be nonnegative")
+    if probability:
+        total = float(np.sum(w))
+        if abs(total - 1.0) > tolerances.marginal:
+            raise ValidationError(
+                f"{name} must be a probability vector, total mass {total!r}")
     return w
+
+
+def check_cost_matrix(obj, shape=None, name="cost matrix"):
+    """``obj`` as a finite, nonempty matrix of ``shape`` (square if None)."""
+    C = as_float_array(obj, name)
+    if shape is None and C.ndim == 2 and C.shape[0] == C.shape[1]:
+        shape = C.shape  # any square matrix will do
+    if C.shape != shape:
+        raise ValidationError(
+            f"{name} shape {C.shape}, expected {shape or 'a square matrix'}")
+    if C.size == 0:
+        raise ValidationError(f"{name} is empty")
+    if not np.all(np.isfinite(C)):
+        raise ValidationError(f"{name} has non-finite values")
+    return C
 
 
 class DiscreteMeasure:
@@ -92,8 +154,8 @@ class DiscreteMeasure:
     """
 
     def __init__(self, points, weights, tolerances: Tolerances = DEFAULT_TOLERANCES):
-        self.points = _as_points(points)
-        self.weights = _as_weights(weights, n=self.points.shape[0])
+        self.points = check_points(points)
+        self.weights = check_weights(weights, n=self.points.shape[0])
         self.tolerances = tolerances
 
     @property
@@ -166,8 +228,8 @@ class GridDensity1D:
     """
 
     def __init__(self, grid, density, tolerances: Tolerances = DEFAULT_TOLERANCES):
-        grid = np.asarray(grid, dtype=float)
-        density = np.asarray(density, dtype=float)
+        grid = as_float_array(grid, "grid")
+        density = as_float_array(density, "density")
         if grid.ndim != 1 or grid.shape[0] < 2:
             raise ValidationError("grid must be 1-D with at least two nodes")
         if density.shape != grid.shape:
@@ -254,7 +316,7 @@ class CostSpec:
         if self.kind == "explicit_matrix":
             if self.matrix is None:
                 raise ValidationError("explicit_matrix cost requires a matrix")
-            m = np.asarray(self.matrix, dtype=float)
+            m = as_float_array(self.matrix, "explicit cost matrix")
             if m.ndim != 2 or not np.all(np.isfinite(m)):
                 raise ValidationError("explicit cost matrix must be 2-D and finite")
             object.__setattr__(self, "matrix", m)
@@ -280,12 +342,6 @@ class CostSpec:
         return cls("explicit_matrix", matrix=matrix)
 
 
-def _points_of(obj):
-    if isinstance(obj, DiscreteMeasure):
-        return obj.points
-    return _as_points(obj)
-
-
 def build_cost_matrix(alpha, beta, spec: CostSpec,
                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
     """Evaluate the ground cost between the supports of two measures.
@@ -301,8 +357,8 @@ def build_cost_matrix(alpha, beta, spec: CostSpec,
     -------
     numpy.ndarray, shape (n, m)
     """
-    x = _points_of(alpha)
-    y = _points_of(beta)
+    x = check_points(alpha)
+    y = check_points(beta)
     if spec.kind == "explicit_matrix":
         m = spec.matrix
         if m.shape != (x.shape[0], y.shape[0]):
@@ -348,16 +404,11 @@ class Coupling:
 
     def __init__(self, plan, row_marginal, col_marginal, atol=None,
                  tolerances: Tolerances = DEFAULT_TOLERANCES):
-        plan = np.asarray(plan, dtype=float)
-        row = np.asarray(row_marginal, dtype=float)
-        col = np.asarray(col_marginal, dtype=float)
+        plan = as_float_array(plan, "plan")
         if plan.ndim != 2:
             raise ValidationError(f"plan must be 2-D, got shape {plan.shape}")
-        if plan.shape != (row.shape[0], col.shape[0]):
-            raise ValidationError(
-                f"plan shape {plan.shape} does not match marginals "
-                f"({row.shape[0]}, {col.shape[0]})"
-            )
+        row = check_weights(row_marginal, "row marginal", n=plan.shape[0])
+        col = check_weights(col_marginal, "column marginal", n=plan.shape[1])
         if not np.all(np.isfinite(plan)):
             raise ValidationError("plan contains non-finite values")
         lowest = plan.min(initial=0.0)
@@ -386,11 +437,7 @@ class Coupling:
 
     def cost(self, cost_matrix) -> float:
         """Total transport cost <C, P>."""
-        C = np.asarray(cost_matrix, dtype=float)
-        if C.shape != self.plan.shape:
-            raise ValidationError(
-                f"cost matrix shape {C.shape} does not match plan {self.plan.shape}"
-            )
+        C = check_cost_matrix(cost_matrix, self.plan.shape)
         return float(np.sum(self.plan * C))
 
     def support(self, threshold=0.0):
@@ -407,22 +454,10 @@ def normalize(measure):
     return measure.normalized()
 
 
-def _weights_of(obj):
-    if isinstance(obj, DiscreteMeasure):
-        return obj.weights
-    w = np.asarray(obj, dtype=float)
-    if w.ndim != 1:
-        raise ValidationError("expected a DiscreteMeasure or a 1-D weight array")
-    return w
-
-
 def product_coupling(alpha, beta, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coupling:
     """The independent coupling a (x) b of two probability vectors."""
-    a = _weights_of(alpha)
-    b = _weights_of(beta)
-    for name, w in (("alpha", a), ("beta", b)):
-        if abs(float(np.sum(w)) - 1.0) > tolerances.marginal:
-            raise ValidationError(f"{name} must be a probability vector")
+    a = check_weights(alpha, "alpha", probability=True, tolerances=tolerances)
+    b = check_weights(beta, "beta", probability=True, tolerances=tolerances)
     return Coupling(np.outer(a, b), a, b, tolerances=tolerances)
 
 
@@ -474,8 +509,6 @@ def _merge_close_points(points, weights, tol):
     input atom (in sorted order positions).
     """
     n = points.shape[0]
-    if n == 0:
-        return points, weights, np.zeros(0, dtype=int), np.zeros(n, dtype=int)
     order = np.lexsort(points.T[::-1])
     pts = points[order]
     wts = weights[order]

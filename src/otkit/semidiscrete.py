@@ -20,7 +20,8 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .measures import CostSpec, build_cost_matrix
+from .measures import (CostSpec, as_float_array, build_cost_matrix,
+                       check_points, check_weights)
 
 
 class Sampler:
@@ -74,14 +75,13 @@ class Sampler:
 
     @classmethod
     def gaussian_mixture(cls, weights, means, covs) -> "Sampler":
-        w = np.asarray(weights, dtype=float)
-        means = [np.atleast_1d(np.asarray(m, dtype=float)) for m in means]
-        covs = [np.atleast_2d(np.asarray(c, dtype=float)) for c in covs]
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
-            raise ValidationError("mixture weights must be a probability vector")
-        if not (len(w) == len(means) == len(covs)):
-            raise ValidationError("one mean and covariance per component")
-        d = means[0].shape[0]
+        means = check_points(means, "mixture means")
+        k, d = means.shape
+        w = check_weights(weights, "mixture weights", n=k, probability=True)
+        covs = as_float_array(covs, "mixture covariances")
+        if covs.shape != (k, d, d) or not np.all(np.isfinite(covs)):
+            raise ValidationError(
+                f"mixture covariances must be {k} finite {d}x{d} matrices")
 
         def draw(rng, n):
             comps = rng.choice(len(w), size=n, p=w / w.sum())
@@ -103,18 +103,11 @@ class SemiDiscreteProblem:
     def __init__(self, sampler: Sampler, targets, target_weights,
                  cost: CostSpec = None):
         self.sampler = sampler
-        y = np.asarray(targets, dtype=float)
-        if y.ndim == 1:
-            y = y[:, None]
-        if y.ndim != 2 or y.shape[0] < 1:
-            raise ValidationError("targets must be a nonempty (m, d) array")
+        y = check_points(targets, "targets")
         if y.shape[1] != sampler.dim:
             raise ValidationError("targets and sampler dimensions differ")
-        b = np.asarray(target_weights, dtype=float)
-        if b.shape != (y.shape[0],) or np.any(b < 0):
-            raise ValidationError("target weights must be nonnegative, one per atom")
-        if abs(b.sum() - 1.0) > 1e-9:
-            raise ValidationError("target weights must sum to one")
+        b = check_weights(target_weights, "target weights", n=y.shape[0],
+                          probability=True)
         self.targets = y
         self.target_weights = b / b.sum()
         self.cost = cost if cost is not None else CostSpec.sq_euclidean()

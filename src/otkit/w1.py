@@ -20,22 +20,21 @@ import numpy as np
 
 from ._mincostflow import quantize_balanced, solve_min_cost_flow
 from .errors import UnbalancedError, ValidationError
-from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
+from .exact import (WEIGHT_DENOMINATOR, connected_components,
+                    solve_kantorovich, validate_metric)
+from .measures import as_float_array, check_cost_matrix, check_points
 
 
 class SignedDiscreteMeasure:
     """Finitely supported signed measure ``sum_k m_k delta_{z_k}``."""
 
     def __init__(self, points, masses):
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[:, None]
-        m = np.asarray(masses, dtype=float)
-        if pts.ndim != 2 or m.ndim != 1 or pts.shape[0] != m.shape[0]:
-            raise ValidationError(
-                "points must be (n, d) with one mass per point")
-        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(m))):
-            raise ValidationError("points and masses must be finite")
+        pts = check_points(points)
+        m = as_float_array(masses, "masses")
+        if m.shape != (pts.shape[0],):
+            raise ValidationError("masses must be 1-D, one per point")
+        if not np.all(np.isfinite(m)):
+            raise ValidationError("masses must be finite")
         self.points = pts
         self.masses = m
 
@@ -65,8 +64,7 @@ def w1_kr_lp(m: SignedDiscreteMeasure, dist) -> Tuple[float, np.ndarray]:
     Returns the norm together with a potential that is 1-Lipschitz on
     the whole support and attains the dual value exactly.
     """
-    D = np.asarray(dist, dtype=float)
-    validate_metric(D)
+    D = validate_metric(dist)
     if D.shape[0] != m.n:
         raise ValidationError("distance matrix does not match the support")
     m.require_zero_sum()
@@ -91,16 +89,12 @@ def flat_norm(m: SignedDiscreteMeasure, dist) -> float:
     Zero-sum is not required: mass may be created or destroyed at unit
     cost, so the value never exceeds the total variation norm.
     """
-    D = np.asarray(dist, dtype=float)
-    if D.shape != (m.n, m.n):
-        raise ValidationError("distance matrix does not match the support")
-    if not np.all(np.isfinite(D)) or np.any(D < 0):
-        raise ValidationError("distances must be finite and nonnegative")
+    D = check_cost_matrix(dist, (m.n, m.n), "distance matrix")
+    if np.any(D < 0):
+        raise ValidationError("distances must be nonnegative")
     if np.abs(D - D.T).max() > 1e-12 * max(1.0, np.abs(D).max()):
         raise ValidationError("distance matrix must be symmetric")
     n = m.n
-    if n == 0:
-        return 0.0
     scale = WEIGHT_DENOMINATOR
     q = np.rint(m.masses * scale).astype(np.int64)
     supplies = np.concatenate([q, [-q.sum()]])
@@ -127,14 +121,17 @@ class FlowGraph:
 
     def __init__(self, n_nodes, edges, imbalance, node_names=None):
         n = int(n_nodes)
-        s = np.asarray(imbalance, dtype=float)
+        s = as_float_array(imbalance, "imbalance")
         if s.shape != (n,):
             raise ValidationError("one imbalance per node required")
         if not np.all(np.isfinite(s)):
             raise ValidationError("imbalances must be finite")
         clean = []
         for u, v, length in edges:
-            u, v, length = int(u), int(v), float(length)
+            try:
+                u, v, length = int(u), int(v), float(length)
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"bad edge {(u, v, length)!r}") from exc
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ValidationError(f"bad edge ({u}, {v})")
             if not (np.isfinite(length) and length > 0):
@@ -142,7 +139,7 @@ class FlowGraph:
             clean.append((u, v, length))
         if abs(s.sum()) > 1e-12 * max(1.0, np.abs(s).sum()):
             raise UnbalancedError("imbalances must sum to zero")
-        comp = _components(n, clean)
+        comp = connected_components(n, clean)
         for c in range(comp.max() + 1 if n else 0):
             mass = s[comp == c].sum()
             if abs(mass) > 1e-12 * max(1.0, np.abs(s).sum()):
@@ -157,24 +154,6 @@ class FlowGraph:
         self.node_names = names
 
 
-def _components(n, edges):
-    parent = np.arange(n)
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, _ in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    roots = np.array([find(i) for i in range(n)])
-    _, labels = np.unique(roots, return_inverse=True)
-    return labels
-
-
 def w1_graph_beckmann(graph: FlowGraph) -> Tuple[float, np.ndarray]:
     """Minimum total length-weighted flow routing the node imbalances.
 
@@ -185,7 +164,7 @@ def w1_graph_beckmann(graph: FlowGraph) -> Tuple[float, np.ndarray]:
     n = graph.n_nodes
     scale = WEIGHT_DENOMINATOR
     supplies = np.zeros(n, dtype=np.int64)
-    comp = _components(n, graph.edges)
+    comp = connected_components(n, graph.edges)
     for c in range(comp.max() + 1 if n else 0):
         idx = np.flatnonzero(comp == c)
         supplies[idx] = quantize_balanced(graph.imbalance[idx], scale)
@@ -213,7 +192,7 @@ def flow_graph_from_dict(payload) -> FlowGraph:
     """
     try:
         nodes = list(payload["nodes"])
-        edges_raw = payload["edges"]
+        edges_raw = list(payload["edges"])
         imbalance_raw = dict(payload["imbalance"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed graph payload: {exc}") from exc
@@ -223,17 +202,17 @@ def flow_graph_from_dict(payload) -> FlowGraph:
     index = {name: i for i, name in enumerate(names)}
     edges = []
     for entry in edges_raw:
-        if len(entry) != 3:
+        if not isinstance(entry, (list, tuple)) or len(entry) != 3:
             raise ValidationError("edges must be [u, v, length] triples")
         u, v, length = entry
         if str(u) not in index or str(v) not in index:
             raise ValidationError(f"edge references unknown node {u!r}/{v!r}")
-        edges.append((index[str(u)], index[str(v)], float(length)))
-    s = np.zeros(len(names))
+        edges.append((index[str(u)], index[str(v)], length))
+    s = [0.0] * len(names)
     for key, mass in imbalance_raw.items():
         if str(key) not in index:
             raise ValidationError(f"imbalance references unknown node {key!r}")
-        s[index[str(key)]] = float(mass)
+        s[index[str(key)]] = mass
     return FlowGraph(len(names), edges, s, node_names=names)
 
 

@@ -119,6 +119,56 @@ class TestExitCodes:
              "--sampler", "uniform_box", "--iters", "10"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("argv, payload", [
+        (["exact", "--a", "BAD", "--b", "BAD"],
+         {"points": [["a", 0.0]], "weights": [1.0]}),
+        (["exact", "--a", "BAD", "--b", "BAD"],
+         {"points": [[0.0, 1.0], [2.0]], "weights": [0.5, 0.5]}),
+        (["w1", "kr", "--measure", "BAD"],
+         {"points": [[0.0]], "masses": ["x"]}),
+        (["w1", "graph", "--graph", "BAD"],
+         {"nodes": ["a", "b"], "edges": [["a", "b", "x"]],
+          "imbalance": {"a": 1.0, "b": -1.0}}),
+        (["gaussian", "--a", "BAD", "--b", "BAD"],
+         {"mean": ["z", 0.0], "covariance": [[1.0, 0.0], [0.0, 1.0]]}),
+        (["flow", "gradient", "--config", "BAD"],
+         {"kind": "linear", "potential": {"name": "quadratic"},
+          "x0": [[0.0, "s"]], "dt": 0.1, "T": 0.2}),
+        (["flow", "gradient", "--config", "BAD"],
+         {"kind": "interaction", "kernel": {"name": "gaussian", "sigma": "s"},
+          "x0": [[0.0, 1.0]], "dt": 0.1, "T": 0.2}),
+        (["flow", "transformer", "--config", "BAD"],
+         {"tokens": [[0.0, 1.0]], "Q": [["q", 0.0], [0.0, 1.0]],
+          "K": [[1.0, 0.0], [0.0, 1.0]], "V": [[1.0, 0.0], [0.0, 1.0]],
+          "depth": 2}),
+        (["flow", "mlp", "--config", "BAD"],
+         {"features": [[0.5], [1.0]], "labels": ["y", 1.0], "n_neurons": 2,
+          "dt": 0.1, "T": 0.2, "seed": 0}),
+    ], ids=["exact-string-point", "exact-ragged-points", "w1-kr-string-mass",
+            "w1-graph-string-length", "gaussian-string-mean",
+            "flow-string-x0", "flow-string-sigma", "transformer-string-q",
+            "mlp-string-label"])
+    def test_malformed_payload_is_two(self, tmp_path, capsys, argv, payload):
+        bad = write_json(tmp_path, "bad.json", payload)
+        code, out, err = run_cli([bad if tok == "BAD" else tok
+                                  for tok in argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "validation"
+
+    def test_flow_dt_given_as_a_string_is_read_as_a_number(self, tmp_path,
+                                                           capsys):
+        finals = []
+        for dt in (0.1, "0.1"):
+            cfg = write_json(tmp_path, "flow.json", {
+                "kind": "linear", "potential": {"name": "quadratic"},
+                "x0": [[1.0, 0.0], [0.0, 2.0]], "dt": dt, "T": 0.3})
+            code, out, _ = run_cli(["flow", "gradient", "--config", cfg],
+                                   capsys)
+            assert code == 0
+            finals.append(json.loads(out)["final_state"])
+        assert finals[0] == finals[1]
+
     def test_mlp_flow_requires_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "mlp.json", {
             "features": [[0.5], [1.0]], "labels": [0.0, 1.0],

@@ -16,6 +16,7 @@ from otkit.dynamics import (
     attention_velocity,
     dacorogna_moser_1d,
     entropy_flow_1d,
+    flow_match_trajectory,
     flow_match_velocity,
     gradient_flow,
     integrate_flow_match,
@@ -404,6 +405,15 @@ class TestIntegrateFlowMatch:
         out = integrate_flow_match(path, x[0], dt=0.25)
         assert out.shape == (2,)
         assert_allclose(out, y[0], atol=1e-9)
+
+    def test_trajectory_ends_at_the_integrated_endpoint(self):
+        x = np.sort(np.random.default_rng(3).random(4))[:, None]
+        path = CouplingPath.monge(x, x + 1.0, np.full(4, 0.25))
+        traj = flow_match_trajectory(path, x, dt=0.25)
+        assert_array_equal(traj.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert_array_equal(traj.states[0], x)
+        assert_array_equal(traj.final_state,
+                           integrate_flow_match(path, x, dt=0.25))
 
     def test_displacement_energy_matches_lp(self):
         rng = np.random.default_rng(9)

@@ -64,6 +64,8 @@ class TestAssignment:
     def test_rectangular_rejected(self):
         with pytest.raises(ValidationError):
             solve_assignment(np.zeros((2, 3)))
+        with pytest.raises(ValidationError):
+            solve_assignment(np.zeros((0, 0)))
 
 
 class TestKantorovich:

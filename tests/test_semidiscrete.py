@@ -44,6 +44,25 @@ class TestSampler:
             Sampler.gaussian_mixture([0.7, 0.7], [[0.0]], [[[1.0]]])
         with pytest.raises(ValidationError):
             Sampler.uniform_box([1.0], [0.0])
+        with pytest.raises(ValidationError):
+            Sampler.gaussian_mixture([np.nan, 1.0], [[0.0], [1.0]],
+                                     [[[1.0]], [[1.0]]])
+        with pytest.raises(ValidationError):
+            Sampler.gaussian_mixture([1.0], [[0.0, 0.0]], [np.eye(3)])
+        with pytest.raises(ValidationError):
+            Sampler.gaussian_mixture([0.5, 0.5], [[0.0], [0.0, 1.0]],
+                                     [np.eye(1), np.eye(2)])
+
+
+class TestProblemValidation:
+    def test_non_finite_targets_or_weights_rejected(self):
+        sampler = Sampler.uniform_box([0.0], [1.0])
+        with pytest.raises(ValidationError):
+            SemiDiscreteProblem(sampler, [[0.2], [0.8]], [np.nan, 1.0])
+        with pytest.raises(ValidationError):
+            SemiDiscreteProblem(sampler, [[0.2], [np.inf]], [0.5, 0.5])
+        with pytest.raises(ValidationError):
+            SemiDiscreteProblem(sampler, [[0.2], [np.nan]], [0.5, 0.5])
 
 
 class TestLaguerreCells:
