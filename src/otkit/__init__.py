@@ -5,8 +5,8 @@ Subpackage map:
 - ``measures``: discrete measures, grid densities, costs, couplings.
 - ``exact``: assignment, Kantorovich LP, 1-D closed forms.
 - ``gaussian``: Bures metric, Gaussian W2, Monge maps between Gaussians.
-- ``entropic``: Sinkhorn in scaling and log domains, Hilbert-metric
-  diagnostics, Sinkhorn divergence.
+- ``entropic``: Sinkhorn on an absorbed kernel with a log-domain
+  safeguard, Hilbert-metric diagnostics, Sinkhorn divergence.
 - ``duality``: c-transforms, duality gaps, semi-dual energy.
 - ``semidiscrete``: Monte Carlo semi-dual, SGD potentials, Lloyd quantization.
 - ``w1``: Kantorovich-Rubinstein norm, flat norm, Beckmann graph problem.

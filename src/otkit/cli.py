@@ -39,7 +39,7 @@ from . import gaussian as gaussian_mod
 from . import semidiscrete, w1
 from .errors import ConvergenceError, OTError, ValidationError
 from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
-                       as_float_array, build_cost_matrix, check_cost_matrix,
+                       as_float_array, build_cost_matrix, check_covariance,
                        check_points, load_measure_csv, measure_from_dict,
                        product_coupling)
 from .selftest import run_selftest
@@ -176,8 +176,8 @@ def _load_gaussian(path):
     if mean.shape[1] != 1:
         raise ValidationError(f"{path}: mean must be a vector")
     d = mean.shape[0]
-    cov = check_cost_matrix(_get(payload, "covariance", path), (d, d),
-                            f"{path}: covariance")
+    cov = check_covariance(_get(payload, "covariance", path),
+                           f"{path}: covariance", d)
     return mean[:, 0], cov
 
 
@@ -625,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated decreasing epsilons ending at "
                         "--epsilon")
     p.add_argument("--scaling-domain", action="store_true",
-                   help="use kernel scaling instead of log-domain updates")
+                   help="turn off the log-domain safeguard of the kernel "
+                        "iterations (fails on kernel underflow)")
     p.add_argument("--trace", default=None,
                    help="write per-iteration JSON lines here")
     _add_output_flags(p)

@@ -32,8 +32,8 @@ from .errors import (
     ValidationError,
     VanishingDensityError,
 )
-from .measures import (Coupling, GridDensity1D, as_float_array, check_points,
-                       check_weights)
+from .measures import (Coupling, GridDensity1D, as_float_array, as_number,
+                       check_points, check_weights)
 
 __all__ = [
     "ParticleTrajectory",
@@ -54,13 +54,10 @@ __all__ = [
 
 
 def _step_count(dt, horizon):
-    try:
-        dt, horizon = float(dt), float(horizon)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"dt and the horizon must be numbers: {exc}") from exc
-    if not np.isfinite(dt) or dt <= 0.0:
+    dt, horizon = as_number(dt, "dt"), as_number(horizon, "the time horizon")
+    if dt <= 0.0:
         raise ValidationError("dt must be positive")
-    if not np.isfinite(horizon) or horizon <= 0.0:
+    if horizon <= 0.0:
         raise ValidationError("the time horizon must be positive")
     steps = int(round(horizon / dt))
     if steps < 1 or abs(steps * dt - horizon) > 1e-8 * max(1.0, horizon):
@@ -379,7 +376,8 @@ def _proximal_step(functional, X, dt, tol, max_inner):
     for _ in range(max_inner):
         if norm <= tol:
             return z
-        while True:
+        # eta <= 1 falls below the 1e-18 cutoff within 60 halvings.
+        for _ in range(61):
             z_new = z - eta * g
             g_new = (z_new - X) - dt * functional.velocity(z_new)
             norm_new = float(np.max(np.abs(g_new)))
@@ -429,8 +427,8 @@ class GeneralizedEntropy:
     @classmethod
     def power(cls, q):
         """g(s) = s^q with q > 1: porous-medium flux gtilde(s) = (q-1) s^q."""
-        q = float(q)
-        if not np.isfinite(q) or q <= 1.0:
+        q = as_number(q, "q")
+        if q <= 1.0:
             raise ValidationError("power entropy requires q > 1")
         return cls(
             f"power({q:g})",
@@ -681,8 +679,8 @@ def flow_match_velocity(path: CouplingPath, t, z, bandwidth) -> np.ndarray:
         raise ValidationError(
             f"query point must have shape ({path.dim},), got {z.shape}"
         )
-    bandwidth = float(bandwidth)
-    if not np.isfinite(bandwidth) or bandwidth < 0:
+    bandwidth = as_number(bandwidth, "bandwidth")
+    if bandwidth < 0:
         raise ValidationError("bandwidth must be finite and nonnegative")
     pos, vel = path.atoms_at(t)
     dist = np.sqrt(np.sum((pos - z) ** 2, axis=1))
@@ -847,7 +845,7 @@ def transformer_flow(tokens, Q, K, V, depth) -> ParticleTrajectory:
     states identically, bit for bit.
     """
     X = check_points(tokens, "tokens")
-    depth = int(depth)
+    depth = int(as_number(depth, "depth"))
     if depth < 1:
         raise ValidationError("depth must be at least 1")
     states = np.empty((depth + 1,) + X.shape)
@@ -877,7 +875,7 @@ def mlp_flow(features, labels, n_neurons, dt, T, activation="identity",
         The risk along the trajectory, one value per time.
     """
     spec = FunctionalSpec.mlp_risk(features, labels, activation)
-    n = int(n_neurons)
+    n = int(as_number(n_neurons, "n_neurons"))
     if n < 1:
         raise ValidationError("n_neurons must be at least 1")
     rng = np.random.default_rng(seed)

@@ -11,9 +11,20 @@ column sums equal b).  In the log domain the update is the soft minimum
     f_i  <-  min^eps_{r^b}(C_i. - g) + eps log(a_i / r^a_i),
     min^eps_w(h) = -eps log sum_j w_j exp(-h_j / eps),
 
-evaluated with max subtraction so overflow cannot occur; the scaling
-domain keeps multiplicative factors u = exp(f/eps), v = exp(g/eps) and is
-retained for large eps where it is cheap and safe.
+evaluated with max subtraction so overflow cannot occur, but it costs
+several passes over the n x m matrix.  `sinkhorn` therefore iterates on an
+absorbed kernel (Schmitzer 2019, "Stabilized sparse scaling algorithms for
+entropy regularized transport problems"): it keeps potentials (fh, gh) and
+the kernel K = P(fh, gh), writes f = fh + eps log u, g = gh + eps log v,
+and updates the scalings by u = a / (K v), v = b / (K^T u), two mat-vecs
+per iteration that also give both marginals for the stop test.  Each stage
+starts with one log-domain f update and a kernel built at the result, so
+every kernel row sums to a_i.  When a scaling turns zero, non-finite or
+leaves [1e-50, 1e50] it is absorbed into the potentials, that half-update
+is redone in the log domain, and the kernel is rebuilt.  With
+``log_domain=False`` the same loop runs with this safeguard off, the plain
+scaling-domain algorithm, and an underflowed kernel row or an overflow is
+reported as a `ValidationError`.
 
 The dual objective recorded in the trace is
 
@@ -31,11 +42,11 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
-from .measures import Coupling, check_cost_matrix, check_weights
+from .measures import (Coupling, as_float_array, check_cost_matrix,
+                       check_weights)
 
 __all__ = [
     "SinkhornConfig",
@@ -82,6 +93,32 @@ def _softmin_rows(M, weights, epsilon):
     return m - epsilon * np.log(z)
 
 
+def _softmin_update(C, h, log_rh, epsilon):
+    """The log-domain update min^eps_{r}(C_i. - h) of each row's potential."""
+    return _softmin_rows(C - h[None, :] - epsilon * log_rh[None, :],
+                         np.ones_like(h), epsilon)
+
+
+def _gibbs_plan(C, f, g, epsilon, log_ra, log_rb):
+    """The plan r^a_i r^b_j exp((f_i + g_j - C_ij) / eps) of two potentials."""
+    return np.exp(log_ra[:, None] + log_rb[None, :]
+                  + (f[:, None] + g[None, :] - C) / epsilon)
+
+
+# Scalings are absorbed into the potentials once they leave
+# [1/_ABSORB, _ABSORB]; a kernel entry below 1e-308 then moves the plan by
+# at most 1e-308 * _ABSORB**2 = 1e-208.
+_ABSORB = 1e50
+_QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
+_STRICT = {"divide": "raise", "over": "raise", "invalid": "raise"}
+
+
+def _bounded(scaling):
+    """True if every entry lies in [1/_ABSORB, _ABSORB] (so none is NaN)."""
+    return bool(scaling.min() >= 1.0 / _ABSORB
+                and scaling.max() <= _ABSORB)
+
+
 @dataclass(frozen=True)
 class SinkhornConfig:
     """Solver settings.
@@ -96,8 +133,12 @@ class SinkhornConfig:
     marginal_tol : float
         L1 stopping tolerance on ``max(|P1 - a|_1, |P^T 1 - b|_1)``.
     log_domain : bool
-        Soft-minimum updates (default) versus kernel scaling.  The scaling
-        domain overflows for small epsilon and is rejected when it does.
+        Keep the log-domain safeguard of the kernel iterations on
+        (default): the first update of each stage, and any update whose
+        scaling leaves [1e-50, 1e50], is taken as a soft minimum and the
+        kernel is rebuilt.  Off, the iterations are plain kernel scaling
+        from the kernel at the stage's starting potentials; that overflows
+        for small epsilon and is rejected when it does.
     epsilon_schedule : sequence of float or None
         Strictly decreasing epsilons ending exactly at ``epsilon``; each
         stage runs to tolerance and warm-starts the next.
@@ -215,98 +256,104 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
     f = np.zeros(sub_a.size)
     g = np.zeros(sub_b.size)
     trace: list[SinkhornTraceRecord] = []
-    history = [(f.copy(), g.copy())] if config.record_history else None
+    history = [(f, g)] if config.record_history else None
 
     log_a = np.log(sub_a)
     log_b = np.log(sub_b)
     log_ra = np.log(ref_a)
     log_rb = np.log(ref_b)
+    ones_a = np.ones(sub_a.size)
+    ones_b = np.ones(sub_b.size)
 
+    # The plan is diag(u) K diag(v) with K the plan of the absorbed
+    # potentials (fh, gh), so f = fh + eps log u and g = gh + eps log v.
+    # Row sums u * Kv and column sums v * K^T u come from the two mat-vecs
+    # an iteration makes anyway.  With the safeguard on, the first f
+    # half-step of each stage, and any half-step whose scaling is zero,
+    # non-finite or outside [1/_ABSORB, _ABSORB], is taken in the log
+    # domain and K is rebuilt at the new potentials.
+    safeguard = config.log_domain
     iteration = 0
     status = "max_iter"
     eps = float(stages[0])
-    for stage_idx, stage_eps in enumerate(stages):
-        eps = float(stage_eps)
-        final_stage = stage_idx == len(stages) - 1
-        if not config.log_domain:
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
-                try:
-                    K_ref = np.exp(-sub_C / eps) * np.outer(ref_a, ref_b)
-                    u = np.exp(f / eps)
-                    v = np.exp(g / eps)
-                except FloatingPointError as exc:
-                    raise ValidationError(
-                        "scaling-domain Sinkhorn overflowed; use log_domain=True"
-                    ) from exc
-        converged = False
-        while iteration < config.max_iter:
-            iteration += 1
-            f_old = f
-            if config.log_domain:
-                f = (_softmin_rows(sub_C - g[None, :] - eps * log_rb[None, :],
-                                   np.ones_like(sub_b), eps)
-                     + eps * (log_a - log_ra))
-                if history is not None:
-                    history.append((f.copy(), g.copy()))
-                g = (_softmin_rows(sub_C.T - f[None, :] - eps * log_ra[None, :],
-                                   np.ones_like(sub_a), eps)
-                     + eps * (log_b - log_rb))
-                if history is not None:
-                    history.append((f.copy(), g.copy()))
-                logP = (log_ra[:, None] + log_rb[None, :]
-                        + (f[:, None] + g[None, :] - sub_C) / eps)
-                row = np.exp(logsumexp(logP, axis=1))
-                col = np.exp(logsumexp(logP, axis=0))
-            else:
-                with np.errstate(over="raise", divide="raise", invalid="raise"):
-                    try:
-                        u = sub_a / (K_ref @ v)
-                        if history is not None:
-                            history.append((eps * np.log(u), eps * np.log(v)))
-                        v = sub_b / (K_ref.T @ u)
-                        if history is not None:
-                            history.append((eps * np.log(u), eps * np.log(v)))
-                        P = u[:, None] * K_ref * v[None, :]
-                    except FloatingPointError as exc:
-                        raise ValidationError(
-                            "scaling-domain Sinkhorn overflowed; "
-                            "use log_domain=True"
-                        ) from exc
-                f = eps * np.log(u)
-                g = eps * np.log(v)
-                row = P.sum(axis=1)
-                col = P.sum(axis=0)
-            viol_a = float(np.abs(row - sub_a).sum())
-            viol_b = float(np.abs(col - sub_b).sum())
-            mass = float(row.sum())
-            dual = (float(f @ sub_a + g @ sub_b) - eps * (mass - 1.0))
-            hilbert_step = float(np.ptp((f - f_old) / eps))
-            trace.append(SinkhornTraceRecord(
-                iteration=iteration,
-                epsilon=eps,
-                viol_a=viol_a,
-                viol_b=viol_b,
-                dual=dual,
-                hilbert_step=hilbert_step,
-            ))
-            if max(viol_a, viol_b) <= config.marginal_tol:
-                converged = True
-                break
-        if not converged:
-            # Budget exhausted; the potentials belong to this stage's eps.
-            status = "max_iter"
-            break
-        if final_stage:
-            status = "optimal"
+    with np.errstate(**(_QUIET if safeguard else _STRICT)):
+        try:
+            for stage_idx, stage_eps in enumerate(stages):
+                eps = float(stage_eps)
+                final_stage = stage_idx == len(stages) - 1
+                K = None
+                if not safeguard:
+                    fh, gh = f, g
+                    K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
+                    v = ones_b
+                    Kv = K.sum(axis=1)
+                converged = False
+                while iteration < config.max_iter:
+                    iteration += 1
+                    f_old = f
+                    if K is not None:
+                        u = sub_a / Kv
+                    if K is None or (safeguard and not _bounded(u)):
+                        f = (_softmin_update(sub_C, g, log_rb, eps)
+                             + eps * (log_a - log_ra))
+                        fh, gh = f, g
+                        K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
+                        u, v = ones_a, ones_b
+                    else:
+                        f = fh + eps * np.log(u)
+                    if history is not None:
+                        history.append((f, g))
+                    Ktu = K.T @ u
+                    v = sub_b / Ktu
+                    if safeguard and not _bounded(v):
+                        g = (_softmin_update(sub_C.T, f, log_ra, eps)
+                             + eps * (log_b - log_rb))
+                        fh, gh = f, g
+                        K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
+                        u, v = ones_a, ones_b
+                        Ktu = K.sum(axis=0)
+                    else:
+                        g = gh + eps * np.log(v)
+                    if history is not None:
+                        history.append((f, g))
+                    Kv = K @ v
+                    row = u * Kv
+                    viol_a = float(np.abs(row - sub_a).sum())
+                    viol_b = float(np.abs(v * Ktu - sub_b).sum())
+                    mass = float(row.sum())
+                    dual = (float(f @ sub_a + g @ sub_b)
+                            - eps * (mass - 1.0))
+                    step = (f - f_old) / eps
+                    hilbert_step = float(step.max() - step.min())
+                    trace.append(SinkhornTraceRecord(
+                        iteration=iteration,
+                        epsilon=eps,
+                        viol_a=viol_a,
+                        viol_b=viol_b,
+                        dual=dual,
+                        hilbert_step=hilbert_step,
+                    ))
+                    if max(viol_a, viol_b) <= config.marginal_tol:
+                        converged = True
+                        break
+                if not converged:
+                    # Budget exhausted; the potentials belong to this
+                    # stage's eps.
+                    status = "max_iter"
+                    break
+                if final_stage:
+                    status = "optimal"
+        except FloatingPointError as exc:
+            raise ValidationError(
+                "scaling-domain Sinkhorn overflowed; use log_domain=True"
+            ) from exc
 
     # Gauge: split the dual value evenly between the two potentials.
     shift = 0.5 * (float(f @ sub_a) - float(g @ sub_b))
     f = f - shift
     g = g + shift
 
-    logP = (log_ra[:, None] + log_rb[None, :]
-            + (f[:, None] + g[None, :] - sub_C) / eps)
-    sub_plan = np.exp(logP)
+    sub_plan = _gibbs_plan(sub_C, f, g, eps, log_ra, log_rb)
 
     plan = np.zeros_like(C)
     plan[np.ix_(active_a, active_b)] = sub_plan
@@ -324,13 +371,11 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
     dropped_a = np.flatnonzero(aw == 0)
     dropped_b = np.flatnonzero(bw == 0)
     if dropped_a.size:
-        M = (C[np.ix_(dropped_a, active_b)] - g[None, :]
-             - eps * log_rb[None, :])
-        f_full[dropped_a] = _softmin_rows(M, np.ones_like(sub_b), eps)
+        f_full[dropped_a] = _softmin_update(C[np.ix_(dropped_a, active_b)],
+                                            g, log_rb, eps)
     if dropped_b.size:
-        M = (C[np.ix_(active_a, dropped_b)].T - f[None, :]
-             - eps * log_ra[None, :])
-        g_full[dropped_b] = _softmin_rows(M, np.ones_like(sub_a), eps)
+        g_full[dropped_b] = _softmin_update(C[np.ix_(active_a, dropped_b)].T,
+                                            f, log_ra, eps)
 
     state = SinkhornState(
         f=f_full,
@@ -355,10 +400,10 @@ def kl_projection_row(P, a, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coup
     ``KL(Q | P)`` over couplings with row marginal a.  Rows with positive
     target but zero current mass are rejected.
     """
-    P = np.asarray(P, dtype=float)
-    a = np.asarray(a, dtype=float)
-    if P.ndim != 2 or P.shape[0] != a.size:
-        raise ValidationError("plan and row marginal sizes disagree")
+    P = as_float_array(P, "plan")
+    if P.ndim != 2:
+        raise ValidationError("plan must be a matrix")
+    a = check_weights(a, "row marginal", n=P.shape[0])
     if np.any(P < 0):
         raise ValidationError("plan must be nonnegative")
     row = P.sum(axis=1)
@@ -375,10 +420,10 @@ def kl_projection_row(P, a, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coup
 
 def kl_projection_col(P, b, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coupling:
     """KL projection onto the column-marginal constraint (see row version)."""
-    P = np.asarray(P, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if P.ndim != 2 or P.shape[1] != b.size:
-        raise ValidationError("plan and column marginal sizes disagree")
+    P = as_float_array(P, "plan")
+    if P.ndim != 2:
+        raise ValidationError("plan must be a matrix")
+    b = check_weights(b, "column marginal", n=P.shape[1])
     if np.any(P < 0):
         raise ValidationError("plan must be nonnegative")
     col = P.sum(axis=0)

@@ -19,8 +19,8 @@ from . import _mincostflow as mcf
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .duality import DualPotentials
 from .errors import MetricAxiomError, UnbalancedError, ValidationError
-from .measures import (Coupling, DiscreteMeasure, check_cost_matrix,
-                       check_weights)
+from .measures import (Coupling, DiscreteMeasure, as_number,
+                       check_cost_matrix, check_weights)
 
 __all__ = [
     "TransportResult",
@@ -154,8 +154,8 @@ def solve_1d_sorted(alpha, beta, p, tolerances: Tolerances = DEFAULT_TOLERANCES
     p < 1 the cost is concave and the monotone plan is not optimal, so
     such exponents are rejected.
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 1:
+    p = as_number(p, "p")
+    if p < 1:
         raise ValidationError("solve_1d_sorted requires p >= 1")
     for name, mu in (("alpha", alpha), ("beta", beta)):
         if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
@@ -322,8 +322,8 @@ def wasserstein_p(a, b, dist_matrix, p,
     float
         ``W_p = (min <D^p, P>)^(1/p)``.
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 1:
+    p = as_number(p, "p")
+    if p < 1:
         raise ValidationError("wasserstein_p requires p >= 1")
     D = validate_metric(dist_matrix, tolerances)
     result = solve_kantorovich(a, b, D**p, tolerances)

@@ -26,6 +26,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
+from .measures import check_covariance
 
 __all__ = [
     "bures_distance",
@@ -35,22 +36,6 @@ __all__ = [
     "gaussian_monge_map",
     "GaussianMap",
 ]
-
-
-def _check_covariance(S, name, tolerances):
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValidationError(f"{name} must be a square matrix, got {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise ValidationError(f"{name} contains non-finite values")
-    scale = max(1.0, float(np.max(np.abs(S))))
-    if float(np.max(np.abs(S - S.T))) > 1e-8 * scale:
-        raise ValidationError(f"{name} is not symmetric")
-    S = 0.5 * (S + S.T)
-    w = np.linalg.eigvalsh(S)
-    if w[0] < -1e-10 * scale:
-        raise ValidationError(f"{name} has negative eigenvalue {w[0]!r}")
-    return S
 
 
 def _sym_sqrt(S):
@@ -67,8 +52,8 @@ def bures_squared(Sigma_a, Sigma_b,
     The value is clamped at zero: rounding can push the trace formula
     slightly negative when the matrices nearly coincide.
     """
-    Sa = _check_covariance(Sigma_a, "Sigma_a", tolerances)
-    Sb = _check_covariance(Sigma_b, "Sigma_b", tolerances)
+    Sa = check_covariance(Sigma_a, "Sigma_a")
+    Sb = check_covariance(Sigma_b, "Sigma_b")
     if Sa.shape != Sb.shape:
         raise ValidationError("covariances have different dimensions")
     root_a = _sym_sqrt(Sa)
@@ -135,8 +120,8 @@ def gaussian_monge_map(mean_a, Sigma_a, mean_b, Sigma_b,
     """
     ma = np.asarray(mean_a, dtype=float).reshape(-1)
     mb = np.asarray(mean_b, dtype=float).reshape(-1)
-    Sa = _check_covariance(Sigma_a, "Sigma_a", tolerances)
-    Sb = _check_covariance(Sigma_b, "Sigma_b", tolerances)
+    Sa = check_covariance(Sigma_a, "Sigma_a")
+    Sb = check_covariance(Sigma_b, "Sigma_b")
     d = ma.shape[0]
     if Sa.shape != (d, d) or Sb.shape != (d, d) or mb.shape != (d,):
         raise ValidationError("mean and covariance dimensions disagree")

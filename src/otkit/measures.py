@@ -21,10 +21,11 @@ here, so that one rule decides what a valid input is:
   must also sum to 1 within the ``marginal`` tolerance.
 * `check_cost_matrix`: a finite, nonempty matrix of the expected shape
   (square when no shape is given).
+* `check_covariance`: a finite, symmetric, positive semidefinite matrix.
 
-All three coerce through `as_float_array`, which reports input that is not
-a numeric array (strings, ragged nesting) as a `ValidationError` naming
-the argument.
+These, and `as_number` for scalar settings, coerce through
+`as_float_array`, which reports input that is not a numeric array
+(strings, ragged nesting) as a `ValidationError` naming the argument.
 
 File formats
 ------------
@@ -71,6 +72,14 @@ def as_float_array(obj, name):
         return np.asarray(obj, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name} is not a numeric array: {exc}") from exc
+
+
+def as_number(obj, name):
+    """``obj`` as one finite float, raising `ValidationError` otherwise."""
+    x = as_float_array(obj, name)
+    if x.ndim != 0 or not np.isfinite(x):
+        raise ValidationError(f"{name} must be one finite number, got {obj!r}")
+    return float(x)
 
 
 def check_points(obj, name="points"):
@@ -132,6 +141,29 @@ def check_cost_matrix(obj, shape=None, name="cost matrix"):
     if not np.all(np.isfinite(C)):
         raise ValidationError(f"{name} has non-finite values")
     return C
+
+
+def check_covariance(obj, name="covariance", d=None):
+    """``obj`` as a covariance matrix: finite, symmetric up to rounding
+    (1e-8 of its largest entry), and positive semidefinite up to rounding
+    (eigenvalues down to -1e-10 of it).  ``d`` fixes the size.  Returns the
+    symmetrized matrix.
+    """
+    S = as_float_array(obj, name)
+    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+        raise ValidationError(f"{name} must be a square matrix, got {S.shape}")
+    if d is not None and S.shape != (d, d):
+        raise ValidationError(f"{name} must be {d}x{d}, got {S.shape}")
+    if not np.all(np.isfinite(S)):
+        raise ValidationError(f"{name} contains non-finite values")
+    scale = max(1.0, float(np.max(np.abs(S))))
+    if float(np.max(np.abs(S - S.T))) > 1e-8 * scale:
+        raise ValidationError(f"{name} is not symmetric")
+    S = 0.5 * (S + S.T)
+    w = np.linalg.eigvalsh(S)
+    if w[0] < -1e-10 * scale:
+        raise ValidationError(f"{name} has negative eigenvalue {w[0]!r}")
+    return S
 
 
 class DiscreteMeasure:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .measures import (CostSpec, as_float_array, build_cost_matrix,
-                       check_points, check_weights)
+                       check_covariance, check_points, check_weights)
 
 
 class Sampler:
@@ -61,11 +61,12 @@ class Sampler:
 
     @classmethod
     def gaussian(cls, mean, cov) -> "Sampler":
-        mean = np.atleast_1d(np.asarray(mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(cov, dtype=float))
+        mean = np.atleast_1d(as_float_array(mean, "mean"))
+        if mean.ndim != 1 or not np.all(np.isfinite(mean)):
+            raise ValidationError("mean must be a finite vector")
         d = mean.shape[0]
-        if cov.shape != (d, d):
-            raise ValidationError("covariance shape must match the mean")
+        cov = check_covariance(np.atleast_2d(as_float_array(cov, "covariance")),
+                               "covariance", d)
 
         def draw(rng, n):
             return rng.multivariate_normal(mean, cov, size=n,
@@ -79,9 +80,11 @@ class Sampler:
         k, d = means.shape
         w = check_weights(weights, "mixture weights", n=k, probability=True)
         covs = as_float_array(covs, "mixture covariances")
-        if covs.shape != (k, d, d) or not np.all(np.isfinite(covs)):
+        if covs.shape != (k, d, d):
             raise ValidationError(
-                f"mixture covariances must be {k} finite {d}x{d} matrices")
+                f"mixture covariances must be {k} matrices of size {d}x{d}")
+        covs = np.array([check_covariance(S, f"mixture covariance {j}")
+                         for j, S in enumerate(covs)])
 
         def draw(rng, n):
             comps = rng.choice(len(w), size=n, p=w / w.sum())

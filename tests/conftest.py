@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 DENOM = 10**9
 
@@ -39,3 +40,20 @@ def random_spd(rng, d, scale=1.0):
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+def full_iterates(state, count):
+    """The (f, g) pair before and after each of ``count`` full iterations.
+
+    A Sinkhorn run that stopped before ``count`` iterations as optimal sits
+    at a fixed point (see `f_update_gap`), so its final pair stands in for
+    the iterates it did not take.  Needs ``record_history=True``.
+    """
+    history = state.history
+    return [history[min(2 * k, len(history) - 1)] for k in range(count + 1)]
+
+
+def f_update_gap(b, C, f, g, eps):
+    """How far one more f update from g moves f (reference weights (a, b))."""
+    f_next = -eps * logsumexp((g[None, :] - C) / eps, b=b[None, :], axis=1)
+    return float(np.abs(f_next - f).max())

@@ -17,7 +17,13 @@ import pytest
 from scipy.linalg import expm
 from scipy.spatial.distance import cdist
 
-from conftest import random_points, random_simplex, rational_simplex
+from conftest import (
+    f_update_gap,
+    full_iterates,
+    random_points,
+    random_simplex,
+    rational_simplex,
+)
 from oracles import (
     brute_force_assignment,
     linprog_transport_cost,
@@ -335,7 +341,15 @@ def test_07_hilbert_contraction_rate_and_a_posteriori_bound():
         cfg = SinkhornConfig(epsilon=eps, max_iter=40, marginal_tol=1e-16,
                              record_history=True)
         state = sinkhorn(a, b, C, cfg).state
-        iterates = [state.history[2 * j] for j in range(41)]
+        if state.iteration < 40:
+            # Stopping early needs a fixed point, not just a small residual.
+            f_end, g_end = state.history[-1]
+            gap = f_update_gap(b, C, f_end, g_end, eps)
+            _check(failures, state.status == "optimal"
+                   and gap <= 1e-15 * max(1.0, float(np.abs(f_end).max())),
+                   f"instance {k}: stopped at {state.iteration} as "
+                   f"{state.status} with update gap {gap}")
+        iterates = full_iterates(state, 40)
         dists = [float(np.ptp((f - f_star) / eps)) for f, _ in iterates]
         for j, (d0, d1) in enumerate(zip(dists[1:], dists[2:])):
             if d0 <= 1e-9:
@@ -344,7 +358,7 @@ def test_07_hilbert_contraction_rate_and_a_posteriori_bound():
                    f"instance {k} sweep {j}: ratio {d1 / d0:.4f} "
                    f"> lambda^2+0.05 = {lam ** 2 + 0.05:.4f}")
         for j in range(1, 41):
-            f_j, g_j = state.history[2 * j]
+            f_j, g_j = iterates[j]
             P_j = _plan_from_potentials(a, b, C, f_j, g_j, eps)
             lhs = float(np.ptp((f_j - f_star) / eps))
             rhs = hilbert_metric(P_j.sum(axis=1), a) / (1.0 - lam)

@@ -144,10 +144,26 @@ class TestExitCodes:
         (["flow", "mlp", "--config", "BAD"],
          {"features": [[0.5], [1.0]], "labels": ["y", 1.0], "n_neurons": 2,
           "dt": 0.1, "T": 0.2, "seed": 0}),
+        (["flow", "transformer", "--config", "BAD"],
+         {"tokens": [[0.0, 1.0]], "Q": [[1.0, 0.0], [0.0, 1.0]],
+          "K": [[1.0, 0.0], [0.0, 1.0]], "V": [[1.0, 0.0], [0.0, 1.0]],
+          "depth": "x"}),
+        (["flow", "mlp", "--config", "BAD"],
+         {"features": [[0.5], [1.0]], "labels": [0.0, 1.0], "n_neurons": "x",
+          "dt": 0.1, "T": 0.2, "seed": 0}),
+        (["flow", "entropy1d", "--config", "BAD"],
+         {"grid": [-1.0, 0.0, 1.0], "density": [0.5, 1.0, 0.5],
+          "entropy": {"name": "power", "q": "x"}, "dt": 0.01, "T": 0.02}),
+        (["flow", "flowmatch", "--config", "BAD"],
+         {"source": {"points": [[0.0]], "weights": [1.0]},
+          "target": {"points": [[1.0]], "weights": [1.0]},
+          "coupling": "monge", "dt": 0.5, "bandwidth": "x"}),
     ], ids=["exact-string-point", "exact-ragged-points", "w1-kr-string-mass",
             "w1-graph-string-length", "gaussian-string-mean",
             "flow-string-x0", "flow-string-sigma", "transformer-string-q",
-            "mlp-string-label"])
+            "mlp-string-label", "transformer-string-depth",
+            "mlp-string-n-neurons", "entropy1d-string-q",
+            "flowmatch-string-bandwidth"])
     def test_malformed_payload_is_two(self, tmp_path, capsys, argv, payload):
         bad = write_json(tmp_path, "bad.json", payload)
         code, out, err = run_cli([bad if tok == "BAD" else tok

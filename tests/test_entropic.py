@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
@@ -20,7 +22,15 @@ from otkit.errors import ValidationError
 from otkit.exact import solve_kantorovich
 from otkit.measures import CostSpec, build_cost_matrix
 
-from conftest import random_points, random_simplex, rational_simplex
+from sinkhorn_reference import sinkhorn_log_domain
+
+from conftest import (
+    f_update_gap,
+    full_iterates,
+    random_points,
+    random_simplex,
+    rational_simplex,
+)
 
 
 def make_instance(rng, n, m, d=2):
@@ -137,6 +147,72 @@ class TestDomainsAgree:
         C = C / C.max() * 2000.0
         with pytest.raises(ValidationError):
             sinkhorn(a, b, C, SinkhornConfig(epsilon=1.0, log_domain=False))
+
+
+def unit_square_instance(seed, n, m):
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 2))
+    y = rng.random((m, 2))
+    C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    return rng, C
+
+
+def assert_matches_reference(a, b, C, cfg):
+    new = sinkhorn(a, b, C, cfg).state
+    ref = sinkhorn_log_domain(a, b, C, cfg).state
+    assert new.status == ref.status
+    assert abs(new.iteration - ref.iteration) <= max(1, 0.01 * ref.iteration)
+    scale = max(cfg.epsilon, float(np.abs(ref.f).max()),
+                float(np.abs(ref.g).max()))
+    assert np.abs(new.f - ref.f).max() <= 1e-12 * scale
+    assert np.abs(new.g - ref.g).max() <= 1e-12 * scale
+    for rec, want in zip(new.trace, ref.trace):
+        assert (rec.iteration, rec.epsilon) == (want.iteration, want.epsilon)
+        assert abs(rec.viol_a - want.viol_a) <= 1e-12
+        assert abs(rec.viol_b - want.viol_b) <= 1e-12
+        assert abs(rec.dual - want.dual) <= 1e-12 * scale
+        assert abs(rec.hilbert_step - want.hilbert_step) <= 1e-10
+
+
+class TestAgainstLogDomainReference:
+    """The absorbed-kernel loop against the plain log-domain loop."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           m=st.integers(1, 12), zero_a=st.booleans(), zero_b=st.booleans(),
+           log10_scale=st.floats(-8.0, 8.0),
+           eps_share=st.floats(3e-3, 1e3), with_reference=st.booleans(),
+           stages=st.integers(1, 4))
+    def test_fuzz(self, seed, n, m, zero_a, zero_b, log10_scale, eps_share,
+                  with_reference, stages):
+        rng, C = unit_square_instance(seed, n, m)
+        C = C * 10.0 ** log10_scale
+        a = rng.exponential(size=n) + 1e-3
+        b = rng.exponential(size=m) + 1e-3
+        if zero_a and n > 1:
+            a[rng.integers(n)] = 0.0
+        if zero_b and m > 1:
+            b[rng.integers(m)] = 0.0
+        a, b = a / a.sum(), b / b.sum()
+        eps = eps_share * float(C.mean())
+        reference = ((rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m))
+                     if with_reference else None)
+        schedule = tuple(eps * 2.0 ** k for k in range(stages - 1, -1, -1))
+        cfg = SinkhornConfig(epsilon=eps, max_iter=5000, marginal_tol=1e-9,
+                             reference_weights=reference,
+                             epsilon_schedule=schedule)
+        assert_matches_reference(a, b, C, cfg)
+
+    def test_kernel_at_zero_potentials_has_an_empty_row(self):
+        rng, C = unit_square_instance(20, 8, 7)
+        a, b = np.full(8, 1 / 8), np.full(7, 1 / 7)
+        eps = 1e-3 * float(C.mean())
+        assert np.any(np.all(np.exp(-C / eps) == 0.0, axis=1))
+        with pytest.raises(ValidationError):
+            sinkhorn(a, b, C, SinkhornConfig(epsilon=eps, max_iter=100000,
+                                             log_domain=False))
+        assert_matches_reference(a, b, C, SinkhornConfig(epsilon=eps,
+                                                         max_iter=100000))
 
 
 class TestDualIncrements:
@@ -273,8 +349,15 @@ class TestHilbert:
         cfg = SinkhornConfig(epsilon=eps, max_iter=30, marginal_tol=1e-16,
                              record_history=True)
         state, *_ = sinkhorn(a, b, C, cfg)
+        if state.iteration < 30:
+            # Stopping early needs a fixed point, not just a small residual.
+            assert state.status == "optimal"
+            f_end, g_end = state.history[-1]
+            assert (f_update_gap(b, C, f_end, g_end, eps)
+                    <= 1e-15 * max(1.0, float(np.abs(f_end).max())))
+        iterates = full_iterates(state, 30)
         for k in range(1, 31):
-            f_k, g_k = state.history[2 * k]
+            f_k, g_k = iterates[k]
             P_k = plan_from_potentials(a, b, C, f_k, g_k, eps)
             row = P_k.sum(axis=1)
             lhs = float(np.ptp((f_k - f_star) / eps))

@@ -64,6 +64,22 @@ class TestProblemValidation:
         with pytest.raises(ValidationError):
             SemiDiscreteProblem(sampler, [[0.2], [np.nan]], [0.5, 0.5])
 
+    @pytest.mark.parametrize("cov", [[[-1.0]], [[1.0, 0.5], [0.0, 1.0]],
+                                     [[1.0, 2.0], [2.0, 1.0]], [[np.nan]]],
+                             ids=["negative", "asymmetric", "indefinite",
+                                  "nan"])
+    def test_bad_covariance_rejected_when_the_sampler_is_built(self, cov):
+        d = len(cov)
+        with pytest.raises(ValidationError):
+            Sampler.gaussian(np.zeros(d), cov)
+        with pytest.raises(ValidationError):
+            Sampler.gaussian_mixture([0.5, 0.5], np.zeros((2, d)),
+                                     [np.eye(d).tolist(), cov])
+
+    def test_non_finite_gaussian_mean_rejected(self):
+        with pytest.raises(ValidationError):
+            Sampler.gaussian([0.0, np.nan], np.eye(2))
+
 
 class TestLaguerreCells:
     def test_zero_weights_give_voronoi(self):

@@ -8,16 +8,37 @@ shapes, ragged nesting and strings.  A call may return or raise an
 failed deep inside numpy or a solver.
 """
 
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from otkit.divergences import EntropyFunction, KernelSpec, mmd_squared, phi_divergence
-from otkit.dynamics import CouplingPath, FunctionalSpec, gradient_flow
-from otkit.entropic import SinkhornConfig, sinkhorn
-from otkit.errors import OTError
-from otkit.exact import solve_1d_sorted, solve_assignment, solve_kantorovich
+from otkit.dynamics import (
+    CouplingPath,
+    FunctionalSpec,
+    GeneralizedEntropy,
+    flow_match_velocity,
+    gradient_flow,
+    mlp_flow,
+    transformer_flow,
+)
+from otkit.entropic import (
+    SinkhornConfig,
+    kl_projection_col,
+    kl_projection_row,
+    sinkhorn,
+)
+from otkit.errors import OTError, ValidationError
+from otkit.exact import (
+    solve_1d_sorted,
+    solve_assignment,
+    solve_kantorovich,
+    wasserstein_p,
+)
 from otkit.measures import Coupling, DiscreteMeasure, product_coupling
 from otkit.semidiscrete import Sampler, SemiDiscreteProblem
 from otkit.w1 import SignedDiscreteMeasure, flat_norm, w1_kr_lp
@@ -144,11 +165,30 @@ COVARIANCES = st.sampled_from([
 ])
 
 
+def _draw_without_warnings(make_sampler):
+    # numpy only warns when asked to sample from a covariance that is not
+    # positive semidefinite; such input must be refused before that.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make_sampler().draw(np.random.default_rng(0), 5)
+
+
 @SWEEP
 @given(vectors(), point_sets(), COVARIANCES)
 def test_gaussian_mixture(weights, means, covs):
-    returns_or_raises_ot_error(lambda: Sampler.gaussian_mixture(
-        weights, means, covs).draw(np.random.default_rng(0), 5))
+    returns_or_raises_ot_error(_draw_without_warnings, lambda: (
+        Sampler.gaussian_mixture(weights, means, covs)))
+
+
+@SWEEP
+@given(vectors(), st.sampled_from([
+    [[1.0]], [[2.0, 0.5], [0.5, 1.0]], [[-1.0]], [[1.0, 0.5], [0.0, 1.0]],
+    [[1.0, 2.0], [2.0, 1.0]], [[np.nan]], [[1.0, 0.0], [0.0, np.inf]],
+    [[1.0, 0.0]], 0.5, [], "abc",
+]))
+def test_gaussian_sampler(mean, cov):
+    returns_or_raises_ot_error(_draw_without_warnings,
+                               lambda: Sampler.gaussian(mean, cov))
 
 
 MASSES = st.one_of(vectors(), st.just([0.5, -0.5]), st.just([1.0, -0.25, -0.75]))
@@ -190,3 +230,29 @@ def _quadratic(x):
 def test_gradient_flow(x0, dt):
     spec = FunctionalSpec.linear(_quadratic, lambda x: x, dim=2)
     returns_or_raises_ot_error(gradient_flow, spec, x0, dt, 0.2)
+
+
+_EYE = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: kl_projection_row(np.ones((2, 2)), [0.5, "x"]),
+    lambda: kl_projection_col(np.ones((2, 2)), [0.5, "x"]),
+    lambda: solve_1d_sorted(DiscreteMeasure([0.0], [1.0]),
+                            DiscreteMeasure([1.0], [1.0]), "x"),
+    lambda: wasserstein_p([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]],
+                          "x"),
+    lambda: wasserstein_p([0.5, 0.5], [0.5, 0.5], [[0.0, 1.0], [1.0, 0.0]],
+                          [1.0, 2.0]),
+    lambda: GeneralizedEntropy.power("x"),
+    lambda: transformer_flow([[0.0, 1.0]], _EYE, _EYE, _EYE, "x"),
+    lambda: transformer_flow([[0.0, 1.0]], _EYE, _EYE, _EYE, [1, 2]),
+    lambda: mlp_flow([[0.5], [1.0]], [0.0, 1.0], "x", 0.1, 0.2),
+    lambda: flow_match_velocity(CouplingPath.monge([[0.0]], [[1.0]], [1.0]),
+                                0.0, [0.0], "x"),
+], ids=["kl-row-target", "kl-col-target", "1d-p", "wasserstein-p",
+        "wasserstein-p-vector", "power-q", "transformer-depth",
+        "transformer-depth-vector", "mlp-n-neurons", "flowmatch-bandwidth"])
+def test_non_numeric_setting_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
