@@ -29,7 +29,7 @@ def main():
     rng = np.random.default_rng(args.seed)
 
     quad = FunctionalSpec.interaction(
-        lambda x, y: 0.5 * float((x - y) @ (x - y)),
+        lambda x, y: 0.5 * ((x - y) ** 2).sum(axis=-1),
         lambda x, y: x - y, dim=2)
     x0 = rng.standard_normal((5, 2))
     traj = gradient_flow(quad, x0, dt=1e-3, T=1.0)

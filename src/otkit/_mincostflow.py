@@ -12,7 +12,9 @@ reduced cost is zero.
   from whole-matrix numpy passes, not from a heap over arc lists.
 * `solve_min_cost_flow` is the generic engine on directed, uncapacitated
   arc lists, used by the Wasserstein-1 norms (Kantorovich-Rubinstein,
-  flat norm, Beckmann).  It runs a heap Dijkstra per augmentation.
+  flat norm, Beckmann).  It builds the adjacency once, in CSR layout from
+  a stable argsort, and runs a heap Dijkstra per augmentation on Python
+  lists and floats that stops once the nearest sink is settled.
 
 Given the same bipartite arcs, both engines make the same augmentations
 and return the same plan and potentials bit for bit; the tests hold the
@@ -22,6 +24,7 @@ dense engine to the generic one.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -58,6 +61,8 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
         Bellman-Ford potential initialization).
     supplies : array_like of int, shape (n_nodes,)
         Positive entries are sources, negative are sinks; must sum to 0.
+    max_augmentations : int, optional
+        Budget; defaults to ``1000 + 40 (n_nodes + n_arcs)``.
 
     Returns
     -------
@@ -66,6 +71,18 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
         ``cost + pot[tail] - pot[head] >= 0`` with equality on arcs
         carrying flow, total ``cost``, the number of augmentations, and
         status "optimal" or "infeasible".
+
+    Raises
+    ------
+    ConvergenceError
+        If the augmentations exceed the budget.
+
+    Notes
+    -----
+    The out- and in-arc lists of every node are built once, each in arc
+    index order.  Each augmentation runs a Dijkstra on reduced costs from
+    all sources (`_nearest_sink`) that stops once the nearest sink is
+    settled, and ties between equally near sinks go to the lowest index.
     """
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
@@ -84,15 +101,12 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
                    heads.min() < 0 or tails.max() >= n_nodes):
         raise ValidationError("arc endpoints out of range")
 
-    out_arcs = [[] for _ in range(n_nodes)]
-    in_arcs = [[] for _ in range(n_nodes)]
-    for a in range(n_arcs):
-        out_arcs[tails[a]].append(a)
-        in_arcs[heads[a]].append(a)
-
-    flow = np.zeros(n_arcs, dtype=np.int64)
+    out_arcs = _arcs_by_node(tails, n_nodes)
+    in_arcs = _arcs_by_node(heads, n_nodes)
+    tail, head, cost = tails.tolist(), heads.tolist(), costs.tolist()
+    flow = [0] * n_arcs
+    excess = supplies.tolist()
     pot = np.zeros(n_nodes, dtype=float)
-    excess = supplies.astype(np.int64).copy()
 
     if n_arcs and costs.min() < 0.0:
         pot = _bellman_ford_potentials(n_nodes, tails, heads, costs)
@@ -102,77 +116,107 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
 
     augmentations = 0
     while True:
-        sources = np.flatnonzero(excess > 0)
-        if sources.size == 0:
+        sources = [u for u in range(n_nodes) if excess[u] > 0]
+        if not sources:
             status = "optimal"
             break
         if augmentations >= max_augmentations:
             raise ConvergenceError(
                 f"min-cost flow exceeded {max_augmentations} augmentations"
             )
-
-        dist = np.full(n_nodes, np.inf)
-        prev_arc = np.full(n_nodes, -1, dtype=np.int64)
-        prev_back = np.zeros(n_nodes, dtype=bool)
-        heap = [(0.0, int(s)) for s in sources]
-        heapq.heapify(heap)
-        dist[sources] = 0.0
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist[u]:
-                continue
-            for a in out_arcs[u]:
-                rc = costs[a] + pot[u] - pot[heads[a]]
-                v = int(heads[a])
-                nd = d + max(rc, 0.0)
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev_arc[v] = a
-                    prev_back[v] = False
-                    heapq.heappush(heap, (nd, v))
-            for a in in_arcs[u]:
-                if flow[a] <= 0:
-                    continue
-                rc = -costs[a] + pot[u] - pot[tails[a]]
-                v = int(tails[a])
-                nd = d + max(rc, 0.0)
-                if nd < dist[v]:
-                    dist[v] = nd
-                    prev_arc[v] = a
-                    prev_back[v] = True
-                    heapq.heappush(heap, (nd, v))
-
-        sinks = np.flatnonzero(excess < 0)
-        reachable = sinks[np.isfinite(dist[sinks])]
-        if reachable.size == 0:
+        dist, prev, t = _nearest_sink(sources, excess, pot.tolist(), out_arcs,
+                                      in_arcs, tail, head, cost, flow)
+        if t < 0:
             status = "infeasible"
             break
-        t = int(reachable[np.argmin(dist[reachable])])
-        d_t = dist[t]
-        pot += np.minimum(dist, d_t)
+        pot += np.minimum(dist, dist[t])
 
         # Walk back from the sink until a node with positive excess; every
         # shortest-path tree root is a source, so the walk terminates.
         path = []
         v = t
         while excess[v] <= 0:
-            a = int(prev_arc[v])
-            back = bool(prev_back[v])
+            a, back = prev[v]
             path.append((a, back))
-            v = int(heads[a]) if back else int(tails[a])
+            v = head[a] if back else tail[a]
         s = v
-        bottleneck = min(int(excess[s]), int(-excess[t]))
+        bottleneck = min(excess[s], -excess[t])
         for a, back in path:
             if back:
-                bottleneck = min(bottleneck, int(flow[a]))
+                bottleneck = min(bottleneck, flow[a])
         for a, back in path:
             flow[a] += -bottleneck if back else bottleneck
         excess[s] -= bottleneck
         excess[t] += bottleneck
         augmentations += 1
 
-    cost = float(np.dot(flow.astype(float), costs))
-    return MinCostFlowResult(flow, pot, cost, augmentations, status)
+    flows = np.array(flow, dtype=np.int64)
+    total = float(np.dot(flows.astype(float), costs))
+    return MinCostFlowResult(flows, pot, total, augmentations, status)
+
+
+def _arcs_by_node(ends, n_nodes):
+    """Arc ids grouped by endpoint, each group in increasing arc order.
+
+    One stable argsort and the group offsets (CSR layout), cut into one
+    Python list per node for the heap loop.
+    """
+    order = np.argsort(ends, kind="stable").tolist()
+    bounds = np.concatenate(
+        ([0], np.cumsum(np.bincount(ends, minlength=n_nodes)))).tolist()
+    return [order[bounds[u]:bounds[u + 1]] for u in range(n_nodes)]
+
+
+def _nearest_sink(sources, excess, pot, out_arcs, in_arcs, tail, head, cost,
+                  flow):
+    """Heap Dijkstra on clamped reduced costs from all sources at once.
+
+    Nodes pop in (distance, node id) order.  The search stops once every
+    node at the distance d_t of the first sink to pop has popped: the
+    pops so far are a prefix of the full search, so every node with a
+    final distance <= d_t already has its final label and predecessor,
+    every other label is >= d_t (which ``min(dist, d_t)`` cannot tell from
+    its final value), and the lowest-index sink at d_t is the one the full
+    search would pick.  Works on Python lists and floats throughout.
+
+    Returns the labels (inf where never reached), the predecessor
+    ``(arc, reversed)`` of each labelled non-source node, and that sink,
+    or -1 when no sink is reachable.
+    """
+    inf = math.inf
+    dist = [inf] * len(pot)
+    prev = [None] * len(pot)
+    for u in sources:
+        dist[u] = 0.0
+    heap = [(0.0, u) for u in sources]
+    heapq.heapify(heap)
+    t, d_t = -1, inf
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > d_t:
+            break
+        if d > dist[u]:
+            continue
+        if excess[u] < 0 and (t < 0 or u < t):
+            t, d_t = u, d
+        pu = pot[u]
+        for a in out_arcs[u]:
+            v = head[a]
+            nd = d + max(cost[a] + pu - pot[v], 0.0)
+            if nd < dist[v]:
+                dist[v] = nd
+                prev[v] = (a, False)
+                heapq.heappush(heap, (nd, v))
+        for a in in_arcs[u]:
+            if flow[a] <= 0:
+                continue
+            v = tail[a]
+            nd = d + max(-cost[a] + pu - pot[v], 0.0)
+            if nd < dist[v]:
+                dist[v] = nd
+                prev[v] = (a, True)
+                heapq.heappush(heap, (nd, v))
+    return dist, prev, t
 
 
 def _bellman_ford_potentials(n_nodes, tails, heads, costs):

@@ -397,7 +397,7 @@ def _linear_preset(spec, dim):
         raise ValidationError(f"potential center must have dimension {dim}")
     if name == "quadratic":
         def h(x):
-            return 0.5 * float(((x - center) ** 2).sum())
+            return 0.5 * ((x - center) ** 2).sum(axis=-1)
 
         def grad_h(x):
             return x - center
@@ -407,12 +407,13 @@ def _linear_preset(spec, dim):
             raise ValidationError("gaussian_well sigma must be positive")
 
         def h(x):
-            return -float(np.exp(-((x - center) ** 2).sum()
-                                 / (2.0 * sigma ** 2)))
+            return -np.exp(-((x - center) ** 2).sum(axis=-1)
+                           / (2.0 * sigma ** 2))
 
         def grad_h(x):
-            r2 = ((x - center) ** 2).sum()
-            return (x - center) / sigma ** 2 * np.exp(-r2 / (2.0 * sigma ** 2))
+            r2 = ((x - center) ** 2).sum(axis=-1)
+            return ((x - center) / sigma ** 2
+                    * np.exp(-r2 / (2.0 * sigma ** 2))[..., None])
     else:
         raise ValidationError(
             f"unknown potential {name!r}; expected quadratic or "
@@ -424,7 +425,7 @@ def _interaction_preset(spec, dim):
     name = _get(spec, "name", "kernel")
     if name == "quadratic":
         def k(x, y):
-            return 0.5 * float(((x - y) ** 2).sum())
+            return 0.5 * ((x - y) ** 2).sum(axis=-1)
 
         def grad_k(x, y):
             return x - y
@@ -434,11 +435,12 @@ def _interaction_preset(spec, dim):
             raise ValidationError("gaussian kernel sigma must be positive")
 
         def k(x, y):
-            return -float(np.exp(-((x - y) ** 2).sum() / (2.0 * sigma ** 2)))
+            return -np.exp(-((x - y) ** 2).sum(axis=-1) / (2.0 * sigma ** 2))
 
         def grad_k(x, y):
-            r2 = ((x - y) ** 2).sum()
-            return (x - y) / sigma ** 2 * np.exp(-r2 / (2.0 * sigma ** 2))
+            r2 = ((x - y) ** 2).sum(axis=-1)
+            return ((x - y) / sigma ** 2
+                    * np.exp(-r2 / (2.0 * sigma ** 2))[..., None])
     else:
         raise ValidationError(
             f"unknown kernel {name!r}; expected quadratic or gaussian")

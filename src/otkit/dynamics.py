@@ -123,27 +123,65 @@ class ParticleTrajectory:
         )
 
 
+def _call(fn, shape, label, *args):
+    """``fn(*args)`` as a float array, which must have ``shape``.
+
+    A callback that fails on stacked points, or returns one value for the
+    whole stack, is reported as a `ValidationError` naming the shape it
+    should have returned.
+    """
+    given = " and ".join(str(np.shape(a)) for a in args)
+    try:
+        out = np.asarray(fn(*args), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{label} must map points of shape {given} to shape {shape}, "
+            f"but raised {exc!r}"
+        ) from exc
+    if out.shape != shape:
+        raise ValidationError(
+            f"{label} must map points of shape {given} to shape {shape}, "
+            f"got {out.shape}"
+        )
+    return out
+
+
 def _check_gradient(fn, grad, probes, label):
-    """Compare a user gradient against central differences at probe points."""
+    """Compare a gradient callback against central differences.
+
+    ``probes`` is a (p, d) batch; ``fn`` must map it to (p,) and ``grad``
+    to (p, d).  Each probe is held to relative tolerance 1e-5 of its own
+    gradient scale.
+    """
     step = 1e-5
-    for x in probes:
-        x = np.asarray(x, dtype=float)
-        g = np.asarray(grad(x), dtype=float)
-        if g.shape != x.shape or not np.all(np.isfinite(g)):
-            raise ValidationError(
-                f"{label}: gradient must return a finite array of shape {x.shape}"
-            )
-        fd = np.empty_like(x)
-        for axis in range(x.size):
-            e = np.zeros_like(x)
-            e[axis] = step
-            fd[axis] = (float(fn(x + e)) - float(fn(x - e))) / (2.0 * step)
-        err = float(np.max(np.abs(fd - g)))
-        if err > 1e-5 * max(1.0, float(np.max(np.abs(g)))):
-            raise ValidationError(
-                f"{label}: finite differences disagree with the supplied "
-                f"gradient (max deviation {err:.3e})"
-            )
+    count, dim = probes.shape
+    g = _call(grad, probes.shape, f"{label} gradient", probes)
+    if not np.all(np.isfinite(g)):
+        raise ValidationError(f"{label}: gradient must be finite")
+    fd = np.empty_like(probes)
+    for axis in range(dim):
+        e = np.zeros(dim)
+        e[axis] = step
+        fd[:, axis] = (_call(fn, (count,), label, probes + e)
+                       - _call(fn, (count,), label, probes - e)) / (2.0 * step)
+    err = np.max(np.abs(fd - g), axis=1)
+    if np.any(err > 1e-5 * np.maximum(1.0, np.max(np.abs(g), axis=1))):
+        raise ValidationError(
+            f"{label}: finite differences disagree with the supplied "
+            f"gradient (max deviation {float(err.max()):.3e})"
+        )
+
+
+# Pairwise evaluations (interaction `value` and `velocity`, flow-matching
+# queries against path atoms) take their rows in blocks of
+# max(1, _PAIR_BLOCK // columns) rows, each against all columns, so no call
+# builds the whole rows x columns x d array when both are large.
+_PAIR_BLOCK = 1 << 16
+
+
+def _row_blocks(rows, columns):
+    step = max(1, _PAIR_BLOCK // columns)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 _FUNCTIONAL_KINDS = ("linear", "interaction", "mlp_risk")
@@ -156,9 +194,23 @@ class FunctionalSpec:
     Built through the classmethods `linear`, `interaction`, and
     `mlp_risk`.  `value(X)` evaluates the functional on the uniform
     empirical measure of the particle array X, shape (n, dim), and
-    `velocity(X)` returns the flow velocity at each particle.  Supplied
-    gradients are checked against central finite differences at
-    construction (relative tolerance 1e-5).
+    `velocity(X)` returns the flow velocity at each particle, shape
+    (n, dim).
+
+    Callbacks work on stacked points, whose last axis is the coordinate:
+
+    * ``h(x)`` maps x of shape (..., dim) to (...) and ``grad_h(x)`` to
+      (..., dim);
+    * ``k(x, y)`` maps x and y of shapes (..., dim) that broadcast against
+      each other to the broadcast shape without its last axis, and
+      ``grad_k(x, y)``, the gradient in x, to the full broadcast shape.
+
+    `velocity` and `value` call them once for all particles (linear) or
+    once per block of particle pairs (interaction, about ``_PAIR_BLOCK``
+    pairs per block, or one row of n pairs when n is larger).  At construction the callbacks run on
+    a batch of three probes: a result of the wrong shape raises
+    `ValidationError`, and supplied gradients are checked against central
+    finite differences (relative tolerance 1e-5).
     """
 
     def __init__(self, kind, dim, *, h=None, grad_h=None, k=None, grad_k=None,
@@ -184,7 +236,8 @@ class FunctionalSpec:
     def linear(cls, h, grad_h, dim):
         """Potential energy f(alpha) = int h dalpha.
 
-        `h` maps a point (dim,) to a float and `grad_h` to its gradient.
+        `h` maps points (..., dim) to values (...) and `grad_h` to
+        gradients (..., dim).
         """
         spec = cls("linear", dim, h=h, grad_h=grad_h)
         probes = np.random.default_rng(0).standard_normal((3, spec.dim))
@@ -195,27 +248,25 @@ class FunctionalSpec:
     def interaction(cls, k, grad_k, dim):
         """Interaction energy f(alpha) = iint k(x, y) dalpha(x) dalpha(y).
 
-        `k` must be symmetric in its two point arguments; `grad_k` is the
-        gradient of k in the first argument.
+        `k` maps broadcasting point stacks x, y of shapes (..., dim) to
+        values (...) and must be symmetric in its two arguments; `grad_k`
+        is the gradient of k in the first argument, shape (..., dim).
         """
         spec = cls("interaction", dim, k=k, grad_k=grad_k)
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((3, spec.dim))
         ys = rng.standard_normal((3, spec.dim))
-        for x, y in zip(xs, ys):
-            kxy = float(k(x, y))
-            kyx = float(k(y, x))
-            if abs(kxy - kyx) > 1e-8 * max(1.0, abs(kxy)):
-                raise ValidationError(
-                    f"interaction kernel must be symmetric: k(x,y)={kxy:.6g} "
-                    f"but k(y,x)={kyx:.6g}"
-                )
-            _check_gradient(
-                lambda z, y=y: k(z, y),
-                lambda z, y=y: grad_k(z, y),
-                [x],
-                "interaction k",
+        kxy = _call(k, (3,), "interaction k", xs, ys)
+        kyx = _call(k, (3,), "interaction k", ys, xs)
+        bad = np.abs(kxy - kyx) > 1e-8 * np.maximum(1.0, np.abs(kxy))
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise ValidationError(
+                f"interaction kernel must be symmetric: k(x,y)={kxy[i]:.6g} "
+                f"but k(y,x)={kyx[i]:.6g}"
             )
+        _check_gradient(lambda z: k(z, ys), lambda z: grad_k(z, ys), xs,
+                        "interaction k")
         return spec
 
     @classmethod
@@ -266,12 +317,13 @@ class FunctionalSpec:
         X = self._as_particles(X)
         n = X.shape[0]
         if self.kind == "linear":
-            return float(sum(float(self.h(x)) for x in X)) / n
+            return float(np.sum(_call(self.h, (n,), "h", X))) / n
         if self.kind == "interaction":
             total = 0.0
-            for x in X:
-                for y in X:
-                    total += float(self.k(x, y))
+            for rows in _row_blocks(n, n):
+                block = X[rows]
+                total += float(np.sum(_call(self.k, (block.shape[0], n), "k",
+                                            block[:, None], X[None])))
             return total / n**2
         residual = self._predictions(X) - self.labels
         return float(0.5 * np.mean(residual * residual))
@@ -301,17 +353,17 @@ class FunctionalSpec:
         X = self._as_particles(X)
         n = X.shape[0]
         if self.kind == "linear":
-            out = np.empty_like(X)
-            for i, x in enumerate(X):
-                out[i] = np.asarray(self.grad_h(x), dtype=float) / (-n)
-            return out
+            return _call(self.grad_h, X.shape, "grad_h", X) / (-n)
         if self.kind == "interaction":
             out = np.empty_like(X)
-            for i, x in enumerate(X):
-                acc = np.zeros(self.dim)
-                for y in X:
-                    acc += np.asarray(self.grad_k(x, y), dtype=float)
-                out[i] = (-2.0 / n) * acc
+            for rows in _row_blocks(n, n):
+                block = X[rows]
+                # grads[j, i] = grad_1 k(x_i, x_j).  cumsum adds the terms
+                # one j at a time in index order, whatever the block shape;
+                # sum() pairs them up when the j axis is the contiguous one.
+                grads = _call(self.grad_k, (n,) + block.shape, "grad_k",
+                              block[None], X[:, None])
+                out[rows] = (-2.0 / n) * grads.cumsum(axis=0)[-1]
             return out
         return -self.risk_gradient(X)
 
@@ -679,24 +731,43 @@ def flow_match_velocity(path: CouplingPath, t, z, bandwidth) -> np.ndarray:
         raise ValidationError(
             f"query point must have shape ({path.dim},), got {z.shape}"
         )
+    return _match_velocities(path, t, z[None], _check_bandwidth(bandwidth))[0]
+
+
+def _check_bandwidth(bandwidth):
     bandwidth = as_number(bandwidth, "bandwidth")
     if bandwidth < 0:
         raise ValidationError("bandwidth must be finite and nonnegative")
+    return bandwidth
+
+
+def _match_velocities(path, t, Z, bandwidth):
+    """`flow_match_velocity` at every row of Z, shape (s, d), at once."""
     pos, vel = path.atoms_at(t)
-    dist = np.sqrt(np.sum((pos - z) ** 2, axis=1))
-    near = dist <= bandwidth
-    if not np.any(near):
-        raise NoSupportError(
-            f"no path atom within bandwidth {bandwidth:g} of the query "
-            f"(nearest at distance {float(dist.min()):g})"
-        )
-    w = path.pair_weights[near]
-    return (w @ vel[near]) / float(np.sum(w))
+    out = np.empty_like(Z)
+    for rows in _row_blocks(Z.shape[0], pos.shape[0]):
+        dist = np.sqrt(np.sum((pos[None, :, :] - Z[rows, None, :]) ** 2,
+                              axis=2))
+        near = dist <= bandwidth
+        lost = np.flatnonzero(~near.any(axis=1))
+        if lost.size:
+            i = int(lost[0])
+            raise NoSupportError(
+                f"no path atom within bandwidth {bandwidth:g} of query point "
+                f"{rows.start + i} (nearest at distance "
+                f"{float(dist[i].min()):g})"
+            )
+        w = np.where(near, path.pair_weights, 0.0)
+        out[rows] = (w @ vel) / w.sum(axis=1)[:, None]
+    return out
 
 
 def flow_match_trajectory(path: CouplingPath, x0, dt,
                           bandwidth=None) -> ParticleTrajectory:
     """Euler-integrate dz/dt = v_t(z) from t=0 to t=1.
+
+    Each step evaluates the path's atoms once and the velocities of all
+    points together.
 
     Parameters
     ----------
@@ -713,20 +784,23 @@ def flow_match_trajectory(path: CouplingPath, x0, dt,
     -------
     ParticleTrajectory
         States at times 0, dt, ..., 1 with uniform weights.
+
+    Raises
+    ------
+    NoSupportError
+        If at some step a point has no atom within `bandwidth`.
     """
-    Z = check_points(x0, "x0").copy()
+    Z = check_points(x0, "x0")
     if Z.shape[1] != path.dim:
         raise ValidationError(f"x0 must be points in R^{path.dim}")
     steps = _step_count(dt, 1.0)
     dt = float(dt)
-    if bandwidth is None:
-        bandwidth = path.default_bandwidth
+    bandwidth = _check_bandwidth(
+        path.default_bandwidth if bandwidth is None else bandwidth)
     states = np.empty((steps + 1,) + Z.shape)
     states[0] = Z
     for s in range(steps):
-        t = s * dt
-        for i in range(Z.shape[0]):
-            Z[i] += dt * flow_match_velocity(path, t, Z[i], bandwidth)
+        Z = Z + dt * _match_velocities(path, s * dt, Z, bandwidth)
         states[s + 1] = Z
     weights = np.full(Z.shape[0], 1.0 / Z.shape[0])
     return ParticleTrajectory(np.arange(steps + 1) * dt, states, weights)

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
-from .measures import check_covariance
+from .measures import as_float_array, check_covariance
 
 __all__ = [
     "bures_distance",
@@ -45,8 +44,26 @@ def _sym_sqrt(S):
     return (V * root) @ V.T
 
 
-def bures_squared(Sigma_a, Sigma_b,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def _check_means(mean_a, mean_b, d=None):
+    """Both means as finite vectors of one length (``d`` when given).
+
+    Column vectors of shape (d, 1) are read as vectors.
+    """
+    means = []
+    for mean, name in ((mean_a, "mean_a"), (mean_b, "mean_b")):
+        m = as_float_array(mean, name).reshape(-1)
+        if not np.all(np.isfinite(m)):
+            raise ValidationError(f"{name} contains non-finite values")
+        means.append(m)
+    ma, mb = means
+    if ma.shape != mb.shape:
+        raise ValidationError("means have different dimensions")
+    if d is not None and ma.shape != (d,):
+        raise ValidationError("mean and covariance dimensions disagree")
+    return ma, mb
+
+
+def bures_squared(Sigma_a, Sigma_b) -> float:
     """Squared Bures distance between PSD covariance matrices.
 
     The value is clamped at zero: rounding can push the trace formula
@@ -64,30 +81,21 @@ def bures_squared(Sigma_a, Sigma_b,
     return max(value, 0.0)
 
 
-def bures_distance(Sigma_a, Sigma_b,
-                   tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def bures_distance(Sigma_a, Sigma_b) -> float:
     """Bures distance B(Sigma_a, Sigma_b) >= 0."""
-    return float(np.sqrt(bures_squared(Sigma_a, Sigma_b, tolerances)))
+    return float(np.sqrt(bures_squared(Sigma_a, Sigma_b)))
 
 
-def gaussian_w2_squared(mean_a, Sigma_a, mean_b, Sigma_b,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def gaussian_w2_squared(mean_a, Sigma_a, mean_b, Sigma_b) -> float:
     """Squared W2 between Gaussians: mean shift plus squared Bures."""
-    ma = np.asarray(mean_a, dtype=float).reshape(-1)
-    mb = np.asarray(mean_b, dtype=float).reshape(-1)
-    if ma.shape != mb.shape:
-        raise ValidationError("means have different dimensions")
-    if not (np.all(np.isfinite(ma)) and np.all(np.isfinite(mb))):
-        raise ValidationError("means contain non-finite values")
-    shift = float(np.dot(ma - mb, ma - mb))
-    return shift + bures_squared(Sigma_a, Sigma_b, tolerances)
+    bures = bures_squared(Sigma_a, Sigma_b)
+    ma, mb = _check_means(mean_a, mean_b, np.shape(Sigma_a)[0])
+    return float(np.dot(ma - mb, ma - mb)) + bures
 
 
-def gaussian_w2(mean_a, Sigma_a, mean_b, Sigma_b,
-                tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def gaussian_w2(mean_a, Sigma_a, mean_b, Sigma_b) -> float:
     """W2 distance between Gaussians N(mean_a, Sigma_a), N(mean_b, Sigma_b)."""
-    return float(np.sqrt(gaussian_w2_squared(mean_a, Sigma_a, mean_b, Sigma_b,
-                                             tolerances)))
+    return float(np.sqrt(gaussian_w2_squared(mean_a, Sigma_a, mean_b, Sigma_b)))
 
 
 @dataclass(frozen=True)
@@ -103,8 +111,7 @@ class GaussianMap:
         return self.target_mean + (x - self.source_mean) @ self.matrix.T
 
 
-def gaussian_monge_map(mean_a, Sigma_a, mean_b, Sigma_b,
-                       tolerances: Tolerances = DEFAULT_TOLERANCES) -> GaussianMap:
+def gaussian_monge_map(mean_a, Sigma_a, mean_b, Sigma_b) -> GaussianMap:
     """Optimal (Monge) map between nondegenerate Gaussians for squared cost.
 
     Returns
@@ -116,15 +123,13 @@ def gaussian_monge_map(mean_a, Sigma_a, mean_b, Sigma_b,
     Raises
     ------
     ValidationError
-        If ``Sigma_a`` is singular (its inverse root is required).
+        If a mean is not a finite vector, the dimensions disagree, or
+        ``Sigma_a`` is singular (its inverse root is required).
     """
-    ma = np.asarray(mean_a, dtype=float).reshape(-1)
-    mb = np.asarray(mean_b, dtype=float).reshape(-1)
     Sa = check_covariance(Sigma_a, "Sigma_a")
-    Sb = check_covariance(Sigma_b, "Sigma_b")
-    d = ma.shape[0]
-    if Sa.shape != (d, d) or Sb.shape != (d, d) or mb.shape != (d,):
-        raise ValidationError("mean and covariance dimensions disagree")
+    d = Sa.shape[0]
+    Sb = check_covariance(Sigma_b, "Sigma_b", d)
+    ma, mb = _check_means(mean_a, mean_b, d)
     w, V = np.linalg.eigh(Sa)
     if w[0] <= 1e-12 * max(w[-1], 1.0):
         raise ValidationError("Sigma_a is singular; the Monge map needs "

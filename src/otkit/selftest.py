@@ -305,7 +305,7 @@ def check_interaction_flow_preserves_mean():
     x0 = rng.standard_normal((5, 2))
 
     def k(x, y):
-        return 0.5 * float(((x - y) ** 2).sum())
+        return 0.5 * ((x - y) ** 2).sum(axis=-1)
 
     def grad_k(x, y):
         return x - y

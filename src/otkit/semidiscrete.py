@@ -202,8 +202,12 @@ def sgd_solve(problem: SemiDiscreteProblem,
     """Stochastic semi-dual ascent from g = 0.
 
     Each step draws one source point, finds its Laguerre cell j, and
-    moves g by tau_ell (b - e_j).  The trace reports the l1 mismatch
-    between held-out cell frequencies and the target weights.
+    moves g by tau_ell (b - e_j).  Source points are drawn 256 at a time,
+    and the costs from each batch to the targets are built as one matrix
+    when the batch is drawn; a step then only reads its row, so the cell
+    is ``argmin_j C[x, j] - g_j`` (lowest index on ties) at the current g.
+    The trace reports the l1 mismatch between held-out cell frequencies
+    and the target weights.
     """
     walk_seed, heldout_seed = np.random.SeedSequence(config.seed).spawn(2)
     rng = np.random.default_rng(walk_seed)
@@ -213,16 +217,14 @@ def sgd_solve(problem: SemiDiscreteProblem,
     g = np.zeros(problem.m)
     trace = []
     batch = 256
-    drawn = problem.sampler.draw(rng, batch)
-    cursor = 0
+    cursor = batch
     for ell in range(config.n_iter):
-        if cursor == drawn.shape[0]:
-            drawn = problem.sampler.draw(rng, batch)
+        if cursor == batch:
+            costs = build_cost_matrix(problem.sampler.draw(rng, batch),
+                                      problem.targets, problem.cost)
             cursor = 0
-        x = drawn[cursor:cursor + 1]
+        j = int(np.argmin(costs[cursor] - g))
         cursor += 1
-        cells = LaguerreAssignment(problem, g)
-        j = int(cells.membership(x)[0])
         tau = config.tau0 / (1.0 + ell / config.ell0)
         g = g + tau * b
         g[j] -= tau

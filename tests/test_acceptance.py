@@ -604,7 +604,7 @@ def test_13_particle_flows_density_flow_and_attention():
     # Pairwise quadratic interaction: the mean is conserved and the
     # deviations contract at rate 2.
     quad = FunctionalSpec.interaction(
-        lambda x, y: 0.5 * float((x - y) @ (x - y)),
+        lambda x, y: 0.5 * np.sum((x - y) ** 2, axis=-1),
         lambda x, y: x - y, dim=2)
     x0 = np.random.default_rng(7).standard_normal((5, 2))
     traj = gradient_flow(quad, x0, dt=1e-3, T=1.0)

@@ -1,12 +1,17 @@
 """Particle flows, 1-D diffusion, flow matching, attention, MLP training."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
+from otkit import dynamics
+from otkit.cli import _interaction_preset, _linear_preset
 from otkit.dynamics import (
     CouplingPath,
     Density1DPath,
@@ -35,10 +40,12 @@ from otkit.measures import Coupling, GridDensity1D
 
 from oracles import rk4_integrate
 
+import dynamics_reference
+
 
 def quad_linear():
     return FunctionalSpec.linear(
-        lambda x: 0.5 * float(x @ x),
+        lambda x: 0.5 * np.sum(x * x, axis=-1),
         lambda x: x,
         dim=2,
     )
@@ -46,7 +53,7 @@ def quad_linear():
 
 def quad_interaction(dim=2):
     return FunctionalSpec.interaction(
-        lambda x, y: 0.5 * float((x - y) @ (x - y)),
+        lambda x, y: 0.5 * np.sum((x - y) ** 2, axis=-1),
         lambda x, y: x - y,
         dim=dim,
     )
@@ -81,7 +88,7 @@ class TestFunctionalSpecValidation:
     def test_wrong_linear_gradient_rejected(self):
         with pytest.raises(ValidationError, match="finite differences"):
             FunctionalSpec.linear(
-                lambda x: 0.5 * float(x @ x),
+                lambda x: 0.5 * np.sum(x * x, axis=-1),
                 lambda x: 2.0 * x,
                 dim=2,
             )
@@ -89,7 +96,7 @@ class TestFunctionalSpecValidation:
     def test_wrong_interaction_gradient_rejected(self):
         with pytest.raises(ValidationError, match="finite differences"):
             FunctionalSpec.interaction(
-                lambda x, y: float((x - y) @ (x - y)),
+                lambda x, y: np.sum((x - y) ** 2, axis=-1),
                 lambda x, y: x - y,
                 dim=2,
             )
@@ -97,7 +104,7 @@ class TestFunctionalSpecValidation:
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(ValidationError, match="symmetric"):
             FunctionalSpec.interaction(
-                lambda x, y: float(x @ x) + 2.0 * float(y @ y),
+                lambda x, y: np.sum(x * x, axis=-1) + 2.0 * np.sum(y * y, axis=-1),
                 lambda x, y: 2.0 * x,
                 dim=2,
             )
@@ -111,6 +118,27 @@ class TestFunctionalSpecValidation:
     def test_mlp_shape_checks(self):
         with pytest.raises(ValidationError):
             FunctionalSpec.mlp_risk([[1.0, 2.0]], [1.0, 2.0])
+
+    @pytest.mark.parametrize("make, expected", [
+        # One value for the whole batch of probes.
+        (lambda: FunctionalSpec.linear(lambda x: 0.5 * float(np.sum(x * x)),
+                                       lambda x: x, dim=2), r"\(3,\)"),
+        # A per-point callback: x @ x fails on a (3, 2) batch.
+        (lambda: FunctionalSpec.linear(lambda x: float(x @ x),
+                                       lambda x: 2.0 * x, dim=2), r"\(3,\)"),
+        (lambda: FunctionalSpec.linear(lambda x: 0.5 * np.sum(x * x, axis=-1),
+                                       lambda x: x[..., 0], dim=2),
+         r"\(3, 2\)"),
+        (lambda: FunctionalSpec.interaction(
+            lambda x, y: float(np.sum((x - y) ** 2)), lambda x, y: 2 * (x - y),
+            dim=2), r"\(3,\)"),
+        (lambda: FunctionalSpec.interaction(
+            lambda x, y: np.sum((x - y) ** 2, axis=-1),
+            lambda x, y: np.sum(2 * (x - y), axis=-1), dim=2), r"\(3, 2\)"),
+    ], ids=["h-scalar", "h-per-point", "grad_h", "k-scalar", "grad_k"])
+    def test_wrong_callback_shape_rejected(self, make, expected):
+        with pytest.raises(ValidationError, match=expected):
+            make()
 
     def test_particle_dim_enforced(self):
         f = quad_linear()
@@ -131,7 +159,7 @@ class TestLinearFlow:
 
     def test_constant_potential_is_frozen(self):
         f = FunctionalSpec.linear(
-            lambda x: 3.0,
+            lambda x: np.full(x.shape[:-1], 3.0),
             lambda x: np.zeros_like(x),
             dim=2,
         )
@@ -169,8 +197,9 @@ class TestInteractionFlow:
 
     def test_mean_conserved_for_gaussian_kernel(self):
         f = FunctionalSpec.interaction(
-            lambda x, y: math.exp(-float((x - y) @ (x - y))),
-            lambda x, y: -2.0 * (x - y) * math.exp(-float((x - y) @ (x - y))),
+            lambda x, y: np.exp(-np.sum((x - y) ** 2, axis=-1)),
+            lambda x, y: (-2.0 * (x - y)
+                          * np.exp(-np.sum((x - y) ** 2, axis=-1))[..., None]),
             dim=2,
         )
         x0 = np.random.default_rng(3).standard_normal((5, 2))
@@ -221,8 +250,8 @@ class TestEnergyDissipation:
     def test_linear_interaction_and_mlp_dissipate(self):
         rng = np.random.default_rng(19)
         well = FunctionalSpec.linear(
-            lambda x: -math.exp(-float(x @ x)),
-            lambda x: 2.0 * x * math.exp(-float(x @ x)),
+            lambda x: -np.exp(-np.sum(x * x, axis=-1)),
+            lambda x: 2.0 * x * np.exp(-np.sum(x * x, axis=-1))[..., None],
             dim=2,
         )
         assert self.halvings_until_monotone(well, rng.standard_normal((4, 2)),
@@ -721,3 +750,101 @@ class TestMLPFlow:
     def test_neuron_count_validated(self):
         with pytest.raises(ValidationError):
             mlp_flow([[1.0]], [1.0], n_neurons=0, dt=0.1, T=0.1)
+
+
+def _soft_coulomb(dim):
+    return FunctionalSpec.interaction(
+        lambda x, y: 1.0 / np.sqrt(1.0 + np.sum((x - y) ** 2, axis=-1)),
+        lambda x, y: -(x - y) * (
+            1.0 + np.sum((x - y) ** 2, axis=-1)[..., None]) ** -1.5,
+        dim=dim)
+
+
+def _functional(kind, dim, rng):
+    center = rng.standard_normal(dim).tolist()
+    return {
+        "gaussian": lambda: _interaction_preset(
+            {"name": "gaussian", "sigma": 0.7}, dim),
+        "quadratic": lambda: _interaction_preset({"name": "quadratic"}, dim),
+        "soft coulomb": lambda: _soft_coulomb(dim),
+        "quadratic potential": lambda: _linear_preset(
+            {"name": "quadratic", "center": center}, dim),
+        "gaussian well": lambda: _linear_preset(
+            {"name": "gaussian_well", "center": center, "sigma": 0.8}, dim),
+    }[kind]()
+
+
+@st.composite
+def particle_systems(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, n = draw(st.integers(1, 4)), draw(st.integers(1, 20))
+    spec = _functional(draw(st.sampled_from(
+        ["gaussian", "quadratic", "soft coulomb", "quadratic potential",
+         "gaussian well"])), dim, rng)
+    x0 = rng.standard_normal((n, dim))
+    if draw(st.booleans()):
+        x0 = x0[rng.integers(n, size=n)]  # duplicate particles
+    block = draw(st.sampled_from([1, 7, 64, dynamics._PAIR_BLOCK]))
+    return spec, x0, block
+
+
+class TestAgainstPerPairReference:
+    """Stacked callbacks in blocks against one callback call per pair."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(particle_systems())
+    def test_same_velocities_positions_and_energies(self, system):
+        spec, x0, block = system
+        with mock.patch.object(dynamics, "_PAIR_BLOCK", block):
+            assert_array_equal(spec.velocity(x0),
+                               dynamics_reference.velocity(spec, x0))
+            traj = gradient_flow(spec, x0, dt=0.05, T=0.25)
+            assert_array_equal(
+                traj.states,
+                dynamics_reference.explicit_flow(spec, x0, 0.05, 5))
+            for state in (traj.states[0], traj.states[-1]):
+                ref = dynamics_reference.value(spec, state)
+                assert abs(spec.value(state) - ref) <= 1e-14 * abs(ref)
+
+
+@st.composite
+def flow_match_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    mode = draw(st.sampled_from(["monge", "product", "optimal"]))
+    m = n if mode == "monge" else draw(st.integers(1, 6))
+    x = rng.standard_normal((n, dim))
+    y = rng.standard_normal((m, dim)) + 1.0
+    a = np.full(n, 1.0 / n)
+    b = np.full(m, 1.0 / m)
+    if mode == "monge":
+        path = CouplingPath.monge(x, y, a)
+    elif mode == "product":
+        path = CouplingPath(x, y, Coupling(np.outer(a, b), a, b))
+    else:
+        C = np.sum((x[:, None] - y[None]) ** 2, axis=2)
+        path = CouplingPath(x, y, solve_kantorovich(a, b, C).coupling)
+    bandwidth = draw(st.sampled_from([None, 1e-3, 0.5, 10.0]))
+    dt = draw(st.sampled_from([0.5, 0.125, 0.05]))
+    block = draw(st.sampled_from([1, 5, dynamics._PAIR_BLOCK]))
+    return path, x, dt, bandwidth, block
+
+
+class TestFlowMatchAgainstPerPointReference:
+    """All points per step against one velocity query per point."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(flow_match_cases())
+    def test_same_trajectory(self, case):
+        path, x0, dt, bandwidth, block = case
+        with mock.patch.object(dynamics, "_PAIR_BLOCK", block):
+            try:
+                ref = dynamics_reference.flow_match_trajectory(path, x0, dt,
+                                                               bandwidth)
+            except NoSupportError:
+                with pytest.raises(NoSupportError):
+                    flow_match_trajectory(path, x0, dt, bandwidth)
+                return
+            got = flow_match_trajectory(path, x0, dt, bandwidth)
+        assert_array_equal(got.times, ref.times)
+        assert_allclose(got.states, ref.states, rtol=1e-13, atol=1e-13)

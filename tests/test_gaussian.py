@@ -56,6 +56,12 @@ class TestBures:
         expected = (1 - 2) ** 2 + (2 - 4) ** 2 + (3 - 1) ** 2
         assert_allclose(bures_squared(r, s), expected, rtol=0, atol=1e-9)
 
+    def test_means_must_match_the_covariances(self):
+        with pytest.raises(ValidationError):
+            gaussian_w2_squared([0.0, 0.0], np.eye(3), [1.0, 0.0], np.eye(3))
+        with pytest.raises(ValidationError):
+            gaussian_w2_squared(["x"], [[1.0]], [0.0], [[1.0]])
+
     def test_triangle_inequality(self, rng):
         for _ in range(25):
             d = int(rng.integers(2, 5))
@@ -92,6 +98,12 @@ class TestGaussianW2:
         assert_allclose(gaussian_w2_squared(np.zeros(3), np.eye(3),
                                             np.zeros(3), 4.0 * np.eye(3)),
                         3.0, rtol=0, atol=1e-12)
+
+    def test_means_must_match_the_covariances(self):
+        with pytest.raises(ValidationError):
+            gaussian_w2_squared([0.0, 0.0], np.eye(3), [1.0, 0.0], np.eye(3))
+        with pytest.raises(ValidationError):
+            gaussian_w2_squared(["x"], [[1.0]], [0.0], [[1.0]])
 
     def test_triangle_inequality(self, rng):
         for _ in range(20):
@@ -156,3 +168,13 @@ class TestMongeMap:
         with pytest.raises(ValidationError):
             gaussian_monge_map([0.0, 0.0], np.diag([1.0, 0.0]),
                                [0.0, 0.0], np.eye(2))
+
+    @pytest.mark.parametrize("mean_a, mean_b", [
+        ([np.nan, 0.0], [0.0, 0.0]),
+        ([0.0, 0.0], [0.0, np.inf]),
+        (["x", 0.0], [0.0, 0.0]),
+        ([0.0, 0.0], [0.0, 0.0, 0.0]),
+    ], ids=["nan-source", "inf-target", "string", "length"])
+    def test_bad_means_rejected(self, mean_a, mean_b):
+        with pytest.raises(ValidationError):
+            gaussian_monge_map(mean_a, np.eye(2), mean_b, np.eye(2))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from otkit.errors import ValidationError
@@ -17,6 +19,8 @@ from otkit.semidiscrete import (
     semi_discrete_gradient_mc,
     sgd_solve,
 )
+
+import sgd_reference
 
 
 def unit_interval_problem(targets, weights):
@@ -220,6 +224,52 @@ class TestSGD:
         pooled /= n
         mc = semi_discrete_gradient_mc(prob, g, n, seed)
         assert_allclose(pooled, mc, rtol=0, atol=1e-12)
+
+
+def _sampler(kind, d):
+    if kind == "uniform_box":
+        return Sampler.uniform_box(np.zeros(d), np.ones(d))
+    if kind == "gaussian":
+        return Sampler.gaussian(np.full(d, 0.5), 0.1 * np.eye(d))
+    return Sampler.gaussian_mixture([0.3, 0.7], [np.zeros(d), np.ones(d)],
+                                    [0.05 * np.eye(d), 0.2 * np.eye(d)])
+
+
+@st.composite
+def sgd_instances(draw):
+    d = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 7))
+    # Targets on a coarse lattice, repeats allowed, so that cells tie.
+    lattice = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+    targets = draw(st.lists(st.lists(lattice, min_size=d, max_size=d),
+                            min_size=m, max_size=m))
+    weights = np.array(draw(st.lists(st.integers(1, 5), min_size=m,
+                                     max_size=m)), dtype=float)
+    cost = draw(st.sampled_from([CostSpec.sq_euclidean(), CostSpec.euclidean(),
+                                 CostSpec.p_power(1.5)]))
+    problem = SemiDiscreteProblem(
+        _sampler(draw(st.sampled_from(["uniform_box", "gaussian", "mixture"])),
+                 d), targets, weights / weights.sum(), cost)
+    config = SGDConfig(n_iter=draw(st.integers(1, 700)),
+                       seed=draw(st.integers(0, 2**31)),
+                       tau0=draw(st.sampled_from([0.01, 0.5, 1.0])),
+                       ell0=draw(st.sampled_from([1.0, 100.0])),
+                       eval_every=draw(st.integers(1, 400)),
+                       heldout_samples=draw(st.integers(1, 60)))
+    return problem, config
+
+
+class TestSGDAgainstPerStepReference:
+    """One cost matrix per batch against one validated 1 x m matrix per step."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(sgd_instances())
+    def test_same_potentials_and_trace(self, instance):
+        problem, config = instance
+        g, trace = sgd_solve(problem, config)
+        g_ref, trace_ref = sgd_reference.sgd_solve(problem, config)
+        assert g.tobytes() == g_ref.tobytes()
+        assert trace == trace_ref
 
 
 class TestLloyd:

@@ -221,7 +221,7 @@ def test_coupling_path(x, y, a, b):
 
 
 def _quadratic(x):
-    return 0.5 * float(np.sum(x * x))
+    return 0.5 * np.sum(x * x, axis=-1)
 
 
 @SWEEP
