@@ -1,30 +1,28 @@
-"""Successive-shortest-path min-cost flow on integer supplies.
+"""Min-cost flow on integer supplies: two successive-shortest-path engines.
 
-Two engines share one algorithm.  Supplies are int64 and flows stay
-integral, so conservation at every node is exact.  Node potentials are
-maintained with reduced-cost shortest paths (Johnson updates), which
-yields optimal LP duals on termination: an arc carries flow only if its
-reduced cost is zero.
+Supplies are int64 and flows stay integral, so conservation at every node
+is exact.  Node potentials are maintained with reduced-cost shortest
+paths (Johnson updates), which yields optimal LP duals on termination: an
+arc carries flow only if its reduced cost is zero.
 
 * `solve_transportation` is the dense bipartite engine behind the exact
   Kantorovich solver and the assignment solver.  Plan, potentials and
   excesses are arrays over the n x m cost matrix; shortest distances come
-  from whole-matrix numpy passes, not from a heap over arc lists.
-* `solve_min_cost_flow` is the generic engine on directed, uncapacitated
+  from whole-matrix numpy passes, and each augmentation replays the pop
+  order of a heap Dijkstra (kept as ``tests/mincostflow_reference.py``),
+  so plan, duals and augmentation count equal that loop's bit for bit.
+* `solve_min_cost_flow` is the sparse engine on directed, uncapacitated
   arc lists, used by the Wasserstein-1 norms (Kantorovich-Rubinstein,
-  flat norm, Beckmann).  It builds the adjacency once, in CSR layout from
-  a stable argsort, and runs a heap Dijkstra per augmentation on Python
-  lists and floats that stops once the nearest sink is settled.
-
-Given the same bipartite arcs, both engines make the same augmentations
-and return the same plan and potentials bit for bit; the tests hold the
-dense engine to the generic one.
+  flat norm, Beckmann).  It works in phases: one compiled
+  `scipy.sparse.csgraph.dijkstra` per phase, then pushes to many sinks
+  along that search's shortest-path tree.  Its flows are optimal but,
+  where shortest paths tie, need not be the ones the heap loop picks,
+  and its potentials differ from that loop's.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -62,28 +60,43 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
     supplies : array_like of int, shape (n_nodes,)
         Positive entries are sources, negative are sinks; must sum to 0.
     max_augmentations : int, optional
-        Budget; defaults to ``1000 + 40 (n_nodes + n_arcs)``.
+        Budget on the number of pushes; defaults to
+        ``1000 + 40 (n_nodes + n_arcs)``.
 
     Returns
     -------
     MinCostFlowResult
         ``flows`` per arc (int64), node ``potentials`` such that
         ``cost + pot[tail] - pot[head] >= 0`` with equality on arcs
-        carrying flow, total ``cost``, the number of augmentations, and
-        status "optimal" or "infeasible".
+        carrying flow, total ``cost``, the number of pushes, and status
+        "optimal" or "infeasible".
 
     Raises
     ------
     ConvergenceError
-        If the augmentations exceed the budget.
+        If the pushes exceed the budget.
 
     Notes
     -----
-    The out- and in-arc lists of every node are built once, each in arc
-    index order.  Each augmentation runs a Dijkstra on reduced costs from
-    all sources (`_nearest_sink`) that stops once the nearest sink is
-    settled, and ties between equally near sinks go to the lowest index.
+    Primal-dual successive shortest paths (Ahuja, Magnanti & Orlin,
+    *Network Flows*, sections 9.7-9.8).  The residual graph is one CSR
+    matrix with a slot for every (tail, head) pair of an arc or of its
+    reverse; parallel arcs share a slot.  A phase writes each slot's
+    smallest clamped reduced cost into the matrix (+inf for a reverse arc
+    without flow), runs one compiled Dijkstra from all sources and adds
+    ``min(dist, D)`` to the potentials, D the largest finite label, which
+    makes every shortest-path tree arc tight.  It then takes the sinks in
+    (distance, index) order and pushes along each one's tree path while
+    that path is intact: its root source has excess left, and each step
+    keeps to the arc that was tight when the phase began, which must
+    still carry flow where it is a reversed arc (a parallel arc that is
+    not tight never stands in for it).  The first push of a phase is the
+    augmentation a one-Dijkstra-per-push engine makes; where shortest
+    paths tie, the tree, and so which optimal flow comes out, may differ.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     costs = np.asarray(costs, dtype=float)
@@ -101,9 +114,16 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
                    heads.min() < 0 or tails.max() >= n_nodes):
         raise ValidationError("arc endpoints out of range")
 
-    out_arcs = _arcs_by_node(tails, n_nodes)
-    in_arcs = _arcs_by_node(heads, n_nodes)
-    tail, head, cost = tails.tolist(), heads.tolist(), costs.tolist()
+    # Candidate k < n_arcs is arc k, candidate n_arcs + k its reverse.
+    # Sorted by slot key, then by k: the order a heap Dijkstra scans them.
+    key = np.concatenate([tails * n_nodes + heads, heads * n_nodes + tails])
+    order = np.argsort(key, kind="stable")
+    keys, starts = np.unique(key[order], return_index=True)
+    slot_of = np.repeat(np.arange(keys.size),
+                        np.diff(np.append(starts, key.size)))
+    indptr = np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes)
+    G = csr_matrix((np.zeros(keys.size), (keys % n_nodes).astype(np.int32),
+                    indptr.astype(np.int32)), shape=(n_nodes, n_nodes))
     flow = [0] * n_arcs
     excess = supplies.tolist()
     pot = np.zeros(n_nodes, dtype=float)
@@ -120,103 +140,58 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
         if not sources:
             status = "optimal"
             break
-        if augmentations >= max_augmentations:
-            raise ConvergenceError(
-                f"min-cost flow exceeded {max_augmentations} augmentations"
-            )
-        dist, prev, t = _nearest_sink(sources, excess, pot.tolist(), out_arcs,
-                                      in_arcs, tail, head, cost, flow)
-        if t < 0:
+        fwd = np.maximum(costs + pot[tails] - pot[heads], 0.0)
+        back = np.where(np.array(flow) > 0,
+                        np.maximum(-costs + pot[heads] - pot[tails], 0.0),
+                        np.inf)
+        rc = np.concatenate([fwd, back])[order]
+        G.data[:] = np.minimum.reduceat(rc, starts)
+        # The first candidate of each slot that attains its minimum.
+        first = np.flatnonzero(rc == G.data[slot_of])
+        arc_of_slot = order[first[np.searchsorted(first, starts)]]
+
+        dist, pred, root = dijkstra(G, indices=sources, min_only=True,
+                                    return_predecessors=True)
+        sinks = np.flatnonzero((np.array(excess) < 0) & np.isfinite(dist))
+        if sinks.size == 0:
             status = "infeasible"
             break
-        pot += np.minimum(dist, dist[t])
+        pot += np.minimum(dist, dist[np.isfinite(dist)].max())
+        tree = np.flatnonzero(pred >= 0)
+        via = np.full(n_nodes, -1)
+        slot = np.searchsorted(keys, pred[tree] * np.int64(n_nodes) + tree)
+        via[tree] = arc_of_slot[slot]
+        via, pred, root = via.tolist(), pred.tolist(), root.tolist()
 
-        # Walk back from the sink until a node with positive excess; every
-        # shortest-path tree root is a source, so the walk terminates.
-        path = []
-        v = t
-        while excess[v] <= 0:
-            a, back = prev[v]
-            path.append((a, back))
-            v = head[a] if back else tail[a]
-        s = v
-        bottleneck = min(excess[s], -excess[t])
-        for a, back in path:
-            if back:
-                bottleneck = min(bottleneck, flow[a])
-        for a, back in path:
-            flow[a] += -bottleneck if back else bottleneck
-        excess[s] -= bottleneck
-        excess[t] += bottleneck
-        augmentations += 1
+        for t in sinks[np.argsort(dist[sinks], kind="stable")].tolist():
+            s = root[t]
+            bottleneck = min(excess[s], -excess[t])
+            path = []
+            v = t
+            while v != s and bottleneck > 0:
+                k = via[v]
+                if k >= n_arcs:
+                    bottleneck = min(bottleneck, flow[k - n_arcs])
+                path.append(k)
+                v = pred[v]
+            if bottleneck <= 0:
+                continue
+            if augmentations >= max_augmentations:
+                raise ConvergenceError(
+                    f"min-cost flow exceeded {max_augmentations} augmentations"
+                )
+            for k in path:
+                if k >= n_arcs:
+                    flow[k - n_arcs] -= bottleneck
+                else:
+                    flow[k] += bottleneck
+            excess[s] -= bottleneck
+            excess[t] += bottleneck
+            augmentations += 1
 
     flows = np.array(flow, dtype=np.int64)
     total = float(np.dot(flows.astype(float), costs))
     return MinCostFlowResult(flows, pot, total, augmentations, status)
-
-
-def _arcs_by_node(ends, n_nodes):
-    """Arc ids grouped by endpoint, each group in increasing arc order.
-
-    One stable argsort and the group offsets (CSR layout), cut into one
-    Python list per node for the heap loop.
-    """
-    order = np.argsort(ends, kind="stable").tolist()
-    bounds = np.concatenate(
-        ([0], np.cumsum(np.bincount(ends, minlength=n_nodes)))).tolist()
-    return [order[bounds[u]:bounds[u + 1]] for u in range(n_nodes)]
-
-
-def _nearest_sink(sources, excess, pot, out_arcs, in_arcs, tail, head, cost,
-                  flow):
-    """Heap Dijkstra on clamped reduced costs from all sources at once.
-
-    Nodes pop in (distance, node id) order.  The search stops once every
-    node at the distance d_t of the first sink to pop has popped: the
-    pops so far are a prefix of the full search, so every node with a
-    final distance <= d_t already has its final label and predecessor,
-    every other label is >= d_t (which ``min(dist, d_t)`` cannot tell from
-    its final value), and the lowest-index sink at d_t is the one the full
-    search would pick.  Works on Python lists and floats throughout.
-
-    Returns the labels (inf where never reached), the predecessor
-    ``(arc, reversed)`` of each labelled non-source node, and that sink,
-    or -1 when no sink is reachable.
-    """
-    inf = math.inf
-    dist = [inf] * len(pot)
-    prev = [None] * len(pot)
-    for u in sources:
-        dist[u] = 0.0
-    heap = [(0.0, u) for u in sources]
-    heapq.heapify(heap)
-    t, d_t = -1, inf
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > d_t:
-            break
-        if d > dist[u]:
-            continue
-        if excess[u] < 0 and (t < 0 or u < t):
-            t, d_t = u, d
-        pu = pot[u]
-        for a in out_arcs[u]:
-            v = head[a]
-            nd = d + max(cost[a] + pu - pot[v], 0.0)
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = (a, False)
-                heapq.heappush(heap, (nd, v))
-        for a in in_arcs[u]:
-            if flow[a] <= 0:
-                continue
-            v = tail[a]
-            nd = d + max(-cost[a] + pu - pot[v], 0.0)
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = (a, True)
-                heapq.heappush(heap, (nd, v))
-    return dist, prev, t
 
 
 def _bellman_ford_potentials(n_nodes, tails, heads, costs):
@@ -283,9 +258,10 @@ def solve_transportation(a_int, b_int, C, forestify=True):
 
     Runs successive shortest paths on the complete bipartite graph of
     ``C`` with the state held in dense arrays (see `_dense_ssp`).  Each
-    augmentation is the one `solve_min_cost_flow` makes on the same graph
-    (rows ``0..n-1``, columns ``n..n+m-1``, arcs in row-major order), so
-    plan, duals and augmentation count equal that engine's bit for bit.
+    augmentation is the one a heap Dijkstra over the arc list makes on the
+    same graph (rows ``0..n-1``, columns ``n..n+m-1``, arcs in row-major
+    order; ``tests/mincostflow_reference.py``), so plan, duals and
+    augmentation count equal that loop's bit for bit.
 
     Parameters
     ----------
@@ -321,8 +297,8 @@ def _dense_ssp(a_int, b_int, C):
     ``u`` and ``v`` are the row and column node potentials; the reduced
     cost of arc (i, j) is ``C_ij + u_i - v_j`` and that of the reverse of
     a support entry is ``-C_ij + v_j - u_i``, both clamped at 0 and
-    evaluated in the same order as `solve_min_cost_flow` does.  Each
-    augmentation finds distances by whole-array passes
+    evaluated in the same order as a heap Dijkstra over the arc list.
+    Each augmentation finds distances by whole-array passes
     (`_shortest_distances`), picks the nearest column with unmet demand
     (lowest index on ties), rebuilds the heap Dijkstra's predecessors from
     those distances (`_dijkstra_predecessors`), applies the Johnson update
@@ -335,7 +311,7 @@ def _dense_ssp(a_int, b_int, C):
     u = np.zeros(n)
     v = np.zeros(m)
     if plan.size and C.min() < 0.0:
-        # The Bellman-Ford start of the generic engine: on a bipartite
+        # The Bellman-Ford start of the arc-list engines: on a bipartite
         # graph it settles after one round.
         v = np.minimum(0.0, C.min(axis=0))
     max_augmentations = 1000 + 40 * (n + m + n * m)
@@ -423,7 +399,7 @@ def _shortest_distances(rc, si, sj, back, sources, sinks):
 
 
 def _dijkstra_predecessors(sums, dr, dc, si, sj, back, sources, t):
-    """Predecessor map the heap Dijkstra of `solve_min_cost_flow` ends with.
+    """Predecessor map a heap Dijkstra over the bipartite arc list ends with.
 
     That Dijkstra pops nodes by (distance, node id) and gives a node the
     first popped neighbour whose label plus reduced cost equals the

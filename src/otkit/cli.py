@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -54,13 +55,17 @@ def _pyify(obj):
 
     Non-finite floats (a KL divergence of measures with disjoint support
     is legitimately infinite) become the strings "inf"/"-inf"/"nan"
-    because strict JSON has no encoding for them.
+    because strict JSON has no encoding for them.  An array of finite
+    numbers is converted by one ``tolist()``; only arrays holding other
+    values are walked element by element.
     """
     if isinstance(obj, np.ndarray):
-        return [_pyify(v) for v in obj.tolist()]
+        if obj.dtype.kind in "biuf" and np.isfinite(obj).all():
+            return obj.tolist()
+        return _pyify(obj.tolist())
     if isinstance(obj, (float, np.floating)):
         value = float(obj)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             return repr(value)
         return value
     if isinstance(obj, (np.integer,)):
@@ -234,8 +239,8 @@ def _write_trace(path, records):
 
 
 def _plan_triplets(plan: np.ndarray):
-    idx = np.argwhere(plan > 0.0)
-    return [[int(i), int(j), float(plan[i, j])] for i, j in idx]
+    i, j = np.nonzero(plan > 0.0)
+    return list(map(list, zip(i.tolist(), j.tolist(), plan[i, j].tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -265,6 +265,17 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
     ones_a = np.ones(sub_a.size)
     ones_b = np.ones(sub_b.size)
 
+    def returned(f, g, eps):
+        """The potentials with the dual value split evenly between them,
+        the full plan they give and its L1 marginal violations."""
+        shift = 0.5 * (float(f @ sub_a) - float(g @ sub_b))
+        f, g = f - shift, g + shift
+        plan = np.zeros_like(C)
+        plan[np.ix_(active_a, active_b)] = _gibbs_plan(sub_C, f, g, eps,
+                                                       log_ra, log_rb)
+        return (f, g, plan, float(np.abs(plan.sum(axis=1) - aw).sum()),
+                float(np.abs(plan.sum(axis=0) - bw).sum()))
+
     # The plan is diag(u) K diag(v) with K the plan of the absorbed
     # potentials (fh, gh), so f = fh + eps log u and g = gh + eps log v.
     # Row sums u * Kv and column sums v * K^T u come from the two mat-vecs
@@ -334,8 +345,14 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
                         hilbert_step=hilbert_step,
                     ))
                     if max(viol_a, viol_b) <= config.marginal_tol:
-                        converged = True
-                        break
+                        # The final stage stops only once the plan it
+                        # returns meets the tolerance too.
+                        if final_stage:
+                            out = returned(f, g, eps)
+                        converged = (not final_stage
+                                     or max(out[3:]) <= config.marginal_tol)
+                        if converged:
+                            break
                 if not converged:
                     # Budget exhausted; the potentials belong to this
                     # stage's eps.
@@ -348,20 +365,10 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
                 "scaling-domain Sinkhorn overflowed; use log_domain=True"
             ) from exc
 
-    # Gauge: split the dual value evenly between the two potentials.
-    shift = 0.5 * (float(f @ sub_a) - float(g @ sub_b))
-    f = f - shift
-    g = g + shift
-
-    sub_plan = _gibbs_plan(sub_C, f, g, eps, log_ra, log_rb)
-
-    plan = np.zeros_like(C)
-    plan[np.ix_(active_a, active_b)] = sub_plan
-    row_full = plan.sum(axis=1)
-    col_full = plan.sum(axis=0)
-    viol_a = float(np.abs(row_full - aw).sum())
-    viol_b = float(np.abs(col_full - bw).sum())
-    mass = float(row_full.sum())
+    if status != "optimal":
+        out = returned(f, g, eps)
+    f, g, plan, viol_a, viol_b = out
+    mass = float(plan.sum(axis=1).sum())
 
     # Reinsert dropped atoms with tight-completion potentials.
     f_full = np.zeros(aw.size)

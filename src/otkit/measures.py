@@ -219,16 +219,6 @@ class DiscreteMeasure:
             raise ValidationError("cannot normalize a measure with zero total mass")
         return DiscreteMeasure(self.points, self.weights / total, self.tolerances)
 
-    def require_probability(self, atol=None):
-        """Raise unless the total mass is 1 within ``atol``."""
-        if atol is None:
-            atol = self.tolerances.equality
-        if abs(self.total_mass - 1.0) > atol:
-            raise ValidationError(
-                f"measure is not a probability: total mass {self.total_mass!r}"
-            )
-        return self
-
     def sorted_1d(self) -> "DiscreteMeasure":
         """Return a copy with atoms sorted by position (1-D only)."""
         if self.dim != 1:

@@ -1,11 +1,15 @@
 """The heap min-cost flow loop, kept as a differential reference.
 
-This is `otkit._mincostflow.solve_min_cost_flow` as it was before its
-adjacency moved to CSR arrays and its Dijkstra to Python lists with a
-stop at the nearest sink: arc lists are built by a Python loop, every
-label and potential is a numpy scalar, and each Dijkstra runs until the
-heap is empty.  It is slow and it is not used by the package;
-``tests/test_mincostflow.py`` fuzzes the package loop against it.
+One augmentation per Dijkstra: a heap Dijkstra on clamped reduced costs
+from all sources, the Johnson update ``pot += min(dist, d_t)`` with d_t
+the nearest sink's label (lowest index on ties), and one push along that
+sink's path.  Arc lists are built by a Python loop, every label and
+potential is a numpy scalar, and each Dijkstra runs until the heap is
+empty.  It is slow and it is not used by the package.
+``tests/test_mincostflow.py`` fuzzes the phased engine
+`otkit._mincostflow.solve_min_cost_flow` against it, and
+``tests/test_exact.py`` holds the dense engine `solve_transportation`,
+which replays this loop's augmentations, to it bit for bit.
 """
 
 import heapq

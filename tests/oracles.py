@@ -118,6 +118,20 @@ def linprog_transport_cost(a, b, C):
     return float(res.fun)
 
 
+def floyd_warshall(W):
+    """All-pairs shortest path lengths by Floyd-Warshall, no graph library.
+
+    ``W[u, v]`` is the length of the arc u -> v, inf where there is none;
+    the diagonal is taken as 0.  The two inner loops of the textbook
+    triple loop are one numpy broadcast per intermediate node.
+    """
+    D = np.array(W, dtype=float)
+    np.fill_diagonal(D, 0.0)
+    for k in range(D.shape[0]):
+        D = np.minimum(D, D[:, k, None] + D[None, k, :])
+    return D
+
+
 def w1_piecewise_integral(xa, wa, xb, wb, n_grid=200001):
     """W1 between 1-D atoms by midpoint quadrature of |F_a - F_b|.
 

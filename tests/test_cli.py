@@ -12,10 +12,14 @@ import os
 import subprocess
 import sys
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+import serialize_reference
 from conftest import rational_simplex, random_points
 
 from otkit import exact
@@ -225,6 +229,66 @@ class TestCanonicalJson:
         path_a, path_b, _, _ = measure_files
         _, out, _ = run_cli(["exact", "--a", path_a, "--b", path_b], capsys)
         assert canonical_json(json.loads(out)) + "\n" == out
+
+
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+ARRAYS = st.one_of(
+    hnp.arrays(st.sampled_from([np.float64, np.float32]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                max_side=4),
+               elements=st.floats(allow_nan=True, allow_infinity=True,
+                                  width=32)),
+    hnp.arrays(st.sampled_from([np.int64, np.int32, np.uint8, np.bool_]),
+               hnp.array_shapes(min_dims=0, max_dims=2, min_side=0,
+                                max_side=4)),
+    st.lists(FLOATS, max_size=4).map(lambda v: np.array(v, dtype=object)),
+)
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), FLOATS, st.text(max_size=3),
+    FLOATS.map(np.float64), FLOATS.map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    ARRAYS,
+)
+PAYLOADS = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.tuples(inner, inner),
+                            st.dictionaries(st.text(max_size=3), inner,
+                                            max_size=4)),
+    max_leaves=12,
+)
+
+
+def _zero_d_as_scalar(obj):
+    """The payload with every 0-d array replaced by the scalar it holds."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 0:
+        return obj[()]
+    if isinstance(obj, dict):
+        return {k: _zero_d_as_scalar(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_zero_d_as_scalar(v) for v in obj]
+    return obj
+
+
+class TestAgainstPerElementSerializer:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(PAYLOADS)
+    def test_same_bytes(self, payload):
+        # The per-element serializer cannot iterate a 0-d array; the
+        # package writes one as the scalar it holds.
+        want = serialize_reference.canonical_json(_zero_d_as_scalar(payload))
+        assert canonical_json(payload) == want
+
+    def test_array_kinds(self):
+        payload = {"f": np.array([[0.1, -2.5], [3.0, 1e-300]]),
+                   "nan": np.array([1.0, np.nan, -np.inf]),
+                   "i": np.arange(3), "b": np.array([True, False]),
+                   "empty": np.zeros((0, 2)), "o": np.array([1, 2.5, None]),
+                   "s": np.float32(0.1), "z": np.array(np.inf)}
+        assert canonical_json(payload) == (
+            '{"b":[true,false],"empty":[],"f":[[0.1,-2.5],[3.0,1e-300]],'
+            '"i":[0,1,2],"nan":[1.0,"nan","-inf"],"o":[1,2.5,null],'
+            '"s":0.10000000149011612,"z":"inf"}')
 
 
 class TestRoundTrip:

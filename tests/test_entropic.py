@@ -89,6 +89,55 @@ class TestSinkhornBasics:
         assert np.abs(coupling.plan.sum(axis=0) - b).sum() <= 1e-9
         assert cost_linear == pytest.approx(float((coupling.plan * C).sum()))
 
+    def test_optimal_holds_for_the_returned_plan(self):
+        # A 10 x 11 epsilon ladder whose scalings meet --tol 1e-12 one
+        # iteration before the plan rebuilt from the gauge-split
+        # potentials does: that plan sat at L1 1.000e-12 above the tol.
+        X = [[0.9631574876881722, 0.061014348124349915],
+             [0.08042700753990883, 0.4618202970541099],
+             [0.5888525333700854, 0.46721827858919907],
+             [0.961498185071562, 0.7944042603314723],
+             [0.41825716200855145, 0.4591059259639044],
+             [0.9485701916839363, 0.15696644320135344],
+             [0.9749450129465713, 0.07811966808119886],
+             [0.7288912388691787, 0.6159109483309191],
+             [0.506865764590823, 0.6609822517517353],
+             [0.29647400515993794, 0.26322293930623686]]
+        Y = [[0.899974458682981, 0.5020544173317742],
+             [0.30611287640638696, 0.5789749542022691],
+             [0.9794825735681212, 0.34194915280560356],
+             [0.15680380995779097, 0.06742638765883935],
+             [0.0013532615547933169, 0.8240630980206657],
+             [0.13939051269787228, 0.8564717611724671],
+             [0.6020508677195069, 0.5168918625013361],
+             [0.05903560046550871, 0.32219466552062703],
+             [0.09460958810471554, 0.45777389127390034],
+             [0.11653231641900552, 0.4634149887197919],
+             [0.5299172316598677, 0.004123846705839651]]
+        a = np.array([72498172, 2471276, 104529274, 255573148, 200365029,
+                      40886760, 79861550, 7954680, 69172603,
+                      166687508]) / 1e9
+        b = np.array([145108281, 147349677, 111553209, 2560667, 38892468,
+                      4623660, 21334024, 124950965, 10808034, 188988848,
+                      203830167]) / 1e9
+        C = build_cost_matrix(np.array(X), np.array(Y),
+                              CostSpec.sq_euclidean())
+        schedule = [0.41185946657820816, 0.20592973328910408,
+                    0.10296486664455204, 0.05148243332227602,
+                    0.04118594665782082]
+        tol = 1e-12
+        cfg = SinkhornConfig(epsilon=schedule[-1], max_iter=200000,
+                             marginal_tol=tol, epsilon_schedule=schedule)
+        state, coupling, *_ = sinkhorn(a, b, C, cfg)
+        assert state.status == "optimal"
+        assert np.abs(coupling.plan.sum(axis=1) - a).sum() <= tol
+        assert np.abs(coupling.plan.sum(axis=0) - b).sum() <= tol
+        # The same plan rebuilt from the returned potentials alone.
+        P = a[:, None] * b * np.exp((state.f[:, None] + state.g - C)
+                                    / state.epsilon)
+        assert np.abs(P.sum(axis=1) - a).sum() <= tol * (1 + 1e-6)
+        assert np.abs(P.sum(axis=0) - b).sum() <= tol * (1 + 1e-6)
+
     def test_gauge_balances_potentials(self, rng):
         a, b, C = make_instance(rng, 6, 6)
         cfg = SinkhornConfig(epsilon=0.3 * float(C.mean()))

@@ -7,11 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from otkit import _mincostflow
-from otkit._mincostflow import (
-    quantize_simplex,
-    solve_min_cost_flow,
-    solve_transportation,
-)
+from otkit._mincostflow import quantize_simplex, solve_transportation
 from otkit.duality import check_feasibility, duality_gap
 from otkit.errors import ConvergenceError, MetricAxiomError, ValidationError
 from otkit.exact import (
@@ -25,6 +21,7 @@ from otkit.exact import (
 )
 from otkit.measures import CostSpec, DiscreteMeasure, build_cost_matrix, product_coupling
 
+import mincostflow_reference
 from conftest import random_points, random_simplex, rational_simplex
 from oracles import (
     brute_force_assignment,
@@ -197,7 +194,7 @@ TIED_AT_THE_NEAREST_SINK = (
 
 
 class TestDenseTransportEngine:
-    """The dense engine against the generic arc-list engine."""
+    """The dense engine against the heap arc-list engine it replays."""
 
     @given(transport_instances())
     @example(TIED_AT_THE_NEAREST_SINK)
@@ -205,7 +202,7 @@ class TestDenseTransportEngine:
     def test_matches_generic_engine(self, instance):
         a, b, C = instance
         n, m = C.shape
-        ref = solve_min_cost_flow(
+        ref = mincostflow_reference.solve_min_cost_flow(
             n + m, np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n),
             C.reshape(-1), np.concatenate([a, -b]),
         )
@@ -238,7 +235,7 @@ class TestDenseTransportEngine:
             for a, b in ((np.ones(n, dtype=np.int64),) * 2,
                          (quantize_simplex(random_simplex(rng, n), 10**9),
                           quantize_simplex(random_simplex(rng, n), 10**9))):
-                ref = solve_min_cost_flow(
+                ref = mincostflow_reference.solve_min_cost_flow(
                     2 * n, np.repeat(np.arange(n), n),
                     n + np.tile(np.arange(n), n), C.reshape(-1),
                     np.concatenate([a, -b]),

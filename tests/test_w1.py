@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.sparse.csgraph import shortest_path
 from scipy.spatial.distance import cdist
 
 from otkit.errors import MetricAxiomError, UnbalancedError, ValidationError
@@ -21,6 +20,7 @@ from otkit.w1 import (
 )
 
 from conftest import random_points, random_simplex
+from oracles import floyd_warshall
 
 
 def difference_measure(x, a, y, b):
@@ -254,7 +254,7 @@ class TestBeckmann:
         for u, v, length in edges:
             W[u, v] = min(W[u, v], length)
             W[v, u] = min(W[v, u], length)
-        D = shortest_path(W, method="D", directed=False)
+        D = floyd_warshall(W)
         m = SignedDiscreteMeasure(np.zeros((n, 1)), s)
         expected, _ = w1_kr_lp(m, D)
         assert_allclose(value, expected, rtol=0, atol=1e-8)
