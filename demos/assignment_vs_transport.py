@@ -43,7 +43,7 @@ def main():
     b = rng.dirichlet(np.ones(args.n))
     lp = solve_kantorovich(a, b, C)
     print(f"\ngeneral marginals: cost {lp.cost:.10f} "
-          f"({lp.iterations} pivots, {lp.status})")
+          f"({lp.iterations} pushes, {lp.status})")
     print("plan (rows = sources):")
     with np.printoptions(precision=4, suppress=True):
         print(lp.coupling.plan)

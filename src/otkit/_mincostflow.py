@@ -1,28 +1,33 @@
-"""Min-cost flow on integer supplies: two successive-shortest-path engines.
+"""Min-cost flow on integer supplies: successive shortest paths in phases.
 
 Supplies are int64 and flows stay integral, so conservation at every node
-is exact.  Node potentials are maintained with reduced-cost shortest
-paths (Johnson updates), which yields optimal LP duals on termination: an
-arc carries flow only if its reduced cost is zero.
+is exact.  Both engines are primal-dual successive shortest paths (Ahuja,
+Magnanti & Orlin, *Network Flows*, sections 9.7-9.8) with one phase
+structure: one shortest-path search from all sources over the clamped
+reduced costs, the potential update ``pot += min(dist, D)``, D the largest
+finite label, which makes every arc of the search tree tight, then pushes
+to the reachable sinks in (distance, index) order along their tree paths
+while each path is intact.  The returned duals are the final potentials:
+an arc carries flow only if its reduced cost is zero.  ``augmentations``
+counts pushes, several per phase.
 
 * `solve_transportation` is the dense bipartite engine behind the exact
   Kantorovich solver and the assignment solver.  Plan, potentials and
-  excesses are arrays over the n x m cost matrix; shortest distances come
-  from whole-matrix numpy passes, and each augmentation replays the pop
-  order of a heap Dijkstra (kept as ``tests/mincostflow_reference.py``),
-  so plan, duals and augmentation count equal that loop's bit for bit.
+  excesses are arrays over the n x m cost matrix, and the search is a
+  label-correcting one made of whole-matrix numpy passes.
 * `solve_min_cost_flow` is the sparse engine on directed, uncapacitated
   arc lists, used by the Wasserstein-1 norms (Kantorovich-Rubinstein,
-  flat norm, Beckmann).  It works in phases: one compiled
-  `scipy.sparse.csgraph.dijkstra` per phase, then pushes to many sinks
-  along that search's shortest-path tree.  Its flows are optimal but,
-  where shortest paths tie, need not be the ones the heap loop picks,
-  and its potentials differ from that loop's.
+  flat norm, Beckmann).  Its search is one compiled
+  `scipy.sparse.csgraph.dijkstra` per phase.
+
+Where shortest paths tie, either engine may return another optimal flow
+than the one-push-per-search heap loop kept as
+``tests/mincostflow_reference.py``, and its potentials differ from that
+loop's.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import NamedTuple
 
 import numpy as np
@@ -132,7 +137,7 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
         pot = _bellman_ford_potentials(n_nodes, tails, heads, costs)
 
     if max_augmentations is None:
-        max_augmentations = 1000 + 40 * (n_nodes + n_arcs)
+        max_augmentations = _push_budget(n_nodes, n_arcs)
 
     augmentations = 0
     while True:
@@ -192,6 +197,11 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
     flows = np.array(flow, dtype=np.int64)
     total = float(np.dot(flows.astype(float), costs))
     return MinCostFlowResult(flows, pot, total, augmentations, status)
+
+
+def _push_budget(n_nodes, n_arcs):
+    """Default cap on the pushes of one min-cost flow solve."""
+    return 1000 + 40 * (n_nodes + n_arcs)
 
 
 def _bellman_ford_potentials(n_nodes, tails, heads, costs):
@@ -256,12 +266,11 @@ def quantize_balanced(masses, scale):
 def solve_transportation(a_int, b_int, C, forestify=True):
     """Exact transportation LP with integer marginals.
 
-    Runs successive shortest paths on the complete bipartite graph of
-    ``C`` with the state held in dense arrays (see `_dense_ssp`).  Each
-    augmentation is the one a heap Dijkstra over the arc list makes on the
-    same graph (rows ``0..n-1``, columns ``n..n+m-1``, arcs in row-major
-    order; ``tests/mincostflow_reference.py``), so plan, duals and
-    augmentation count equal that loop's bit for bit.
+    Runs successive shortest paths in phases on the complete bipartite
+    graph of ``C``, rows ``0..n-1`` to columns, with the state held in
+    dense arrays (see `_dense_ssp`).  Where the optimal plan is unique it
+    is the one the heap loop ``tests/mincostflow_reference.py`` finds on
+    the same graph; the duals are the engine's own final potentials.
 
     Parameters
     ----------
@@ -273,9 +282,10 @@ def solve_transportation(a_int, b_int, C, forestify=True):
 
     Returns
     -------
-    (plan_int, f, g, augmentations, status)
-        Integer plan with exact marginals and dual potentials satisfying
-        ``f_i + g_j <= C_ij`` with equality on the support.
+    (plan_int, f, g, pushes, status)
+        Integer plan with exact marginals, dual potentials satisfying
+        ``f_i + g_j <= C_ij`` with equality on the support, the number of
+        pushes, and status "optimal" or "infeasible".
     """
     a_int = np.asarray(a_int, dtype=np.int64)
     b_int = np.asarray(b_int, dtype=np.int64)
@@ -285,24 +295,26 @@ def solve_transportation(a_int, b_int, C, forestify=True):
         raise ValidationError("marginal lengths do not match the cost matrix")
     if int(a_int.sum()) != int(b_int.sum()):
         raise ValidationError("integer marginals are unbalanced")
-    plan_int, u, v, augmentations, status = _dense_ssp(a_int, b_int, C)
+    plan_int, u, v, pushes, status = _dense_ssp(a_int, b_int, C)
     if forestify and status == "optimal":
         plan_int = _cancel_support_cycles(plan_int, C)
-    return plan_int, -u, v, augmentations, status
+    return plan_int, -u, v, pushes, status
 
 
 def _dense_ssp(a_int, b_int, C):
-    """Successive shortest paths from rows to columns of a dense cost matrix.
+    """Successive shortest paths in phases from rows to columns of ``C``.
 
     ``u`` and ``v`` are the row and column node potentials; the reduced
-    cost of arc (i, j) is ``C_ij + u_i - v_j`` and that of the reverse of
-    a support entry is ``-C_ij + v_j - u_i``, both clamped at 0 and
-    evaluated in the same order as a heap Dijkstra over the arc list.
-    Each augmentation finds distances by whole-array passes
-    (`_shortest_distances`), picks the nearest column with unmet demand
-    (lowest index on ties), rebuilds the heap Dijkstra's predecessors from
-    those distances (`_dijkstra_predecessors`), applies the Johnson update
-    ``pot += min(dist, d_t)`` and pushes the integer bottleneck.
+    cost of arc (i, j) is ``red_ij = C_ij + u_i - v_j`` and that of the
+    reverse of a support entry is ``-red_ij``, both clamped at 0.  A phase
+    runs one label-correcting search from all source rows
+    (`_shortest_distances`), adds ``min(label, D)`` to the potentials, D
+    the largest finite label, which makes every arc of the search tree
+    tight, and takes the columns with unmet demand in (distance, index)
+    order.  It pushes the integer bottleneck along each one's tree path
+    while that path is intact: its root row has supply left and each
+    reversed support entry on it still carries flow.  The pushes are
+    counted against ``_push_budget(n + m, n * m)``.
     """
     n, m = C.shape
     plan = np.zeros((n, m), dtype=np.int64)
@@ -314,129 +326,97 @@ def _dense_ssp(a_int, b_int, C):
         # The Bellman-Ford start of the arc-list engines: on a bipartite
         # graph it settles after one round.
         v = np.minimum(0.0, C.min(axis=0))
-    max_augmentations = 1000 + 40 * (n + m + n * m)
-    augmentations = 0
+    max_pushes = _push_budget(n + m, n * m)
+    pushes = 0
     while True:
         sources = supply > 0
         if not sources.any():
-            return plan, u, v, augmentations, "optimal"
-        if augmentations >= max_augmentations:
-            raise ConvergenceError(
-                f"transportation exceeded {max_augmentations} augmentations"
-            )
-        sinks = demand > 0
-        si, sj = np.nonzero(plan)
-        rc = np.maximum(C + u[:, None] - v, 0.0)
-        back = np.maximum(-C[si, sj] + v[sj] - u[si], 0.0)
-        dr, dc, sums = _shortest_distances(rc, si, sj, back, sources, sinks)
-        reachable = np.flatnonzero(sinks & np.isfinite(dc))
-        if reachable.size == 0:
-            return plan, u, v, augmentations, "infeasible"
-        t = int(reachable[np.argmin(dc[reachable])])
-        d_t = dc[t]
-        prev = _dijkstra_predecessors(sums, dr, dc, si, sj, back, sources, t)
-        u += np.minimum(dr, d_t)
-        v += np.minimum(dc, d_t)
+            return plan, u, v, pushes, "optimal"
+        red = C + u[:, None] - v
+        back = np.where(plan > 0, np.maximum(-red, 0.0), np.inf)
+        dr, dc, pr, pc = _shortest_distances(np.maximum(red, 0.0), back,
+                                             sources)
+        sinks = np.flatnonzero((demand > 0) & np.isfinite(dc))
+        if sinks.size == 0:
+            return plan, u, v, pushes, "infeasible"
+        labels = np.concatenate([dr, dc])
+        D = labels[np.isfinite(labels)].max()
+        u += np.minimum(dr, D)
+        v += np.minimum(dc, D)
+        pr, pc = pr.tolist(), pc.tolist()
 
-        # The path alternates forward arcs (rows[k], cols[k]) and reversed
-        # support entries (rows[k], cols[k + 1]) back to a source row.
-        rows = [prev[n + t]]
-        cols = [t]
-        while supply[rows[-1]] <= 0:
-            cols.append(prev[rows[-1]] - n)
-            rows.append(prev[cols[-1] + n])
-        s = rows[-1]
-        bottleneck = min(int(supply[s]), int(demand[t]))
-        if len(rows) > 1:
-            bottleneck = min(bottleneck, int(plan[rows[:-1], cols[1:]].min()))
-            plan[rows[:-1], cols[1:]] -= bottleneck
-        plan[rows, cols] += bottleneck
-        supply[s] -= bottleneck
-        demand[t] -= bottleneck
-        augmentations += 1
+        for t in sinks[np.argsort(dc[sinks], kind="stable")].tolist():
+            # The path alternates forward arcs (rows[k], cols[k]) and
+            # reversed support entries (rows[k], cols[k + 1]) back to a
+            # source row, the only kind of row without a predecessor.
+            rows = [pc[t]]
+            cols = [t]
+            while pr[rows[-1]] >= 0:
+                cols.append(pr[rows[-1]])
+                rows.append(pc[cols[-1]])
+            s = rows[-1]
+            reversed_entries = list(zip(rows[:-1], cols[1:]))
+            bottleneck = min([supply[s], demand[t]]
+                             + [plan[ij] for ij in reversed_entries])
+            if bottleneck <= 0:
+                continue
+            if pushes >= max_pushes:
+                raise ConvergenceError(
+                    f"transportation exceeded {max_pushes} pushes"
+                )
+            for ij in reversed_entries:
+                plan[ij] -= bottleneck
+            for ij in zip(rows, cols):
+                plan[ij] += bottleneck
+            supply[s] -= bottleneck
+            demand[t] -= bottleneck
+            pushes += 1
 
 
-def _shortest_distances(rc, si, sj, back, sources, sinks):
-    """Reduced-cost distances from all source rows by label correcting.
+def _shortest_distances(rc, back, sources):
+    """Distances and a shortest-path tree from all source rows.
 
-    A pass relaxes every arc out of the rows whose label fell in the last
-    pass (one column-wise min over those rows of ``dist_i + rc_ij``), then
-    the reversed support entries out of the columns whose label fell.
-    Both sides converge to the minimum over paths of the left-to-right
-    floating-point path sums, which is exactly what the heap Dijkstra
-    computes.  Labels above the nearest sink's are not relaxed further:
-    nothing beyond that sink is used, and ``min(dist, d_t)`` caps them.
+    ``rc`` holds the arc lengths row i -> column j and ``back`` those of
+    column j -> row i (+inf where there is no arc).  A pass relaxes every
+    arc out of the rows whose label fell in the last pass (a column-wise
+    min over those rows), then every arc out of the columns whose label
+    fell (a row-wise min over those columns).  A label records the row or
+    column that lowered it, the first one on ties, and only on a strict
+    decrease; with lengths >= 0 these predecessors form a forest rooted at
+    the sources (CLRS, Lemma 24.16), and -1 marks a root or an unreached
+    node.
 
-    Returns the row and column labels and the matrix of ``dist_i + rc_ij``
-    from each row's last relaxation (inf for rows never relaxed).  A row is
-    relaxed again whenever its label falls, so every row at or below the
-    nearest sink was last relaxed with its final label.
+    Returns the row and column labels and predecessors.  Raises
+    `ConvergenceError` if labels still fall after n + m + 1 passes, which
+    nonnegative lengths rule out.
     """
     n, m = rc.shape
     dr = np.where(sources, 0.0, np.inf)
     dc = np.full(m, np.inf)
-    sums = np.full((n, m), np.inf)
+    pr = np.full(n, -1)
+    pc = np.full(m, -1)
     frontier = sources.nonzero()[0]
+    rows, cols = np.arange(n), np.arange(m)
     for _ in range(n + m + 1):
         block = dr[frontier, None] + rc[frontier]
-        sums[frontier] = block
-        new_c = np.minimum(dc, block.min(axis=0))
-        bound = new_c.min(where=sinks, initial=np.inf)
-        fell = (new_c < dc) & (new_c <= bound)
-        dc = new_c
-        k = fell[sj].nonzero()[0]
-        if k.size == 0:
-            return dr, dc, sums
-        new_r = dr.copy()
-        np.minimum.at(new_r, si[k], dc[sj[k]] + back[k])
-        frontier = ((new_r < dr) & (new_r <= bound)).nonzero()[0]
-        dr = new_r
+        arg = block.argmin(axis=0)
+        best = block[arg, cols]
+        fell = (best < dc).nonzero()[0]
+        if fell.size == 0:
+            return dr, dc, pr, pc
+        dc[fell] = best[fell]
+        pc[fell] = frontier[arg[fell]]
+        block = dc[fell] + back[:, fell]
+        arg = block.argmin(axis=1)
+        best = block[rows, arg]
+        frontier = (best < dr).nonzero()[0]
         if frontier.size == 0:
-            return dr, dc, sums
+            return dr, dc, pr, pc
+        dr[frontier] = best[frontier]
+        pr[frontier] = fell[arg[frontier]]
     raise ConvergenceError(
         f"shortest-path labels still falling after {n + m + 1} passes"
     )
-
-
-def _dijkstra_predecessors(sums, dr, dc, si, sj, back, sources, t):
-    """Predecessor map a heap Dijkstra over the bipartite arc list ends with.
-
-    That Dijkstra pops nodes by (distance, node id) and gives a node the
-    first popped neighbour whose label plus reduced cost equals the
-    node's distance.  With the distances known, replaying the heap over
-    just those arcs reproduces its pops and predecessors exactly; the
-    replay stops when column ``t`` pops.  Sources pop first, in index
-    order, so their share is done with one argmax.  Node ids are rows
-    ``0..n-1`` and columns ``n..n+m-1``.
-    """
-    n = sums.shape[0]
-    d_t = dc[t]
-    tight = (sums == dc) & (dc <= d_t)
-    src_rows = np.flatnonzero(sources)
-    from_src = tight[src_rows]
-    first = src_rows[np.argmax(from_src, axis=0)]
-    reached = np.flatnonzero(from_src.any(axis=0))
-    dist = dr.tolist() + dc.tolist()
-    prev = dict(zip((reached + n).tolist(), first[reached].tolist()))
-    heap = [(dist[x], x) for x in prev]
-    heapq.heapify(heap)
-    prev.update(dict.fromkeys(src_rows.tolist(), -1))
-    succ = {}
-    ti, tj = np.nonzero(tight & ~sources[:, None])
-    for i, j in zip(ti.tolist(), (tj + n).tolist()):
-        succ.setdefault(i, []).append(j)
-    k = np.flatnonzero((dc[sj] <= d_t) & (dc[sj] + back == dr[si]))
-    for j, i in zip((sj[k] + n).tolist(), si[k].tolist()):
-        succ.setdefault(j, []).append(i)
-    target = n + t
-    while True:
-        x = heapq.heappop(heap)[1]
-        if x == target:
-            return prev
-        for y in succ.get(x, ()):
-            if y not in prev:
-                prev[y] = x
-                heapq.heappush(heap, (dist[y], y))
 
 
 def _cancel_support_cycles(plan_int, C):

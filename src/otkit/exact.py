@@ -3,9 +3,10 @@
 The LP solvers reduce to integer min-cost flow.  Probability weights are
 scaled onto a common denominator of 10^9 by largest-remainder rounding, so
 every returned plan has exactly conserved (rational) marginals; the induced
-perturbation of each marginal entry is below 1e-9.  Dual potentials come
-from the flow engine's node potentials and satisfy complementary slackness
-on the support.
+perturbation of each marginal entry is below 1e-9.  The flow engine runs
+successive shortest paths in phases (`_mincostflow.solve_transportation`);
+the dual potentials are its final node potentials, feasible and
+complementary-slack on the support, and ``iterations`` counts its pushes.
 """
 
 from __future__ import annotations
@@ -44,8 +45,10 @@ class TransportResult:
 
     ``cost`` always equals ``coupling.cost(C)`` for the cost matrix the
     solver was given, by construction.  ``potentials`` is None for solvers
-    that do not produce duals.  ``status`` is "optimal" for the exact
-    solvers; iterative methods may report "max_iter".
+    that do not produce duals.  ``iterations`` is the number of flow pushes
+    for `solve_kantorovich` and the number of sweep steps for
+    `solve_1d_sorted`.  ``status`` is "optimal" for the exact solvers;
+    iterative methods may report "max_iter".
     """
 
     cost: float
@@ -84,7 +87,7 @@ def solve_kantorovich(a, b, C, tolerances: Tolerances = DEFAULT_TOLERANCES
     C = check_cost_matrix(C, (aw.shape[0], bw.shape[0]))
     a_int = mcf.quantize_simplex(aw, WEIGHT_DENOMINATOR)
     b_int = mcf.quantize_simplex(bw, WEIGHT_DENOMINATOR)
-    plan_int, f, g, augmentations, status = mcf.solve_transportation(a_int, b_int, C)
+    plan_int, f, g, pushes, status = mcf.solve_transportation(a_int, b_int, C)
     if status != "optimal":
         raise UnbalancedError("transportation solve did not complete")
     plan = plan_int / float(WEIGHT_DENOMINATOR)
@@ -98,7 +101,7 @@ def solve_kantorovich(a, b, C, tolerances: Tolerances = DEFAULT_TOLERANCES
         cost=cost,
         coupling=coupling,
         potentials=potentials,
-        iterations=augmentations,
+        iterations=pushes,
         status="optimal",
     )
 

@@ -6,10 +6,9 @@ the nearest sink's label (lowest index on ties), and one push along that
 sink's path.  Arc lists are built by a Python loop, every label and
 potential is a numpy scalar, and each Dijkstra runs until the heap is
 empty.  It is slow and it is not used by the package.
-``tests/test_mincostflow.py`` fuzzes the phased engine
-`otkit._mincostflow.solve_min_cost_flow` against it, and
-``tests/test_exact.py`` holds the dense engine `solve_transportation`,
-which replays this loop's augmentations, to it bit for bit.
+``tests/test_mincostflow.py`` and ``tests/test_exact.py`` fuzz the
+phased engines `otkit._mincostflow.solve_min_cost_flow` and
+`solve_transportation` against it.
 """
 
 import heapq
