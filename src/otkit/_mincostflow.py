@@ -1,29 +1,28 @@
 """Min-cost flow on integer supplies: successive shortest paths in phases.
 
 Supplies are int64 and flows stay integral, so conservation at every node
-is exact.  Both engines are primal-dual successive shortest paths (Ahuja,
-Magnanti & Orlin, *Network Flows*, sections 9.7-9.8) with one phase
-structure: one shortest-path search from all sources over the clamped
-reduced costs, the potential update ``pot += min(dist, D)``, D the largest
-finite label, which makes every arc of the search tree tight, then pushes
-to the reachable sinks in (distance, index) order along their tree paths
-while each path is intact.  The returned duals are the final potentials:
-an arc carries flow only if its reduced cost is zero.  ``augmentations``
-counts pushes, several per phase.
+is exact.  One loop, `_successive_shortest_paths`, runs primal-dual
+successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
+sections 9.7-9.8) in phases: one shortest-path search from all sources
+over the clamped reduced costs, the update ``pot += min(dist, D)``, D the
+largest finite label, which makes every arc of the search tree tight,
+then pushes to the reachable sinks in (distance, index) order along their
+tree paths while each path is intact: its root has excess left and each
+reversed arc on it still carries flow.  The returned duals are the final
+potentials, and ``augmentations`` counts pushes, several per phase.  The
+two entry points differ only in the search they hand to the loop:
 
-* `solve_transportation` is the dense bipartite engine behind the exact
-  Kantorovich solver and the assignment solver.  Plan, potentials and
-  excesses are arrays over the n x m cost matrix, and the search is a
-  label-correcting one made of whole-matrix numpy passes.
-* `solve_min_cost_flow` is the sparse engine on directed, uncapacitated
-  arc lists, used by the Wasserstein-1 norms (Kantorovich-Rubinstein,
-  flat norm, Beckmann).  Its search is one compiled
-  `scipy.sparse.csgraph.dijkstra` per phase.
+* `solve_transportation`, behind the exact Kantorovich and assignment
+  solvers, numbers the arcs of the complete bipartite graph of an n x m
+  cost matrix row-major and searches with `_shortest_distances`, a
+  label-correcting search made of whole-matrix numpy passes.
+* `solve_min_cost_flow`, on directed, uncapacitated arc lists, used by
+  the Wasserstein-1 norms (Kantorovich-Rubinstein, flat norm, Beckmann),
+  searches with one compiled `scipy.sparse.csgraph.dijkstra` per phase.
 
-Where shortest paths tie, either engine may return another optimal flow
-than the one-push-per-search heap loop kept as
-``tests/mincostflow_reference.py``, and its potentials differ from that
-loop's.
+Where shortest paths tie, either may return another optimal flow than the
+one-push-per-search heap loop kept as ``tests/mincostflow_reference.py``,
+and other potentials.
 """
 
 from __future__ import annotations
@@ -83,21 +82,13 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
 
     Notes
     -----
-    Primal-dual successive shortest paths (Ahuja, Magnanti & Orlin,
-    *Network Flows*, sections 9.7-9.8).  The residual graph is one CSR
-    matrix with a slot for every (tail, head) pair of an arc or of its
-    reverse; parallel arcs share a slot.  A phase writes each slot's
-    smallest clamped reduced cost into the matrix (+inf for a reverse arc
-    without flow), runs one compiled Dijkstra from all sources and adds
-    ``min(dist, D)`` to the potentials, D the largest finite label, which
-    makes every shortest-path tree arc tight.  It then takes the sinks in
-    (distance, index) order and pushes along each one's tree path while
-    that path is intact: its root source has excess left, and each step
-    keeps to the arc that was tight when the phase began, which must
-    still carry flow where it is a reversed arc (a parallel arc that is
-    not tight never stands in for it).  The first push of a phase is the
-    augmentation a one-Dijkstra-per-push engine makes; where shortest
-    paths tie, the tree, and so which optimal flow comes out, may differ.
+    The search is one compiled Dijkstra over one CSR matrix with a slot
+    for every (tail, head) pair of an arc or of its reverse; parallel
+    arcs share a slot.  A phase writes each slot's smallest clamped
+    reduced cost into the matrix and maps each tree edge back to the
+    first arc that attains it, so a path keeps to the arc that was tight
+    when the phase began (a parallel arc that is not tight never stands
+    in for it).
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -129,61 +120,81 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
     indptr = np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes)
     G = csr_matrix((np.zeros(keys.size), (keys % n_nodes).astype(np.int32),
                     indptr.astype(np.int32)), shape=(n_nodes, n_nodes))
-    flow = [0] * n_arcs
-    excess = supplies.tolist()
-    pot = np.zeros(n_nodes, dtype=float)
 
-    if n_arcs and costs.min() < 0.0:
-        pot = _bellman_ford_potentials(n_nodes, tails, heads, costs)
-
-    if max_augmentations is None:
-        max_augmentations = _push_budget(n_nodes, n_arcs)
-
-    augmentations = 0
-    while True:
-        sources = [u for u in range(n_nodes) if excess[u] > 0]
-        if not sources:
-            status = "optimal"
-            break
-        fwd = np.maximum(costs + pot[tails] - pot[heads], 0.0)
-        back = np.where(np.array(flow) > 0,
-                        np.maximum(-costs + pot[heads] - pot[tails], 0.0),
-                        np.inf)
+    def search(fwd, back, sources):
         rc = np.concatenate([fwd, back])[order]
         G.data[:] = np.minimum.reduceat(rc, starts)
         # The first candidate of each slot that attains its minimum.
         first = np.flatnonzero(rc == G.data[slot_of])
         arc_of_slot = order[first[np.searchsorted(first, starts)]]
-
-        dist, pred, root = dijkstra(G, indices=sources, min_only=True,
-                                    return_predecessors=True)
-        sinks = np.flatnonzero((np.array(excess) < 0) & np.isfinite(dist))
-        if sinks.size == 0:
-            status = "infeasible"
-            break
-        pot += np.minimum(dist, dist[np.isfinite(dist)].max())
+        dist, pred, _ = dijkstra(G, indices=np.flatnonzero(sources),
+                                 min_only=True, return_predecessors=True)
         tree = np.flatnonzero(pred >= 0)
         via = np.full(n_nodes, -1)
         slot = np.searchsorted(keys, pred[tree] * np.int64(n_nodes) + tree)
         via[tree] = arc_of_slot[slot]
-        via, pred, root = via.tolist(), pred.tolist(), root.tolist()
+        return dist, pred, via
+
+    if max_augmentations is None:
+        max_augmentations = _push_budget(n_nodes, n_arcs)
+    flows, pot, pushes, status = _successive_shortest_paths(
+        tails, heads, costs, supplies, search, max_augmentations)
+    total = float(np.dot(flows.astype(float), costs))
+    return MinCostFlowResult(flows, pot, total, pushes, status)
+
+
+def _successive_shortest_paths(tails, heads, costs, supplies, search,
+                               max_pushes):
+    """The phase loop of both engines; see the module docstring.
+
+    Arc k runs ``tails[k] -> heads[k]`` and k + n_arcs is its reverse.
+    ``search(fwd, back, sources)`` gets the clamped reduced costs of the
+    arcs and of their reverses (+inf for a reverse without flow) and the
+    mask of nodes with excess left.  It returns per node the label (+inf
+    if unreached), the tree predecessor (negative at a root or if
+    unreached) and the arc, k or k + n_arcs, that reaches the node.
+
+    Returns the int64 flow per arc, the potentials, the number of pushes
+    and "optimal" or "infeasible"; raises `ConvergenceError` rather than
+    push more than ``max_pushes`` times.
+    """
+    n_arcs = tails.shape[0]
+    flow = np.zeros(n_arcs, dtype=np.int64)
+    excess = supplies.copy()
+    pot = np.zeros(supplies.shape[0])
+    if n_arcs and costs.min() < 0.0:
+        pot = _bellman_ford_potentials(pot.shape[0], tails, heads, costs)
+    pushes = 0
+    while True:
+        sources = excess > 0
+        if not sources.any():
+            return flow, pot, pushes, "optimal"
+        red = costs + pot[tails] - pot[heads]
+        dist, pred, via = search(
+            np.maximum(red, 0.0),
+            np.where(flow > 0, np.maximum(-red, 0.0), np.inf), sources)
+        sinks = np.flatnonzero((excess < 0) & np.isfinite(dist))
+        if sinks.size == 0:
+            return flow, pot, pushes, "infeasible"
+        pot += np.minimum(dist, dist[np.isfinite(dist)].max())
+        pred, via = pred.tolist(), via.tolist()
 
         for t in sinks[np.argsort(dist[sinks], kind="stable")].tolist():
-            s = root[t]
-            bottleneck = min(excess[s], -excess[t])
+            bottleneck = -excess[t]
             path = []
-            v = t
-            while v != s and bottleneck > 0:
-                k = via[v]
+            s = t
+            while pred[s] >= 0:
+                k = via[s]
                 if k >= n_arcs:
                     bottleneck = min(bottleneck, flow[k - n_arcs])
                 path.append(k)
-                v = pred[v]
+                s = pred[s]
+            bottleneck = min(bottleneck, excess[s])
             if bottleneck <= 0:
                 continue
-            if augmentations >= max_augmentations:
+            if pushes >= max_pushes:
                 raise ConvergenceError(
-                    f"min-cost flow exceeded {max_augmentations} augmentations"
+                    f"min-cost flow exceeded {max_pushes} pushes"
                 )
             for k in path:
                 if k >= n_arcs:
@@ -192,11 +203,7 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
                     flow[k] += bottleneck
             excess[s] -= bottleneck
             excess[t] += bottleneck
-            augmentations += 1
-
-    flows = np.array(flow, dtype=np.int64)
-    total = float(np.dot(flows.astype(float), costs))
-    return MinCostFlowResult(flows, pot, total, augmentations, status)
+            pushes += 1
 
 
 def _push_budget(n_nodes, n_arcs):
@@ -266,11 +273,12 @@ def quantize_balanced(masses, scale):
 def solve_transportation(a_int, b_int, C, forestify=True):
     """Exact transportation LP with integer marginals.
 
-    Runs successive shortest paths in phases on the complete bipartite
-    graph of ``C``, rows ``0..n-1`` to columns, with the state held in
-    dense arrays (see `_dense_ssp`).  Where the optimal plan is unique it
-    is the one the heap loop ``tests/mincostflow_reference.py`` finds on
-    the same graph; the duals are the engine's own final potentials.
+    Runs `_successive_shortest_paths` with `_shortest_distances` as its
+    search on the complete bipartite graph of ``C``: arc ``i*m + j`` runs
+    from row i to column n + j, so the flow is the raveled plan.  Where
+    the optimal plan is unique it is the one the heap loop
+    ``tests/mincostflow_reference.py`` finds; the duals are the final
+    potentials.
 
     Parameters
     ----------
@@ -295,82 +303,24 @@ def solve_transportation(a_int, b_int, C, forestify=True):
         raise ValidationError("marginal lengths do not match the cost matrix")
     if int(a_int.sum()) != int(b_int.sum()):
         raise ValidationError("integer marginals are unbalanced")
-    plan_int, u, v, pushes, status = _dense_ssp(a_int, b_int, C)
+    rows, cols = np.arange(n), np.arange(m)
+
+    def search(fwd, back, sources):
+        dr, dc, pr, pc = _shortest_distances(
+            fwd.reshape(n, m), back.reshape(n, m), sources[:n])
+        # Column j hangs on row pc[j] by arc pc[j]*m + j, and row i on
+        # column pr[i] by the reverse of arc i*m + pr[i].
+        pred = np.concatenate([np.where(pr >= 0, n + pr, -1), pc])
+        via = np.concatenate([n * m + rows * m + pr, pc * m + cols])
+        return np.concatenate([dr, dc]), pred, via
+
+    flow, pot, pushes, status = _successive_shortest_paths(
+        np.repeat(rows, m), n + np.tile(cols, n), C.ravel(),
+        np.concatenate([a_int, -b_int]), search, _push_budget(n + m, n * m))
+    plan_int = flow.reshape(n, m)
     if forestify and status == "optimal":
         plan_int = _cancel_support_cycles(plan_int, C)
-    return plan_int, -u, v, pushes, status
-
-
-def _dense_ssp(a_int, b_int, C):
-    """Successive shortest paths in phases from rows to columns of ``C``.
-
-    ``u`` and ``v`` are the row and column node potentials; the reduced
-    cost of arc (i, j) is ``red_ij = C_ij + u_i - v_j`` and that of the
-    reverse of a support entry is ``-red_ij``, both clamped at 0.  A phase
-    runs one label-correcting search from all source rows
-    (`_shortest_distances`), adds ``min(label, D)`` to the potentials, D
-    the largest finite label, which makes every arc of the search tree
-    tight, and takes the columns with unmet demand in (distance, index)
-    order.  It pushes the integer bottleneck along each one's tree path
-    while that path is intact: its root row has supply left and each
-    reversed support entry on it still carries flow.  The pushes are
-    counted against ``_push_budget(n + m, n * m)``.
-    """
-    n, m = C.shape
-    plan = np.zeros((n, m), dtype=np.int64)
-    supply = a_int.copy()
-    demand = b_int.copy()
-    u = np.zeros(n)
-    v = np.zeros(m)
-    if plan.size and C.min() < 0.0:
-        # The Bellman-Ford start of the arc-list engines: on a bipartite
-        # graph it settles after one round.
-        v = np.minimum(0.0, C.min(axis=0))
-    max_pushes = _push_budget(n + m, n * m)
-    pushes = 0
-    while True:
-        sources = supply > 0
-        if not sources.any():
-            return plan, u, v, pushes, "optimal"
-        red = C + u[:, None] - v
-        back = np.where(plan > 0, np.maximum(-red, 0.0), np.inf)
-        dr, dc, pr, pc = _shortest_distances(np.maximum(red, 0.0), back,
-                                             sources)
-        sinks = np.flatnonzero((demand > 0) & np.isfinite(dc))
-        if sinks.size == 0:
-            return plan, u, v, pushes, "infeasible"
-        labels = np.concatenate([dr, dc])
-        D = labels[np.isfinite(labels)].max()
-        u += np.minimum(dr, D)
-        v += np.minimum(dc, D)
-        pr, pc = pr.tolist(), pc.tolist()
-
-        for t in sinks[np.argsort(dc[sinks], kind="stable")].tolist():
-            # The path alternates forward arcs (rows[k], cols[k]) and
-            # reversed support entries (rows[k], cols[k + 1]) back to a
-            # source row, the only kind of row without a predecessor.
-            rows = [pc[t]]
-            cols = [t]
-            while pr[rows[-1]] >= 0:
-                cols.append(pr[rows[-1]])
-                rows.append(pc[cols[-1]])
-            s = rows[-1]
-            reversed_entries = list(zip(rows[:-1], cols[1:]))
-            bottleneck = min([supply[s], demand[t]]
-                             + [plan[ij] for ij in reversed_entries])
-            if bottleneck <= 0:
-                continue
-            if pushes >= max_pushes:
-                raise ConvergenceError(
-                    f"transportation exceeded {max_pushes} pushes"
-                )
-            for ij in reversed_entries:
-                plan[ij] -= bottleneck
-            for ij in zip(rows, cols):
-                plan[ij] += bottleneck
-            supply[s] -= bottleneck
-            demand[t] -= bottleneck
-            pushes += 1
+    return plan_int, -pot[:n], pot[n:], pushes, status
 
 
 def _shortest_distances(rc, back, sources):

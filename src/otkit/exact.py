@@ -3,10 +3,12 @@
 The LP solvers reduce to integer min-cost flow.  Probability weights are
 scaled onto a common denominator of 10^9 by largest-remainder rounding, so
 every returned plan has exactly conserved (rational) marginals; the induced
-perturbation of each marginal entry is below 1e-9.  The flow engine runs
-successive shortest paths in phases (`_mincostflow.solve_transportation`);
-the dual potentials are its final node potentials, feasible and
-complementary-slack on the support, and ``iterations`` counts its pushes.
+perturbation of each marginal entry is below 1e-9.  The flow engine is
+the successive-shortest-paths phase loop of `_mincostflow`, run on the
+complete bipartite graph with a dense search
+(`_mincostflow.solve_transportation`); the dual potentials are its final
+node potentials, feasible and complementary-slack on the support, and
+``iterations`` counts its pushes.
 """
 
 from __future__ import annotations
@@ -213,7 +215,7 @@ def solve_1d_sorted(alpha, beta, p, tolerances: Tolerances = DEFAULT_TOLERANCES
     )
 
 
-def _sorted_support(measure, tolerances):
+def _sorted_support(measure):
     srt = measure.sorted_1d()
     return srt.points[:, 0], np.cumsum(srt.weights)
 
@@ -229,8 +231,8 @@ def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure,
         if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
             raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
         check_weights(mu, name, probability=True, tolerances=tolerances)
-    xa, ca = _sorted_support(alpha, tolerances)
-    xb, cb = _sorted_support(beta, tolerances)
+    xa, ca = _sorted_support(alpha)
+    xb, cb = _sorted_support(beta)
     xs = np.union1d(xa, xb)
     if xs.size < 2:
         return 0.0
@@ -245,20 +247,14 @@ def connected_components(n, edges):
     ``edges`` yields ``(u, v, ...)`` tuples; fields after the two node ids
     are ignored.  Labels run 0, 1, ... over the components.
     """
-    parent = list(range(n))
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components as components
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v, *_ in edges:
-        ru, rv = find(int(u)), find(int(v))
-        if ru != rv:
-            parent[ru] = rv
-    _, labels = np.unique([find(i) for i in range(n)], return_inverse=True)
-    return labels
+    ends = np.array([(u, v) for u, v, *_ in edges], dtype=np.int64)
+    ends = ends.reshape(-1, 2)
+    graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                       shape=(n, n))
+    return components(graph, directed=False)[1]
 
 
 def is_extremal_coupling(coupling, threshold=0.0) -> bool:

@@ -6,9 +6,10 @@ the nearest sink's label (lowest index on ties), and one push along that
 sink's path.  Arc lists are built by a Python loop, every label and
 potential is a numpy scalar, and each Dijkstra runs until the heap is
 empty.  It is slow and it is not used by the package.
-``tests/test_mincostflow.py`` and ``tests/test_exact.py`` fuzz the
-phased engines `otkit._mincostflow.solve_min_cost_flow` and
-`solve_transportation` against it.
+``tests/test_mincostflow.py`` and ``tests/test_exact.py`` fuzz the one
+phase loop of `otkit._mincostflow` against it, through both of its
+entry points: `solve_min_cost_flow` with the csgraph Dijkstra and
+`solve_transportation` with the dense label-correcting search.
 """
 
 import heapq

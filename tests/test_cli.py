@@ -245,7 +245,8 @@ ARRAYS = st.one_of(
 )
 LEAVES = st.one_of(
     st.none(), st.booleans(), st.integers(), FLOATS, st.text(max_size=3),
-    FLOATS.map(np.float64), FLOATS.map(np.float32),
+    FLOATS.map(np.float64),
+    st.floats(width=32, allow_nan=True, allow_infinity=True).map(np.float32),
     st.integers(-2**63, 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
     ARRAYS,
 )

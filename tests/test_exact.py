@@ -152,7 +152,8 @@ def transport_instances(draw):
 
     Draws zero-weight atoms, points shared by both sides and points on a
     coarse grid (tied costs), uniform weights, a small common denominator
-    (more ties in the marginals) and cost scales from 1e-8 to 1e8.
+    (more ties in the marginals), cost scales from 1e-8 to 1e8 and costs
+    shifted down by a share of their maximum, so some are negative.
     """
     n = draw(st.integers(1, 8))
     m = draw(st.integers(1, 8))
@@ -165,6 +166,8 @@ def transport_instances(draw):
         x, y = np.round(2 * x) / 2, np.round(2 * y) / 2
     C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
     C *= 10.0 ** draw(st.integers(-8, 8))
+    if draw(st.booleans()):
+        C -= draw(st.floats(0.0, 1.0)) * C.max()
     denominator = draw(st.sampled_from([12, 10**9]))
 
     def weights(k):
@@ -172,6 +175,21 @@ def transport_instances(draw):
         w[: draw(st.integers(0, k - 1))] = 0.0
         w = rng.permutation(w)
         return quantize_simplex(w / w.sum(), denominator)
+
+    return weights(n), weights(m), C
+
+
+@st.composite
+def unique_optimum_instances(draw):
+    """Uniform random costs, which make the optimal plan unique."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    uniform = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = rng.uniform(size=(n, m))
+
+    def weights(k):
+        w = np.ones(k) if uniform else rng.uniform(0.1, 1.0, k)
+        return quantize_simplex(w / w.sum(), 10**9)
 
     return weights(n), weights(m), C
 
@@ -205,9 +223,10 @@ EMPTIED_EARLIER_IN_THE_PHASE = (
 )
 
 
-def _heap_reference(a, b, C):
+def _arc_list_flow(a, b, C, solve=mincostflow_reference.solve_min_cost_flow):
+    """``solve`` on the complete bipartite arc list, arc i*m + j = (i, j)."""
     n, m = C.shape
-    return mincostflow_reference.solve_min_cost_flow(
+    return solve(
         n + m, np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n),
         C.reshape(-1), np.concatenate([a, -b]),
     )
@@ -229,11 +248,13 @@ def assert_optimal_transport(a, b, C, plan, f, g, status, ref_cost):
 
 
 class TestDenseTransportEngine:
-    """The phased dense engine against the heap arc-list loop.
+    """The phase loop with the dense search against two other engines.
 
-    Where shortest paths tie the two may pick different optimal plans, and
-    their duals differ in gauge, so each case is held to what optimality
-    fixes.  Where the optimum is unique the plans must be bit-equal.
+    They are the heap arc-list loop and the same phase loop with the
+    csgraph search (`solve_min_cost_flow`).  Where shortest paths tie the
+    engines may pick different optimal plans, and their duals differ in
+    gauge, so each case is held to what optimality fixes.  Where the
+    optimum is unique the plans must be bit-equal.
     """
 
     @given(transport_instances())
@@ -243,7 +264,7 @@ class TestDenseTransportEngine:
     def test_matches_generic_engine(self, instance):
         a, b, C = instance
         n, m = C.shape
-        ref = _heap_reference(a, b, C)
+        ref = _arc_list_flow(a, b, C)
         assert ref.status == "optimal"
         plan, f, g, _, status = solve_transportation(a, b, C,
                                                      forestify=False)
@@ -253,24 +274,29 @@ class TestDenseTransportEngine:
         assert np.count_nonzero(forest) <= n + m - 1
         assert _mincostflow._find_support_cycle(forest) is None
 
-    @given(st.integers(1, 10), st.integers(1, 10), st.booleans(),
-           st.integers(0, 2**32 - 1))
+    @given(unique_optimum_instances())
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_unique_optimum_is_bit_equal(self, n, m, uniform, seed):
-        # Costs from a continuous law make the optimal plan unique.
-        rng = np.random.default_rng(seed)
-        C = rng.uniform(size=(n, m))
-
-        def weights(k):
-            w = np.ones(k) if uniform else rng.uniform(0.1, 1.0, k)
-            return quantize_simplex(w / w.sum(), 10**9)
-
-        a, b = weights(n), weights(m)
-        ref = _heap_reference(a, b, C)
+    def test_unique_optimum_is_bit_equal(self, instance):
+        a, b, C = instance
+        n, m = C.shape
+        ref = _arc_list_flow(a, b, C)
         plan, _, _, _, status = solve_transportation(a, b, C,
                                                      forestify=False)
         assert status == ref.status == "optimal"
         assert plan.tobytes() == ref.flows.reshape(n, m).tobytes()
+
+    @given(unique_optimum_instances())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_dense_and_sparse_searches_agree(self, instance):
+        # The same phase loop with the dense label-correcting search and
+        # with the csgraph Dijkstra on the bipartite arc list.
+        a, b, C = instance
+        n, m = C.shape
+        plan, _, _, _, status = solve_transportation(a, b, C,
+                                                     forestify=False)
+        sparse = _arc_list_flow(a, b, C, _mincostflow.solve_min_cost_flow)
+        assert status == sparse.status == "optimal"
+        assert plan.tobytes() == sparse.flows.reshape(n, m).tobytes()
 
     def test_assignment_sizes_match_generic_engine(self, rng):
         for n in (16, 40):
@@ -280,7 +306,7 @@ class TestDenseTransportEngine:
             for a, b in ((np.ones(n, dtype=np.int64),) * 2,
                          (quantize_simplex(random_simplex(rng, n), 10**9),
                           quantize_simplex(random_simplex(rng, n), 10**9))):
-                ref = _heap_reference(a, b, C)
+                ref = _arc_list_flow(a, b, C)
                 plan, _, _, _, _ = solve_transportation(a, b, C,
                                                         forestify=False)
                 assert np.array_equal(plan, ref.flows.reshape(n, n))
