@@ -8,14 +8,18 @@ over the clamped reduced costs, the update ``pot += min(dist, D)``, D the
 largest finite label, which makes every arc of the search tree tight,
 then pushes to the reachable sinks in (distance, index) order along their
 tree paths while each path is intact: its root has excess left and each
-reversed arc on it still carries flow.  The returned duals are the final
-potentials, and ``augmentations`` counts pushes, several per phase.  The
-two entry points differ only in the search they hand to the loop:
+reversed arc on it still carries flow.  The nearest sink's path always
+is, so a phase that pushes nothing means a broken search and raises.
+The returned duals are the final potentials, and ``augmentations``
+counts pushes, several per phase.  The two entry points differ only in
+the search they hand to the loop:
 
 * `solve_transportation`, behind the exact Kantorovich and assignment
   solvers, numbers the arcs of the complete bipartite graph of an n x m
   cost matrix row-major and searches with `_shortest_distances`, a
-  label-correcting search made of whole-matrix numpy passes.
+  label-correcting search made of whole-matrix numpy passes, then
+  cancels the cycles of the optimal support with `scipy.sparse.csgraph`,
+  so the plan is a vertex of the transportation polytope.
 * `solve_min_cost_flow`, on directed, uncapacitated arc lists, used by
   the Wasserstein-1 norms (Kantorovich-Rubinstein, flat norm, Beckmann),
   searches with one compiled `scipy.sparse.csgraph.dijkstra` per phase.
@@ -156,7 +160,8 @@ def _successive_shortest_paths(tails, heads, costs, supplies, search,
 
     Returns the int64 flow per arc, the potentials, the number of pushes
     and "optimal" or "infeasible"; raises `ConvergenceError` rather than
-    push more than ``max_pushes`` times.
+    push more than ``max_pushes`` times or run a phase that reaches a
+    sink and pushes nothing.
     """
     n_arcs = tails.shape[0]
     flow = np.zeros(n_arcs, dtype=np.int64)
@@ -178,6 +183,7 @@ def _successive_shortest_paths(tails, heads, costs, supplies, search,
             return flow, pot, pushes, "infeasible"
         pot += np.minimum(dist, dist[np.isfinite(dist)].max())
         pred, via = pred.tolist(), via.tolist()
+        pushes_before = pushes
 
         for t in sinks[np.argsort(dist[sinks], kind="stable")].tolist():
             bottleneck = -excess[t]
@@ -204,6 +210,8 @@ def _successive_shortest_paths(tails, heads, costs, supplies, search,
             excess[s] -= bottleneck
             excess[t] += bottleneck
             pushes += 1
+        if pushes == pushes_before:
+            raise ConvergenceError("a min-cost flow phase pushed nothing")
 
 
 def _push_budget(n_nodes, n_arcs):
@@ -270,7 +278,7 @@ def quantize_balanced(masses, scale):
     return base
 
 
-def solve_transportation(a_int, b_int, C, forestify=True):
+def solve_transportation(a_int, b_int, C):
     """Exact transportation LP with integer marginals.
 
     Runs `_successive_shortest_paths` with `_shortest_distances` as its
@@ -278,15 +286,13 @@ def solve_transportation(a_int, b_int, C, forestify=True):
     from row i to column n + j, so the flow is the raveled plan.  Where
     the optimal plan is unique it is the one the heap loop
     ``tests/mincostflow_reference.py`` finds; the duals are the final
-    potentials.
+    potentials.  `_cancel_support_cycles` then makes an optimal plan's
+    support a forest (at most n + m - 1 positive entries).
 
     Parameters
     ----------
     a_int, b_int : int64 arrays with equal positive sums.
     C : float cost matrix, shape (n, m).
-    forestify : bool
-        Cancel zero-cost cycles in the support so the returned basis is a
-        forest (at most n + m - 1 positive entries).
 
     Returns
     -------
@@ -318,7 +324,7 @@ def solve_transportation(a_int, b_int, C, forestify=True):
         np.repeat(rows, m), n + np.tile(cols, n), C.ravel(),
         np.concatenate([a_int, -b_int]), search, _push_budget(n + m, n * m))
     plan_int = flow.reshape(n, m)
-    if forestify and status == "optimal":
+    if status == "optimal":
         plan_int = _cancel_support_cycles(plan_int, C)
     return plan_int, -pot[:n], pot[n:], pushes, status
 
@@ -369,97 +375,70 @@ def _shortest_distances(rc, back, sources):
     )
 
 
+def support_graph(support):
+    """Support graph of a boolean (n, m) mask and whether it is a forest.
+
+    Row i is node i, column j node n + j and a True entry (i, j) the edge
+    stored at (i, n + j).  A forest has #edges = #nodes - #components.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n, m = support.shape
+    rows, cols = np.nonzero(support)
+    graph = csr_matrix((np.ones(rows.size), n + cols,
+                        np.searchsorted(rows, np.arange(n + m + 1))),
+                       shape=(n + m, n + m))
+    k = connected_components(graph, directed=False, return_labels=False)
+    return graph, rows.size == n + m - k
+
+
 def _cancel_support_cycles(plan_int, C):
     """Remove cycles from a bipartite support by pushing along them.
 
-    At optimality every support cycle has zero cost (up to rounding), so
-    flow is pushed in the direction whose cost change is <= 0 until some
-    arc empties.  Each push zeroes at least one entry and creates none, so
-    more than nnz(plan) pushes means a broken cycle search.
+    At optimality every support cycle has zero cost (up to rounding); each
+    push, in the direction whose cost change is <= 0, empties an entry and
+    fills none, so more than nnz(plan) pushes means a broken cycle search.
     """
     plan = plan_int.copy()
     budget = int(np.count_nonzero(plan))
     for _ in range(budget + 1):
-        cycle = _find_support_cycle(plan)
+        cycle = _support_cycle(plan)
         if cycle is None:
             return plan
-        # cycle: list of (i, j, forward) alternating arcs; pushing one unit
-        # "forward" increases plan[i, j] on forward arcs and decreases it
-        # on backward arcs.
-        delta = sum(C[i, j] if fwd else -C[i, j] for i, j, fwd in cycle)
-        if delta > 0.0:
-            cycle = [(i, j, not fwd) for i, j, fwd in cycle]
-        shrink = [int(plan[i, j]) for i, j, fwd in cycle if not fwd]
-        push = min(shrink)
-        for i, j, fwd in cycle:
-            plan[i, j] += push if fwd else -push
+        # A push raises the forward entries and lowers the others.
+        rows, cols, forward = cycle
+        cost = C[rows, cols]
+        if cost[forward].sum() - cost[~forward].sum() > 0.0:
+            forward = ~forward
+        push = plan[rows[~forward], cols[~forward]].min()
+        plan[rows, cols] += np.where(forward, push, -push)
     raise ConvergenceError(
         f"support still has a cycle after {budget} cycle-cancelling pushes"
     )
 
 
-def _find_support_cycle(plan):
-    """Locate one cycle in the bipartite support graph, if any.
+def _support_cycle(plan):
+    """One cycle of the support of ``plan``, or None if it is a forest.
 
-    Nodes are rows 0..n-1 and columns n..n+m-1; edges are positive plan
-    entries.  Returns alternating arcs as (i, j, forward) where forward
-    means the cycle traverses row->column, or None when the support is a
-    forest.
+    The first positive entry, in row-major order, that a spanning forest
+    of the support leaves out closes a cycle with the forest path between
+    its ends.  Returns the entries met walking the cycle from that entry's
+    row as arrays ``rows, cols, forward``, forward if walked row -> column.
     """
-    n, m = plan.shape
-    adj = [[] for _ in range(n + m)]
-    for i, j in np.argwhere(plan > 0):
-        i = int(i)
-        j = int(j)
-        adj[i].append((n + j, i, j))
-        adj[n + j].append((i, i, j))
-    seen = np.zeros(n + m, dtype=bool)
-    parent_edge = {}
-    for root in range(n + m):
-        if seen[root] or not adj[root]:
-            continue
-        stack = [(root, -1, -1)]
-        seen[root] = True
-        parent_edge[root] = None
-        while stack:
-            node, pi, pj = stack.pop()
-            for nxt, i, j in adj[node]:
-                if (i, j) == (pi, pj):
-                    continue
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    parent_edge[nxt] = (node, i, j)
-                    stack.append((nxt, i, j))
-                else:
-                    return _extract_cycle(parent_edge, node, nxt, (i, j), n)
-    return None
+    from scipy.sparse.csgraph import breadth_first_order, minimum_spanning_tree
 
-
-def _extract_cycle(parent_edge, u, v, closing, n):
-    """Assemble the cycle closed by edge ``closing`` between u and v."""
-
-    def path_to_root(x):
-        nodes = [x]
-        edges = []
-        while parent_edge[x] is not None:
-            par, i, j = parent_edge[x]
-            edges.append((i, j))
-            x = par
-            nodes.append(x)
-        return nodes, edges
-
-    nodes_u, edges_u = path_to_root(u)
-    nodes_v, edges_v = path_to_root(v)
-    set_u = {node: k for k, node in enumerate(nodes_u)}
-    meet = next(node for node in nodes_v if node in set_u)
-    ku = set_u[meet]
-    kv = nodes_v.index(meet)
-    # Edge sequence: u -> meet, then reversed meet -> v, then closing edge.
-    edge_seq = edges_u[:ku] + list(reversed(edges_v[:kv])) + [closing]
-    node_seq = nodes_u[:ku] + [meet] + list(reversed(nodes_v[:kv]))
-    cycle = []
-    for k, (i, j) in enumerate(edge_seq):
-        from_node = node_seq[k]
-        forward = from_node == i  # traversed row -> column
-        cycle.append((i, j, forward))
-    return cycle
+    graph, forest = support_graph(plan > 0)
+    if forest:
+        return None
+    tree = minimum_spanning_tree(graph)
+    rows, cols = (graph - tree).nonzero()
+    i, v = rows[0], cols[0]
+    pred = breadth_first_order(tree, i, directed=False,
+                               return_predecessors=True)[1]
+    walk = [i, v]
+    while walk[-1] != i:
+        walk.append(pred[walk[-1]])
+    tail, head = np.array(walk[:-1]), np.array(walk[1:])
+    n = plan.shape[0]
+    return np.minimum(tail, head), np.maximum(tail, head) - n, tail < n

@@ -400,56 +400,47 @@ def _linear_preset(spec, dim):
     center = as_float_array(spec.get("center", np.zeros(dim)), "center")
     if center.shape != (dim,):
         raise ValidationError(f"potential center must have dimension {dim}")
-    if name == "quadratic":
-        def h(x):
-            return 0.5 * ((x - center) ** 2).sum(axis=-1)
-
-        def grad_h(x):
-            return x - center
-    elif name == "gaussian_well":
-        sigma = _parse_float(spec.get("sigma", 1.0), "gaussian_well sigma")
-        if sigma <= 0:
-            raise ValidationError("gaussian_well sigma must be positive")
-
-        def h(x):
-            return -np.exp(-((x - center) ** 2).sum(axis=-1)
-                           / (2.0 * sigma ** 2))
-
-        def grad_h(x):
-            r2 = ((x - center) ** 2).sum(axis=-1)
-            return ((x - center) / sigma ** 2
-                    * np.exp(-r2 / (2.0 * sigma ** 2))[..., None])
-    else:
+    if name not in ("quadratic", "gaussian_well"):
         raise ValidationError(
             f"unknown potential {name!r}; expected quadratic or "
             "gaussian_well")
-    return dynamics.FunctionalSpec.linear(h, grad_h, dim=dim)
+    # A potential is a kernel with one end pinned at the center.
+    k, grad_k = _kernel(name == "gaussian_well", spec, "gaussian_well sigma")
+    return dynamics.FunctionalSpec.linear(
+        lambda x: k(x, center), lambda x: grad_k(x, center), dim=dim)
 
 
 def _interaction_preset(spec, dim):
     name = _get(spec, "name", "kernel")
-    if name == "quadratic":
+    if name not in ("quadratic", "gaussian"):
+        raise ValidationError(
+            f"unknown kernel {name!r}; expected quadratic or gaussian")
+    k, grad_k = _kernel(name == "gaussian", spec, "gaussian kernel sigma")
+    return dynamics.FunctionalSpec.interaction(k, grad_k, dim=dim)
+
+
+def _kernel(gaussian, spec, sigma_name):
+    """``k(x, y)`` and its gradient in x: half the squared distance, or
+    with ``gaussian`` minus a Gaussian of width ``spec["sigma"]``."""
+    if not gaussian:
         def k(x, y):
             return 0.5 * ((x - y) ** 2).sum(axis=-1)
 
         def grad_k(x, y):
             return x - y
-    elif name == "gaussian":
-        sigma = _parse_float(spec.get("sigma", 1.0), "gaussian kernel sigma")
-        if sigma <= 0:
-            raise ValidationError("gaussian kernel sigma must be positive")
+        return k, grad_k
+    sigma = _parse_float(spec.get("sigma", 1.0), sigma_name)
+    if sigma <= 0:
+        raise ValidationError(f"{sigma_name} must be positive")
 
-        def k(x, y):
-            return -np.exp(-((x - y) ** 2).sum(axis=-1) / (2.0 * sigma ** 2))
+    def k(x, y):
+        return -np.exp(-((x - y) ** 2).sum(axis=-1) / (2.0 * sigma ** 2))
 
-        def grad_k(x, y):
-            r2 = ((x - y) ** 2).sum(axis=-1)
-            return ((x - y) / sigma ** 2
-                    * np.exp(-r2 / (2.0 * sigma ** 2))[..., None])
-    else:
-        raise ValidationError(
-            f"unknown kernel {name!r}; expected quadratic or gaussian")
-    return dynamics.FunctionalSpec.interaction(k, grad_k, dim=dim)
+    def grad_k(x, y):
+        r2 = ((x - y) ** 2).sum(axis=-1)
+        return ((x - y) / sigma ** 2
+                * np.exp(-r2 / (2.0 * sigma ** 2))[..., None])
+    return k, grad_k
 
 
 def _flow_gradient(cfg, path):

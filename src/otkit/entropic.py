@@ -407,42 +407,35 @@ def kl_projection_row(P, a, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coup
     ``KL(Q | P)`` over couplings with row marginal a.  Rows with positive
     target but zero current mass are rejected.
     """
-    P = as_float_array(P, "plan")
-    if P.ndim != 2:
-        raise ValidationError("plan must be a matrix")
-    a = check_weights(a, "row marginal", n=P.shape[0])
-    if np.any(P < 0):
-        raise ValidationError("plan must be nonnegative")
-    row = P.sum(axis=1)
-    bad = (row == 0) & (a > 0)
-    if np.any(bad):
-        raise ValidationError(
-            f"row {int(np.flatnonzero(bad)[0])} has zero mass but "
-            "positive target"
-        )
-    scale = np.divide(a, row, out=np.zeros_like(a), where=row > 0)
-    Q = P * scale[:, None]
-    return Coupling(Q, a, Q.sum(axis=0), tolerances=tolerances)
+    return _kl_projection(P, a, 0, tolerances)
 
 
 def kl_projection_col(P, b, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coupling:
     """KL projection onto the column-marginal constraint (see row version)."""
+    return _kl_projection(P, b, 1, tolerances)
+
+
+def _kl_projection(P, target, axis, tolerances):
+    """Rescale the rows (axis 0) or columns (axis 1) of P to sum to target."""
+    side = ("row", "column")[axis]
     P = as_float_array(P, "plan")
     if P.ndim != 2:
         raise ValidationError("plan must be a matrix")
-    b = check_weights(b, "column marginal", n=P.shape[1])
+    target = check_weights(target, f"{side} marginal", n=P.shape[axis])
     if np.any(P < 0):
         raise ValidationError("plan must be nonnegative")
-    col = P.sum(axis=0)
-    bad = (col == 0) & (b > 0)
+    mass = P.sum(axis=1 - axis)
+    bad = (mass == 0) & (target > 0)
     if np.any(bad):
         raise ValidationError(
-            f"column {int(np.flatnonzero(bad)[0])} has zero mass but "
+            f"{side} {int(np.flatnonzero(bad)[0])} has zero mass but "
             "positive target"
         )
-    scale = np.divide(b, col, out=np.zeros_like(b), where=col > 0)
-    Q = P * scale[None, :]
-    return Coupling(Q, Q.sum(axis=1), b, tolerances=tolerances)
+    scale = np.divide(target, mass, out=np.zeros_like(target), where=mass > 0)
+    Q = P * np.expand_dims(scale, 1 - axis)
+    marginals = [Q.sum(axis=1), Q.sum(axis=0)]
+    marginals[axis] = target
+    return Coupling(Q, *marginals, tolerances=tolerances)
 
 
 def hilbert_metric(u, v) -> float:
@@ -461,9 +454,6 @@ def hilbert_metric(u, v) -> float:
     return float(np.ptp(r))
 
 
-_EXHAUSTIVE_LIMIT = 64
-
-
 def contraction_eta_lambda(K):
     """Birkhoff contraction data of a positive kernel.
 
@@ -471,10 +461,9 @@ def contraction_eta_lambda(K):
     ``lam = (sqrt(eta) - 1) / (sqrt(eta) + 1)``; one full Sinkhorn
     iteration contracts the Hilbert distance of the scaling by lam^2.
 
-    For matrices with at most 64 entries the quadruple maximum is
-    evaluated exhaustively in the log domain; larger kernels use the
-    equivalent row-pairwise variation form
-    ``log eta = max_{i<j} [max_k (L_ik - L_jk) - min_k (L_ik - L_jk)]``.
+    The quadruple maximum is taken in its row-pairwise variation form
+    ``log eta = max_{i, j} [max_k (L_ik - L_jk) - min_k (L_ik - L_jk)]``
+    with ``L = log K``.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2:
@@ -482,13 +471,8 @@ def contraction_eta_lambda(K):
     if np.any(K <= 0):
         raise ValidationError("kernel must be strictly positive")
     L = np.log(K)
-    if K.size <= _EXHAUSTIVE_LIMIT:
-        T = (L[:, None, :, None] + L[None, :, None, :]
-             - L[None, :, :, None] - L[:, None, None, :])
-        log_eta = float(T.max())
-    else:
-        D = L[:, None, :] - L[None, :, :]
-        log_eta = float((D.max(axis=2) - D.min(axis=2)).max())
+    D = L[:, None, :] - L[None, :, :]
+    log_eta = float((D.max(axis=2) - D.min(axis=2)).max())
     eta = float(np.exp(log_eta))
     root = np.exp(0.5 * log_eta)
     lam = 1.0 if not np.isfinite(root) else float((root - 1.0) / (root + 1.0))

@@ -8,7 +8,10 @@ the successive-shortest-paths phase loop of `_mincostflow`, run on the
 complete bipartite graph with a dense search
 (`_mincostflow.solve_transportation`); the dual potentials are its final
 node potentials, feasible and complementary-slack on the support, and
-``iterations`` counts its pushes.
+``iterations`` counts its pushes.  The engine cancels the cycles of the
+optimal plan's support, so every plan it returns is a vertex of the
+transportation polytope (a forest support); `is_extremal_coupling` runs
+the same forest test, `_mincostflow.support_graph`.
 """
 
 from __future__ import annotations
@@ -125,9 +128,7 @@ def solve_assignment(C) -> AssignmentResult:
     C = check_cost_matrix(C)
     n = C.shape[0]
     ones = np.ones(n, dtype=np.int64)
-    plan_int, _, _, _, status = mcf.solve_transportation(
-        ones, ones, C, forestify=False
-    )
+    plan_int, _, _, _, status = mcf.solve_transportation(ones, ones, C)
     if status != "optimal":
         raise UnbalancedError("assignment solve did not complete")
     permutation = np.argmax(plan_int, axis=1)
@@ -265,10 +266,7 @@ def is_extremal_coupling(coupling, threshold=0.0) -> bool:
     is a forest: #edges = #nodes - #components.
     """
     plan = coupling.plan if isinstance(coupling, Coupling) else np.asarray(coupling)
-    n, m = plan.shape
-    edges = np.argwhere(plan > threshold) + [0, n]
-    labels = connected_components(n + m, edges)
-    return len(edges) == n + m - (labels.max(initial=-1) + 1)
+    return mcf.support_graph(plan > threshold)[1]
 
 
 def validate_metric(D, tolerances: Tolerances = DEFAULT_TOLERANCES):

@@ -350,7 +350,7 @@ class TestHilbert:
             hilbert_metric([1.0, 0.0], [1.0, 1.0])
 
     def test_eta_exhaustive_matches_pairwise(self, rng):
-        K = rng.uniform(0.2, 3.0, size=(3, 4))  # 12 entries: exhaustive path
+        K = rng.uniform(0.2, 3.0, size=(3, 4))  # against a pairwise loop
         eta, lam = contraction_eta_lambda(K)
         L = np.log(K)
         pairwise = 0.0
@@ -362,16 +362,18 @@ class TestHilbert:
         assert 0.0 <= lam < 1.0
 
     def test_eta_pairwise_matches_quadruple_loop(self, rng):
-        K = rng.uniform(0.2, 3.0, size=(9, 9))  # 81 entries: pairwise path
-        eta, _ = contraction_eta_lambda(K)
-        best = 0.0
-        for i in range(9):
-            for j in range(9):
-                for k in range(9):
-                    for L_ in range(9):
-                        best = max(best, K[i, k] * K[j, L_]
-                                   / (K[j, k] * K[i, L_]))
-        assert_allclose(eta, best, rtol=1e-10)
+        for shape in ((3, 4), (9, 9)):
+            K = rng.uniform(0.2, 3.0, size=shape)
+            eta, _ = contraction_eta_lambda(K)
+            n, m = shape
+            best = 0.0
+            for i in range(n):
+                for j in range(n):
+                    for k in range(m):
+                        for L_ in range(m):
+                            best = max(best, K[i, k] * K[j, L_]
+                                       / (K[j, k] * K[i, L_]))
+            assert_allclose(eta, best, rtol=1e-10)
 
     def test_iterates_contract_at_rate_lambda_squared(self, rng):
         a, b, C = make_instance(rng, 6, 6)

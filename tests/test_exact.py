@@ -21,6 +21,7 @@ from otkit.exact import (
 )
 from otkit.measures import CostSpec, DiscreteMeasure, build_cost_matrix, product_coupling
 
+import forest_reference
 import mincostflow_reference
 from conftest import random_points, random_simplex, rational_simplex
 from oracles import (
@@ -266,13 +267,10 @@ class TestDenseTransportEngine:
         n, m = C.shape
         ref = _arc_list_flow(a, b, C)
         assert ref.status == "optimal"
-        plan, f, g, _, status = solve_transportation(a, b, C,
-                                                     forestify=False)
-        assert_optimal_transport(a, b, C, plan, f, g, status, ref.cost)
         forest, f, g, _, status = solve_transportation(a, b, C)
         assert_optimal_transport(a, b, C, forest, f, g, status, ref.cost)
         assert np.count_nonzero(forest) <= n + m - 1
-        assert _mincostflow._find_support_cycle(forest) is None
+        assert forest_reference._find_support_cycle(forest) is None
 
     @given(unique_optimum_instances())
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -280,8 +278,7 @@ class TestDenseTransportEngine:
         a, b, C = instance
         n, m = C.shape
         ref = _arc_list_flow(a, b, C)
-        plan, _, _, _, status = solve_transportation(a, b, C,
-                                                     forestify=False)
+        plan, _, _, _, status = solve_transportation(a, b, C)
         assert status == ref.status == "optimal"
         assert plan.tobytes() == ref.flows.reshape(n, m).tobytes()
 
@@ -292,8 +289,7 @@ class TestDenseTransportEngine:
         # with the csgraph Dijkstra on the bipartite arc list.
         a, b, C = instance
         n, m = C.shape
-        plan, _, _, _, status = solve_transportation(a, b, C,
-                                                     forestify=False)
+        plan, _, _, _, status = solve_transportation(a, b, C)
         sparse = _arc_list_flow(a, b, C, _mincostflow.solve_min_cost_flow)
         assert status == sparse.status == "optimal"
         assert plan.tobytes() == sparse.flows.reshape(n, m).tobytes()
@@ -307,8 +303,7 @@ class TestDenseTransportEngine:
                          (quantize_simplex(random_simplex(rng, n), 10**9),
                           quantize_simplex(random_simplex(rng, n), 10**9))):
                 ref = _arc_list_flow(a, b, C)
-                plan, _, _, _, _ = solve_transportation(a, b, C,
-                                                        forestify=False)
+                plan, _, _, _, _ = solve_transportation(a, b, C)
                 assert np.array_equal(plan, ref.flows.reshape(n, n))
 
     def test_push_budget(self, monkeypatch):
@@ -333,14 +328,69 @@ class TestDenseTransportEngine:
                 np.array([True]))
 
 
+@st.composite
+def tied_optimal_plans(draw):
+    """Optimal integer plans of tie-heavy problems, often with cycles.
+
+    Costs in {0, 1, 2}, 0/1 costs or squared distances between points of
+    a 3 x 3 lattice, times a power of ten; some rows and columns weigh
+    nothing; n, m <= 12.  The plan is the heap reference's optimum, or
+    the sum of it and the optimum of a row- and column-shuffled copy of
+    the problem: an optimal plan for twice the marginals that has a
+    support cycle wherever the two optima differ.
+    """
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["0/1/2", "0/1", "lattice"]))
+    if kind == "lattice":
+        x, y = rng.integers(0, 3, (n, 2)), rng.integers(0, 3, (m, 2))
+        C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    else:
+        C = rng.integers(0, 3 if kind == "0/1/2" else 2, (n, m))
+    C = C * 10.0 ** draw(st.integers(-8, 8))
+    uniform = draw(st.booleans())
+
+    def weights(k):
+        w = np.ones(k) if uniform else rng.uniform(0.1, 1.0, k)
+        w[: draw(st.integers(0, k - 1))] = 0.0
+        w = rng.permutation(w)
+        return quantize_simplex(w / w.sum(), 10**9)
+
+    a, b = weights(n), weights(m)
+    plan = _arc_list_flow(a, b, C).flows.reshape(n, m)
+    if draw(st.booleans()):
+        rows, cols = rng.permutation(n), rng.permutation(m)
+        shuffled = np.ix_(rows, cols)
+        other = _arc_list_flow(a[rows], b[cols], C[shuffled]).flows
+        plan[shuffled] += other.reshape(n, m)
+    return plan, C
+
+
 class TestCancelSupportCycles:
+    @given(tied_optimal_plans())
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_matches_reference_forest_step(self, instance):
+        plan, C = instance
+        out = _mincostflow._cancel_support_cycles(plan, C)
+        if forest_reference._find_support_cycle(plan) is None:
+            assert out.tobytes() == plan.tobytes()
+        assert out.min() >= 0
+        assert np.array_equal(out.sum(axis=1), plan.sum(axis=1))
+        assert np.array_equal(out.sum(axis=0), plan.sum(axis=0))
+        assert forest_reference._find_support_cycle(out) is None
+        ref = forest_reference._cancel_support_cycles(plan, C)
+        cost = float(np.sum(out * C))
+        for expected in (np.sum(plan * C), np.sum(ref * C)):
+            assert_allclose(cost, expected, rtol=1e-12, atol=0)
+
     def test_four_cycle_becomes_a_forest(self):
         for C in (np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[1.0, 0.0], [0.0, 1.0]]),
                   np.array([[0.0, 1.0], [1.0, 2.0]])):
             plan = np.array([[2, 1], [1, 2]], dtype=np.int64)
             out = _mincostflow._cancel_support_cycles(plan, C)
             assert np.count_nonzero(out) <= 3
-            assert _mincostflow._find_support_cycle(out) is None
+            assert forest_reference._find_support_cycle(out) is None
             assert np.array_equal(out.sum(axis=1), plan.sum(axis=1))
             assert np.array_equal(out.sum(axis=0), plan.sum(axis=0))
             assert np.sum(out * C) <= np.sum(plan * C)
@@ -350,7 +400,7 @@ class TestCancelSupportCycles:
         C = np.arange(9.0).reshape(3, 3) % 4
         out = _mincostflow._cancel_support_cycles(plan, C)
         assert np.count_nonzero(out) <= 5
-        assert _mincostflow._find_support_cycle(out) is None
+        assert forest_reference._find_support_cycle(out) is None
         assert np.array_equal(out.sum(axis=1), plan.sum(axis=1))
         assert np.array_equal(out.sum(axis=0), plan.sum(axis=0))
         assert np.sum(out * C) <= np.sum(plan * C)
@@ -358,8 +408,8 @@ class TestCancelSupportCycles:
     def test_budget_stops_a_search_that_keeps_finding_cycles(self,
                                                            monkeypatch):
         plan = np.array([[2, 1], [1, 2]], dtype=np.int64)
-        cycle = _mincostflow._find_support_cycle(plan)
-        monkeypatch.setattr(_mincostflow, "_find_support_cycle",
+        cycle = _mincostflow._support_cycle(plan)
+        monkeypatch.setattr(_mincostflow, "_support_cycle",
                             lambda _plan: cycle)
         with pytest.raises(ConvergenceError):
             _mincostflow._cancel_support_cycles(plan, np.zeros((2, 2)))

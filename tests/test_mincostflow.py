@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from otkit._mincostflow import solve_min_cost_flow
+from otkit._mincostflow import (_successive_shortest_paths,
+                                solve_min_cost_flow)
 from otkit.errors import ConvergenceError, ValidationError
 
 import mincostflow_reference
@@ -173,6 +174,19 @@ class TestAgainstHeapReference:
         with pytest.raises(ConvergenceError):
             solve_min_cost_flow(*instance, max_augmentations=budget)
         assert_same_result(instance, max_augmentations=budget)
+
+    def test_phase_that_pushes_nothing_raises(self):
+        # A broken search: finite labels everywhere but no tree, so the
+        # phase reaches the sink and finds no path to push along.  Every
+        # phase would repeat the same search, so the loop must raise.
+        def search(fwd, back, sources):
+            k = sources.shape[0]
+            return np.zeros(k), np.full(k, -1), np.full(k, -1)
+
+        with pytest.raises(ConvergenceError, match="pushed nothing"):
+            _successive_shortest_paths(
+                np.array([0]), np.array([1]), np.array([1.0]),
+                np.array([1, -1], dtype=np.int64), search, 100)
 
     def test_slot_keys_past_int32(self):
         # Slot keys are tail * n_nodes + head; with 50,000 nodes they pass
