@@ -11,22 +11,20 @@ tree paths while each path is intact: its root has excess left and each
 reversed arc on it still carries flow.  The nearest sink's path always
 is, so a phase that pushes nothing means a broken search and raises.
 The returned duals are the final potentials, and ``augmentations``
-counts pushes, several per phase.  The two entry points differ only in
-the search they hand to the loop:
+counts pushes, several per phase.
 
-* `solve_transportation`, behind the exact Kantorovich and assignment
-  solvers, numbers the arcs of the complete bipartite graph of an n x m
-  cost matrix row-major and searches with `_shortest_distances`, a
-  label-correcting search made of whole-matrix numpy passes, then
-  cancels the cycles of the optimal support with `scipy.sparse.csgraph`,
-  so the plan is a vertex of the transportation polytope.
-* `solve_min_cost_flow`, on directed, uncapacitated arc lists, used by
-  the Wasserstein-1 norms (Kantorovich-Rubinstein, flat norm, Beckmann),
-  searches with one compiled `scipy.sparse.csgraph.dijkstra` per phase.
+One loop, one search: `solve_min_cost_flow`, on directed, uncapacitated
+arc lists, hands the loop one compiled `scipy.sparse.csgraph.dijkstra`
+per phase.  The Wasserstein-1 norms (Kantorovich-Rubinstein, flat norm,
+Beckmann) call it directly.  `solve_transportation`, behind the exact
+Kantorovich and assignment solvers, calls it on the complete bipartite
+graph of an n x m cost matrix, arcs numbered row-major, then cancels the
+cycles of the optimal support with `scipy.sparse.csgraph`, so the plan is
+a vertex of the transportation polytope.
 
-Where shortest paths tie, either may return another optimal flow than the
-one-push-per-search heap loop kept as ``tests/mincostflow_reference.py``,
-and other potentials.
+Where shortest paths tie, the engine may return another optimal flow
+than the one-push-per-search heap loop kept as
+``tests/mincostflow_reference.py``, and other potentials.
 """
 
 from __future__ import annotations
@@ -92,7 +90,9 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
     reduced cost into the matrix and maps each tree edge back to the
     first arc that attains it, so a path keeps to the arc that was tight
     when the phase began (a parallel arc that is not tight never stands
-    in for it).
+    in for it).  Where every slot holds one arc or one reverse, as on a
+    complete bipartite graph, the lengths go into the matrix as they are
+    and each slot maps to its one candidate.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import dijkstra
@@ -119,18 +119,27 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
     key = np.concatenate([tails * n_nodes + heads, heads * n_nodes + tails])
     order = np.argsort(key, kind="stable")
     keys, starts = np.unique(key[order], return_index=True)
-    slot_of = np.repeat(np.arange(keys.size),
-                        np.diff(np.append(starts, key.size)))
     indptr = np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes)
     G = csr_matrix((np.zeros(keys.size), (keys % n_nodes).astype(np.int32),
                     indptr.astype(np.int32)), shape=(n_nodes, n_nodes))
 
+    if keys.size == key.size:
+        # One candidate per slot, as on a complete bipartite graph.
+        def slot_lengths(rc):
+            return rc, order
+    else:
+        slot_of = np.repeat(np.arange(keys.size),
+                            np.diff(np.append(starts, key.size)))
+
+        def slot_lengths(rc):
+            shortest = np.minimum.reduceat(rc, starts)
+            # The first candidate of each slot that attains its minimum.
+            first = np.flatnonzero(rc == shortest[slot_of])
+            return shortest, order[first[np.searchsorted(first, starts)]]
+
     def search(fwd, back, sources):
-        rc = np.concatenate([fwd, back])[order]
-        G.data[:] = np.minimum.reduceat(rc, starts)
-        # The first candidate of each slot that attains its minimum.
-        first = np.flatnonzero(rc == G.data[slot_of])
-        arc_of_slot = order[first[np.searchsorted(first, starts)]]
+        lengths, arc_of_slot = slot_lengths(np.concatenate([fwd, back])[order])
+        G.data[:] = lengths
         dist, pred, _ = dijkstra(G, indices=np.flatnonzero(sources),
                                  min_only=True, return_predecessors=True)
         tree = np.flatnonzero(pred >= 0)
@@ -149,7 +158,7 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
 
 def _successive_shortest_paths(tails, heads, costs, supplies, search,
                                max_pushes):
-    """The phase loop of both engines; see the module docstring.
+    """The phase loop of `solve_min_cost_flow`; see the module docstring.
 
     Arc k runs ``tails[k] -> heads[k]`` and k + n_arcs is its reverse.
     ``search(fwd, back, sources)`` gets the clamped reduced costs of the
@@ -281,13 +290,12 @@ def quantize_balanced(masses, scale):
 def solve_transportation(a_int, b_int, C):
     """Exact transportation LP with integer marginals.
 
-    Runs `_successive_shortest_paths` with `_shortest_distances` as its
-    search on the complete bipartite graph of ``C``: arc ``i*m + j`` runs
-    from row i to column n + j, so the flow is the raveled plan.  Where
-    the optimal plan is unique it is the one the heap loop
-    ``tests/mincostflow_reference.py`` finds; the duals are the final
-    potentials.  `_cancel_support_cycles` then makes an optimal plan's
-    support a forest (at most n + m - 1 positive entries).
+    Runs `solve_min_cost_flow` on the complete bipartite graph of ``C``:
+    arc ``i*m + j`` runs from row i to column n + j, so the flow is the
+    raveled plan.  Where the optimal plan is unique it is the one the
+    heap loop ``tests/mincostflow_reference.py`` finds; the duals are the
+    final potentials.  `_cancel_support_cycles` then makes an optimal
+    plan's support a forest (at most n + m - 1 positive entries).
 
     Parameters
     ----------
@@ -309,70 +317,14 @@ def solve_transportation(a_int, b_int, C):
         raise ValidationError("marginal lengths do not match the cost matrix")
     if int(a_int.sum()) != int(b_int.sum()):
         raise ValidationError("integer marginals are unbalanced")
-    rows, cols = np.arange(n), np.arange(m)
-
-    def search(fwd, back, sources):
-        dr, dc, pr, pc = _shortest_distances(
-            fwd.reshape(n, m), back.reshape(n, m), sources[:n])
-        # Column j hangs on row pc[j] by arc pc[j]*m + j, and row i on
-        # column pr[i] by the reverse of arc i*m + pr[i].
-        pred = np.concatenate([np.where(pr >= 0, n + pr, -1), pc])
-        via = np.concatenate([n * m + rows * m + pr, pc * m + cols])
-        return np.concatenate([dr, dc]), pred, via
-
-    flow, pot, pushes, status = _successive_shortest_paths(
-        np.repeat(rows, m), n + np.tile(cols, n), C.ravel(),
-        np.concatenate([a_int, -b_int]), search, _push_budget(n + m, n * m))
-    plan_int = flow.reshape(n, m)
-    if status == "optimal":
+    res = solve_min_cost_flow(
+        n + m, np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n),
+        C.ravel(), np.concatenate([a_int, -b_int]))
+    plan_int = res.flows.reshape(n, m)
+    if res.status == "optimal":
         plan_int = _cancel_support_cycles(plan_int, C)
-    return plan_int, -pot[:n], pot[n:], pushes, status
-
-
-def _shortest_distances(rc, back, sources):
-    """Distances and a shortest-path tree from all source rows.
-
-    ``rc`` holds the arc lengths row i -> column j and ``back`` those of
-    column j -> row i (+inf where there is no arc).  A pass relaxes every
-    arc out of the rows whose label fell in the last pass (a column-wise
-    min over those rows), then every arc out of the columns whose label
-    fell (a row-wise min over those columns).  A label records the row or
-    column that lowered it, the first one on ties, and only on a strict
-    decrease; with lengths >= 0 these predecessors form a forest rooted at
-    the sources (CLRS, Lemma 24.16), and -1 marks a root or an unreached
-    node.
-
-    Returns the row and column labels and predecessors.  Raises
-    `ConvergenceError` if labels still fall after n + m + 1 passes, which
-    nonnegative lengths rule out.
-    """
-    n, m = rc.shape
-    dr = np.where(sources, 0.0, np.inf)
-    dc = np.full(m, np.inf)
-    pr = np.full(n, -1)
-    pc = np.full(m, -1)
-    frontier = sources.nonzero()[0]
-    rows, cols = np.arange(n), np.arange(m)
-    for _ in range(n + m + 1):
-        block = dr[frontier, None] + rc[frontier]
-        arg = block.argmin(axis=0)
-        best = block[arg, cols]
-        fell = (best < dc).nonzero()[0]
-        if fell.size == 0:
-            return dr, dc, pr, pc
-        dc[fell] = best[fell]
-        pc[fell] = frontier[arg[fell]]
-        block = dc[fell] + back[:, fell]
-        arg = block.argmin(axis=1)
-        best = block[rows, arg]
-        frontier = (best < dr).nonzero()[0]
-        if frontier.size == 0:
-            return dr, dc, pr, pc
-        dr[frontier] = best[frontier]
-        pr[frontier] = fell[arg[frontier]]
-    raise ConvergenceError(
-        f"shortest-path labels still falling after {n + m + 1} passes"
-    )
+    return (plan_int, -res.potentials[:n], res.potentials[n:],
+            res.augmentations, res.status)
 
 
 def support_graph(support):

@@ -4,11 +4,11 @@ The LP solvers reduce to integer min-cost flow.  Probability weights are
 scaled onto a common denominator of 10^9 by largest-remainder rounding, so
 every returned plan has exactly conserved (rational) marginals; the induced
 perturbation of each marginal entry is below 1e-9.  The flow engine is
-the successive-shortest-paths phase loop of `_mincostflow`, run on the
-complete bipartite graph with a dense search
-(`_mincostflow.solve_transportation`); the dual potentials are its final
-node potentials, feasible and complementary-slack on the support, and
-``iterations`` counts its pushes.  The engine cancels the cycles of the
+`_mincostflow.solve_transportation`: the successive-shortest-paths phase
+loop of `_mincostflow.solve_min_cost_flow`, one csgraph Dijkstra per
+phase, run on the complete bipartite graph; the dual potentials are its
+final node potentials, feasible and complementary-slack on the support,
+and ``iterations`` counts its pushes.  The engine cancels the cycles of the
 optimal plan's support, so every plan it returns is a vertex of the
 transportation polytope (a forest support); `is_extremal_coupling` runs
 the same forest test, `_mincostflow.support_graph`.

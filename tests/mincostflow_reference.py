@@ -7,9 +7,9 @@ sink's path.  Arc lists are built by a Python loop, every label and
 potential is a numpy scalar, and each Dijkstra runs until the heap is
 empty.  It is slow and it is not used by the package.
 ``tests/test_mincostflow.py`` and ``tests/test_exact.py`` fuzz the one
-phase loop of `otkit._mincostflow` against it, through both of its
-entry points: `solve_min_cost_flow` with the csgraph Dijkstra and
-`solve_transportation` with the dense label-correcting search.
+phase loop and csgraph search of `otkit._mincostflow` against it,
+through both of its entry points: `solve_min_cost_flow` on arc lists and
+`solve_transportation` on the complete bipartite graph.
 """
 
 import heapq

@@ -23,6 +23,7 @@ from otkit.measures import CostSpec, DiscreteMeasure, build_cost_matrix, product
 
 import forest_reference
 import mincostflow_reference
+import transport_reference
 from conftest import random_points, random_simplex, rational_simplex
 from oracles import (
     brute_force_assignment,
@@ -224,10 +225,19 @@ EMPTIED_EARLIER_IN_THE_PHASE = (
 )
 
 
-def _arc_list_flow(a, b, C, solve=mincostflow_reference.solve_min_cost_flow):
-    """``solve`` on the complete bipartite arc list, arc i*m + j = (i, j)."""
+# One row or one column, with zero-weight atoms on the other side.
+ONE_ROW = (np.array([7]), np.array([3, 0, 4]), np.array([[1.0, 0.0, 1.0]]))
+ONE_COLUMN = (np.array([0, 5, 2]), np.array([7]),
+              np.array([[0.0], [2.0], [2.0]]))
+
+
+def _arc_list_flow(a, b, C):
+    """The reference min-cost flow on the complete bipartite arc list.
+
+    Arc i*m + j joins row i to column j.
+    """
     n, m = C.shape
-    return solve(
+    return mincostflow_reference.solve_min_cost_flow(
         n + m, np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n),
         C.reshape(-1), np.concatenate([a, -b]),
     )
@@ -248,14 +258,69 @@ def assert_optimal_transport(a, b, C, plan, f, g, status, ref_cost):
     assert np.abs(slack[plan > 0]).max() <= tol
 
 
+def _draw_tied_problem(draw):
+    """A tie-heavy transport problem and the generator that drew it.
+
+    Costs in {0, 1, 2}, 0/1 costs or squared distances between points of
+    a 3 x 3 lattice, times a power of ten; some rows and columns weigh
+    nothing; n, m <= 12.  Returns ``a, b, C, rng``.
+    """
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["0/1/2", "0/1", "lattice"]))
+    if kind == "lattice":
+        x, y = rng.integers(0, 3, (n, 2)), rng.integers(0, 3, (m, 2))
+        C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+    else:
+        C = rng.integers(0, 3 if kind == "0/1/2" else 2, (n, m))
+    C = C * 10.0 ** draw(st.integers(-8, 8))
+    uniform = draw(st.booleans())
+
+    def weights(k):
+        w = np.ones(k) if uniform else rng.uniform(0.1, 1.0, k)
+        w[: draw(st.integers(0, k - 1))] = 0.0
+        w = rng.permutation(w)
+        return quantize_simplex(w / w.sum(), 10**9)
+
+    return weights(n), weights(m), C, rng
+
+
+@st.composite
+def tied_instances(draw):
+    """Tie-heavy transport problems ``a, b, C``; see `_draw_tied_problem`."""
+    return _draw_tied_problem(draw)[:3]
+
+
+@st.composite
+def tied_optimal_plans(draw):
+    """Optimal integer plans of tie-heavy problems, often with cycles.
+
+    The problem comes from `_draw_tied_problem`.  The plan is the heap
+    reference's optimum, or the sum of it and the optimum of a row- and
+    column-shuffled copy of the problem: an optimal plan for twice the
+    marginals that has a support cycle wherever the two optima differ.
+    """
+    a, b, C, rng = _draw_tied_problem(draw)
+    n, m = C.shape
+    plan = _arc_list_flow(a, b, C).flows.reshape(n, m)
+    if draw(st.booleans()):
+        rows, cols = rng.permutation(n), rng.permutation(m)
+        shuffled = np.ix_(rows, cols)
+        other = _arc_list_flow(a[rows], b[cols], C[shuffled]).flows
+        plan[shuffled] += other.reshape(n, m)
+    return plan, C
+
+
 class TestDenseTransportEngine:
-    """The phase loop with the dense search against two other engines.
+    """`solve_transportation` against two other engines.
 
     They are the heap arc-list loop and the same phase loop with the
-    csgraph search (`solve_min_cost_flow`).  Where shortest paths tie the
-    engines may pick different optimal plans, and their duals differ in
-    gauge, so each case is held to what optimality fixes.  Where the
-    optimum is unique the plans must be bit-equal.
+    dense label-correcting search of ``tests/transport_reference.py``.
+    Where shortest paths tie the engines may pick different optimal
+    plans, and their duals differ in gauge, so each case is held to what
+    optimality fixes.  Where the optimum is unique the plans must be
+    bit-equal, and against the dense search so must the duals and the
+    push count.
     """
 
     @given(transport_instances())
@@ -287,12 +352,28 @@ class TestDenseTransportEngine:
     def test_dense_and_sparse_searches_agree(self, instance):
         # The same phase loop with the dense label-correcting search and
         # with the csgraph Dijkstra on the bipartite arc list.
+        got = solve_transportation(*instance)
+        ref = transport_reference.solve_transportation(*instance)
+        assert got[4] == ref[4] == "optimal"
+        assert got[3] == ref[3]
+        for x, y in zip(got[:3], ref[:3]):
+            assert x.tobytes() == y.tobytes()
+
+    @given(tied_instances())
+    @example(ONE_ROW)
+    @example(ONE_COLUMN)
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_tied_costs_match_dense_search(self, instance):
+        # Where paths tie, the two searches may grow other trees and so
+        # end at other optimal vertices with other duals; the cost and the
+        # forest support are what they must share.
         a, b, C = instance
-        n, m = C.shape
-        plan, _, _, _, status = solve_transportation(a, b, C)
-        sparse = _arc_list_flow(a, b, C, _mincostflow.solve_min_cost_flow)
-        assert status == sparse.status == "optimal"
-        assert plan.tobytes() == sparse.flows.reshape(n, m).tobytes()
+        ref_plan = transport_reference.solve_transportation(a, b, C)[0]
+        ref_cost = float(np.sum(ref_plan * C))
+        plan, f, g, _, status = solve_transportation(a, b, C)
+        assert_optimal_transport(a, b, C, plan, f, g, status, ref_cost)
+        assert_allclose(float(np.sum(plan * C)), ref_cost, rtol=1e-12, atol=0)
+        assert forest_reference._find_support_cycle(plan) is None
 
     def test_assignment_sizes_match_generic_engine(self, rng):
         for n in (16, 40):
@@ -323,47 +404,9 @@ class TestDenseTransportEngine:
         # A negative cycle row 0 -> column 0 -> row 0: the labels fall on
         # every pass, and only the pass budget ends the search.
         with pytest.raises(ConvergenceError):
-            _mincostflow._shortest_distances(
+            transport_reference._shortest_distances(
                 np.array([[-1.0, 0.0]]), np.array([[0.0, np.inf]]),
                 np.array([True]))
-
-
-@st.composite
-def tied_optimal_plans(draw):
-    """Optimal integer plans of tie-heavy problems, often with cycles.
-
-    Costs in {0, 1, 2}, 0/1 costs or squared distances between points of
-    a 3 x 3 lattice, times a power of ten; some rows and columns weigh
-    nothing; n, m <= 12.  The plan is the heap reference's optimum, or
-    the sum of it and the optimum of a row- and column-shuffled copy of
-    the problem: an optimal plan for twice the marginals that has a
-    support cycle wherever the two optima differ.
-    """
-    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["0/1/2", "0/1", "lattice"]))
-    if kind == "lattice":
-        x, y = rng.integers(0, 3, (n, 2)), rng.integers(0, 3, (m, 2))
-        C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
-    else:
-        C = rng.integers(0, 3 if kind == "0/1/2" else 2, (n, m))
-    C = C * 10.0 ** draw(st.integers(-8, 8))
-    uniform = draw(st.booleans())
-
-    def weights(k):
-        w = np.ones(k) if uniform else rng.uniform(0.1, 1.0, k)
-        w[: draw(st.integers(0, k - 1))] = 0.0
-        w = rng.permutation(w)
-        return quantize_simplex(w / w.sum(), 10**9)
-
-    a, b = weights(n), weights(m)
-    plan = _arc_list_flow(a, b, C).flows.reshape(n, m)
-    if draw(st.booleans()):
-        rows, cols = rng.permutation(n), rng.permutation(m)
-        shuffled = np.ix_(rows, cols)
-        other = _arc_list_flow(a[rows], b[cols], C[shuffled]).flows
-        plan[shuffled] += other.reshape(n, m)
-    return plan, C
 
 
 class TestCancelSupportCycles:

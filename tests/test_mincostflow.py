@@ -9,7 +9,7 @@ must come out bit-equal.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, find, given, settings
 from hypothesis import strategies as st
 
 from otkit._mincostflow import (_successive_shortest_paths,
@@ -75,6 +75,32 @@ def generic_digraphs(draw):
     supplies = rng.integers(-9, 10, n)
     supplies[-1] -= supplies.sum()
     return n, tails, heads, rng.uniform(0.1, 4.0, tails.size), supplies
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """A complete bipartite graph from n rows to m columns, tied costs.
+
+    No two arcs join the same pair of nodes in either direction, so every
+    slot of the search's CSR matrix holds one candidate.  Rows supply and
+    columns demand; the last column absorbs the difference, so a few
+    instances are infeasible.
+    """
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    costs = draw(st.lists(COSTS, min_size=n * m, max_size=n * m))
+    rows = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    cols = draw(st.lists(st.integers(-6, 0), min_size=m, max_size=m))
+    supplies = rows + cols
+    supplies[-1] -= sum(supplies)
+    return (n + m, np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n),
+            np.array(costs), supplies)
+
+
+def one_candidate_per_slot(instance):
+    """Whether no arc is a self-loop or joins the nodes of another arc."""
+    _, tails, heads, _, _ = instance
+    pairs = {(min(t, h), max(t, h)) for t, h in zip(tails, heads)}
+    return len(pairs) == tails.size and bool(np.all(tails != heads))
 
 
 def _solve(solver, instance, **kwargs):
@@ -199,3 +225,43 @@ class TestAgainstHeapReference:
                                   supplies)
         assert res.status == "optimal"
         assert res.flows[-1] == 1 and res.flows.sum() == 1
+
+
+class TestOneCandidateSlots:
+    """The search's one-candidate-per-slot shortcut against its general path.
+
+    A strictly costlier parallel copy of one arc puts two candidates in
+    that arc's slot and in the slot of its reverse, so the graph takes
+    the general path.  The copy is never tight and never carries flow,
+    so it must change nothing else.
+    """
+
+    @FUZZ
+    @given(bipartite_graphs(), st.data())
+    def test_costlier_parallel_copy_changes_nothing(self, instance, data):
+        n, tails, heads, costs, supplies = instance
+        assert one_candidate_per_slot(instance)
+        k = data.draw(st.integers(0, tails.size - 1))
+        extra = data.draw(st.sampled_from([0.5, 1.0, 4.0]))
+        copied = (n, np.append(tails, tails[k]), np.append(heads, heads[k]),
+                  np.append(costs, costs[k] + extra), supplies)
+        assert not one_candidate_per_slot(copied)
+        plain = solve_min_cost_flow(*instance)
+        general = solve_min_cost_flow(*copied)
+        assert general.status == plain.status
+        assert general.flows[-1] == 0
+        assert general.flows[:-1].tobytes() == plain.flows.tobytes()
+        assert general.potentials.tobytes() == plain.potentials.tobytes()
+        assert general.augmentations == plain.augmentations
+        assert_optimality(copied, general)
+
+    @pytest.mark.parametrize("strategy", [digraphs(), digraphs(negative=True),
+                                          generic_digraphs()])
+    def test_fuzzers_draw_both_slot_layouts(self, strategy):
+        # The random digraphs must reach both paths of the search: graphs
+        # whose slots hold one candidate each and graphs with parallel or
+        # antiparallel arcs.
+        once = settings(database=None, derandomize=True)
+        for layout in (True, False):
+            find(strategy, lambda g: one_candidate_per_slot(g) == layout
+                 and g[1].size > 1, settings=once)
