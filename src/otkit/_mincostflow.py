@@ -22,6 +22,11 @@ graph of an n x m cost matrix, arcs numbered row-major, then cancels the
 cycles of the optimal support with `scipy.sparse.csgraph`, so the plan is
 a vertex of the transportation polytope.
 
+Arc costs must be nonnegative, so zero potentials start the loop.  The
+transportation LP is unchanged by ``C_ij -> C_ij - s_i`` with
+``f_i -> f_i - s_i``, so `solve_transportation` subtracts
+``s_i = min(0, min_j C_ij)`` from row i and adds it back to ``f_i``.
+
 Where shortest paths tie, the engine may return another optimal flow
 than the one-push-per-search heap loop kept as
 ``tests/mincostflow_reference.py``, and other potentials.
@@ -52,7 +57,7 @@ class MinCostFlowResult(NamedTuple):
     status: str
 
 
-def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentations=None):
+def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies):
     """Route integer supplies at minimum cost through a directed graph.
 
     Parameters
@@ -61,13 +66,10 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
     tails, heads : array_like of int, shape (n_arcs,)
         Arc endpoints; arcs are uncapacitated in the forward direction.
     costs : array_like of float, shape (n_arcs,)
-        Per-unit arc costs (any sign; negative costs trigger a
-        Bellman-Ford potential initialization).
+        Per-unit arc costs, finite and nonnegative (`solve_transportation`
+        shifts the rows of a cost matrix with negative entries).
     supplies : array_like of int, shape (n_nodes,)
         Positive entries are sources, negative are sinks; must sum to 0.
-    max_augmentations : int, optional
-        Budget on the number of pushes; defaults to
-        ``1000 + 40 (n_nodes + n_arcs)``.
 
     Returns
     -------
@@ -79,8 +81,10 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
 
     Raises
     ------
+    ValidationError
+        On malformed input, a negative arc cost included.
     ConvergenceError
-        If the pushes exceed the budget.
+        If the pushes exceed ``1000 + 40 (n_nodes + n_arcs)``.
 
     Notes
     -----
@@ -108,8 +112,8 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
         raise ValidationError("supplies length must equal n_nodes")
     if int(supplies.sum()) != 0:
         raise ValidationError("supplies must sum to zero")
-    if not np.all(np.isfinite(costs)):
-        raise ValidationError("arc costs must be finite")
+    if not np.all(np.isfinite(costs) & (costs >= 0.0)):
+        raise ValidationError("arc costs must be finite and nonnegative")
     if n_arcs and (tails.min() < 0 or heads.max() >= n_nodes or
                    heads.min() < 0 or tails.max() >= n_nodes):
         raise ValidationError("arc endpoints out of range")
@@ -148,10 +152,8 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
         via[tree] = arc_of_slot[slot]
         return dist, pred, via
 
-    if max_augmentations is None:
-        max_augmentations = _push_budget(n_nodes, n_arcs)
     flows, pot, pushes, status = _successive_shortest_paths(
-        tails, heads, costs, supplies, search, max_augmentations)
+        tails, heads, costs, supplies, search, _push_budget(n_nodes, n_arcs))
     total = float(np.dot(flows.astype(float), costs))
     return MinCostFlowResult(flows, pot, total, pushes, status)
 
@@ -176,8 +178,6 @@ def _successive_shortest_paths(tails, heads, costs, supplies, search,
     flow = np.zeros(n_arcs, dtype=np.int64)
     excess = supplies.copy()
     pot = np.zeros(supplies.shape[0])
-    if n_arcs and costs.min() < 0.0:
-        pot = _bellman_ford_potentials(pot.shape[0], tails, heads, costs)
     pushes = 0
     while True:
         sources = excess > 0
@@ -228,20 +228,6 @@ def _push_budget(n_nodes, n_arcs):
     return 1000 + 40 * (n_nodes + n_arcs)
 
 
-def _bellman_ford_potentials(n_nodes, tails, heads, costs):
-    """Feasible potentials for graphs with negative arc costs."""
-    pot = np.zeros(n_nodes)
-    for _ in range(n_nodes):
-        new = pot.copy()
-        np.minimum.at(new, heads, pot[tails] + costs)
-        if np.array_equal(new, pot):
-            break
-        pot = new
-    else:
-        raise ValidationError("negative-cost cycle detected")
-    return pot
-
-
 def quantize_simplex(weights, scale):
     """Largest-remainder rounding of a probability vector to integers.
 
@@ -281,9 +267,7 @@ def quantize_balanced(masses, scale):
     residual = int(base.sum())
     if residual != 0:
         order = np.argsort(-np.abs(t), kind="stable")
-        step = -1 if residual > 0 else 1
-        for idx in order[: abs(residual)]:
-            base[idx] += step
+        base[order[: abs(residual)]] += -1 if residual > 0 else 1
     return base
 
 
@@ -296,6 +280,9 @@ def solve_transportation(a_int, b_int, C):
     heap loop ``tests/mincostflow_reference.py`` finds; the duals are the
     final potentials.  `_cancel_support_cycles` then makes an optimal
     plan's support a forest (at most n + m - 1 positive entries).
+
+    Costs may have any sign: row i is solved at ``C_ij - s_i``, with
+    ``s_i = min(0, min_j C_ij)``, and ``s_i`` is added back to ``f_i``.
 
     Parameters
     ----------
@@ -317,14 +304,37 @@ def solve_transportation(a_int, b_int, C):
         raise ValidationError("marginal lengths do not match the cost matrix")
     if int(a_int.sum()) != int(b_int.sum()):
         raise ValidationError("integer marginals are unbalanced")
+    # s_i is +0.0 on a row without a negative cost, so its costs and its
+    # f_i (which may hold -0.0) keep their bits.
+    low = C.min(axis=1, initial=0.0)
+    shift = np.where(low < 0.0, low, 0.0)
     res = solve_min_cost_flow(
         n + m, np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n),
-        C.ravel(), np.concatenate([a_int, -b_int]))
+        (C - shift[:, None]).ravel(), np.concatenate([a_int, -b_int]))
     plan_int = res.flows.reshape(n, m)
     if res.status == "optimal":
         plan_int = _cancel_support_cycles(plan_int, C)
-    return (plan_int, -res.potentials[:n], res.potentials[n:],
-            res.augmentations, res.status)
+    f = np.where(shift < 0.0, shift - res.potentials[:n], -res.potentials[:n])
+    return plan_int, f, res.potentials[n:], res.augmentations, res.status
+
+
+def components(n_nodes, tails, heads):
+    """Connected components of the undirected graph of the given edges.
+
+    Edge k joins nodes ``tails[k]`` and ``heads[k]``.  Returns the graph
+    as an (n_nodes, n_nodes) CSR matrix holding a 1 at
+    ``(tails[k], heads[k])`` for every k, rows filled in edge order, the
+    number of components and each node's component label, 0, 1, ....
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    order = np.argsort(tails, kind="stable")
+    graph = csr_matrix((np.ones(order.size), heads[order],
+                        np.searchsorted(tails[order], np.arange(n_nodes + 1))),
+                       shape=(n_nodes, n_nodes))
+    count, labels = connected_components(graph, directed=False)
+    return graph, count, labels
 
 
 def support_graph(support):
@@ -333,16 +343,10 @@ def support_graph(support):
     Row i is node i, column j node n + j and a True entry (i, j) the edge
     stored at (i, n + j).  A forest has #edges = #nodes - #components.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     n, m = support.shape
     rows, cols = np.nonzero(support)
-    graph = csr_matrix((np.ones(rows.size), n + cols,
-                        np.searchsorted(rows, np.arange(n + m + 1))),
-                       shape=(n + m, n + m))
-    k = connected_components(graph, directed=False, return_labels=False)
-    return graph, rows.size == n + m - k
+    graph, count, _ = components(n + m, rows, n + cols)
+    return graph, rows.size == n + m - count
 
 
 def _cancel_support_cycles(plan_int, C):

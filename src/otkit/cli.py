@@ -443,6 +443,12 @@ def _kernel(gaussian, spec, sigma_name):
     return k, grad_k
 
 
+def _positions_trace(traj):
+    """The ``{"t", "positions"}`` records of a particle trajectory."""
+    return [{"t": float(t), "positions": state}
+            for t, state in zip(traj.times, traj.states)]
+
+
 def _flow_gradient(cfg, path):
     x0 = check_points(_get(cfg, "x0", path), "x0")
     kind = _get(cfg, "kind", path)
@@ -462,9 +468,7 @@ def _flow_gradient(cfg, path):
         "energy_final": spec.value(traj.final_state),
         "n_steps": traj.n_times - 1,
     }
-    trace = [{"t": float(t), "positions": state}
-             for t, state in zip(traj.times, traj.states)]
-    return payload, trace
+    return payload, _positions_trace(traj)
 
 
 def _flow_entropy1d(cfg, path):
@@ -523,9 +527,7 @@ def _flow_flowmatch(cfg, path):
         cpath, cfg.get("x0", source.points), _get(cfg, "dt", path), bandwidth)
     payload = {"endpoint": traj.final_state, "n_steps": traj.n_times - 1,
                "bandwidth": float(bandwidth)}
-    trace = [{"t": float(t), "positions": state}
-             for t, state in zip(traj.times, traj.states)]
-    return payload, trace
+    return payload, _positions_trace(traj)
 
 
 def _flow_transformer(cfg, path):
@@ -535,9 +537,7 @@ def _flow_transformer(cfg, path):
                                      _get(cfg, "V", path),
                                      depth=_get(cfg, "depth", path))
     payload = {"final_tokens": traj.final_state, "n_steps": traj.n_times - 1}
-    trace = [{"t": float(t), "positions": state}
-             for t, state in zip(traj.times, traj.states)]
-    return payload, trace
+    return payload, _positions_trace(traj)
 
 
 def _flow_mlp(cfg, path):
@@ -554,9 +554,7 @@ def _flow_mlp(cfg, path):
         "risk_initial": float(risk[0]),
         "risk_final": float(risk[-1]),
     }
-    trace = [{"t": float(t), "positions": state}
-             for t, state in zip(traj.times, traj.states)]
-    return payload, trace
+    return payload, _positions_trace(traj)
 
 
 _FLOW_HANDLERS = {
@@ -732,16 +730,11 @@ def run(argv=None) -> int:
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except ConvergenceError as exc:
-        sys.stderr.write(canonical_json(
-            {"error": {"code": _error_code(exc), "message": str(exc)}})
-            + "\n")
-        return 3
     except OTError as exc:
         sys.stderr.write(canonical_json(
             {"error": {"code": _error_code(exc), "message": str(exc)}})
             + "\n")
-        return 2
+        return 3 if isinstance(exc, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -6,12 +6,14 @@ every returned plan has exactly conserved (rational) marginals; the induced
 perturbation of each marginal entry is below 1e-9.  The flow engine is
 `_mincostflow.solve_transportation`: the successive-shortest-paths phase
 loop of `_mincostflow.solve_min_cost_flow`, one csgraph Dijkstra per
-phase, run on the complete bipartite graph; the dual potentials are its
-final node potentials, feasible and complementary-slack on the support,
-and ``iterations`` counts its pushes.  The engine cancels the cycles of the
-optimal plan's support, so every plan it returns is a vertex of the
-transportation polytope (a forest support); `is_extremal_coupling` runs
-the same forest test, `_mincostflow.support_graph`.
+phase, run on the complete bipartite graph with each row of negative
+costs shifted up to a zero minimum; the dual potentials are its final
+node potentials, shifted back, feasible and complementary-slack on the
+support, and ``iterations`` counts its pushes.  The engine cancels the
+cycles of the optimal plan's support, so every plan it returns is a
+vertex of the transportation polytope (a forest support);
+`is_extremal_coupling` runs the same forest test,
+`_mincostflow.support_graph`.
 """
 
 from __future__ import annotations
@@ -240,22 +242,6 @@ def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     Fa = np.concatenate([[0.0], ca])[np.searchsorted(xa, xs, side="right")]
     Fb = np.concatenate([[0.0], cb])[np.searchsorted(xb, xs, side="right")]
     return float(np.sum(np.abs(Fa[:-1] - Fb[:-1]) * np.diff(xs)))
-
-
-def connected_components(n, edges):
-    """Component label of each of ``n`` nodes joined by undirected edges.
-
-    ``edges`` yields ``(u, v, ...)`` tuples; fields after the two node ids
-    are ignored.  Labels run 0, 1, ... over the components.
-    """
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components as components
-
-    ends = np.array([(u, v) for u, v, *_ in edges], dtype=np.int64)
-    ends = ends.reshape(-1, 2)
-    graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
-                       shape=(n, n))
-    return components(graph, directed=False)[1]
 
 
 def is_extremal_coupling(coupling, threshold=0.0) -> bool:

@@ -18,10 +18,9 @@ from typing import Tuple
 
 import numpy as np
 
-from ._mincostflow import quantize_balanced, solve_min_cost_flow
+from ._mincostflow import components, quantize_balanced, solve_min_cost_flow
 from .errors import UnbalancedError, ValidationError
-from .exact import (WEIGHT_DENOMINATOR, connected_components,
-                    solve_kantorovich, validate_metric)
+from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
 from .measures import as_float_array, check_cost_matrix, check_points
 
 
@@ -139,8 +138,10 @@ class FlowGraph:
             clean.append((u, v, length))
         if abs(s.sum()) > 1e-12 * max(1.0, np.abs(s).sum()):
             raise UnbalancedError("imbalances must sum to zero")
-        comp = connected_components(n, clean)
-        for c in range(comp.max() + 1 if n else 0):
+        ends = np.array([(u, v) for u, v, _ in clean],
+                        dtype=np.int64).reshape(-1, 2)
+        _, count, comp = components(n, ends[:, 0], ends[:, 1])
+        for c in range(count):
             mass = s[comp == c].sum()
             if abs(mass) > 1e-12 * max(1.0, np.abs(s).sum()):
                 raise UnbalancedError(
@@ -164,22 +165,21 @@ def w1_graph_beckmann(graph: FlowGraph) -> Tuple[float, np.ndarray]:
     n = graph.n_nodes
     scale = WEIGHT_DENOMINATOR
     supplies = np.zeros(n, dtype=np.int64)
-    comp = connected_components(n, graph.edges)
-    for c in range(comp.max() + 1 if n else 0):
+    m = len(graph.edges)
+    ends = np.array([(u, v) for u, v, _ in graph.edges],
+                    dtype=np.int64).reshape(m, 2)
+    _, count, comp = components(n, ends[:, 0], ends[:, 1])
+    for c in range(count):
         idx = np.flatnonzero(comp == c)
         supplies[idx] = quantize_balanced(graph.imbalance[idx], scale)
-    m = len(graph.edges)
     if m == 0:
         if np.any(supplies != 0):
             raise UnbalancedError("no edges available to route imbalance")
         return 0.0, np.zeros(0)
-    tails = np.empty(2 * m, dtype=np.int64)
-    heads = np.empty(2 * m, dtype=np.int64)
-    costs = np.empty(2 * m)
-    for e, (u, v, length) in enumerate(graph.edges):
-        tails[2 * e], heads[2 * e], costs[2 * e] = u, v, length
-        tails[2 * e + 1], heads[2 * e + 1], costs[2 * e + 1] = v, u, length
-    res = solve_min_cost_flow(n, tails, heads, costs, supplies)
+    # Arc 2e runs u -> v and arc 2e + 1 runs v -> u, both at edge e's length.
+    lengths = np.array([length for _, _, length in graph.edges])
+    res = solve_min_cost_flow(n, ends.ravel(), ends[:, ::-1].ravel(),
+                              np.repeat(lengths, 2), supplies)
     net = res.flows[0::2] - res.flows[1::2]
     return res.cost / scale, net / scale
 

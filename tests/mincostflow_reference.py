@@ -9,14 +9,16 @@ empty.  It is slow and it is not used by the package.
 ``tests/test_mincostflow.py`` and ``tests/test_exact.py`` fuzz the one
 phase loop and csgraph search of `otkit._mincostflow` against it,
 through both of its entry points: `solve_min_cost_flow` on arc lists and
-`solve_transportation` on the complete bipartite graph.
+`solve_transportation` on the complete bipartite graph.  It accepts
+costs of any sign, starting from Bellman-Ford potentials, where the
+package's flow layer takes only nonnegative costs.
 """
 
 import heapq
 
 import numpy as np
 
-from otkit._mincostflow import MinCostFlowResult, _bellman_ford_potentials
+from otkit._mincostflow import MinCostFlowResult
 from otkit.errors import ConvergenceError, ValidationError
 
 
@@ -148,3 +150,17 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies, max_augmentation
 
     cost = float(np.dot(flow.astype(float), costs))
     return MinCostFlowResult(flow, pot, cost, augmentations, status)
+
+
+def _bellman_ford_potentials(n_nodes, tails, heads, costs):
+    """Feasible potentials for graphs with negative arc costs."""
+    pot = np.zeros(n_nodes)
+    for _ in range(n_nodes):
+        new = pot.copy()
+        np.minimum.at(new, heads, pot[tails] + costs)
+        if np.array_equal(new, pot):
+            break
+        pot = new
+    else:
+        raise ValidationError("negative-cost cycle detected")
+    return pot

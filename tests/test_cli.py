@@ -465,6 +465,19 @@ class TestOutputFormats:
         assert payload["status"] == "optimal"
         assert payload["config"]["out"] == str(out_path)
 
+    def test_out_symlink_is_written_through(self, tmp_path, measure_files,
+                                            capsys):
+        path_a, path_b, _, _ = measure_files
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("old result")
+        link.symlink_to(target)
+        code, _, _ = run_cli(
+            ["exact", "--a", path_a, "--b", path_b, "--out", str(link)],
+            capsys)
+        assert code == 0
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["status"] == "optimal"
+
     def test_config_echo_names_the_run(self, measure_files, capsys):
         path_a, path_b, _, _ = measure_files
         _, out, _ = run_cli(
