@@ -26,6 +26,7 @@ before numpy is first imported.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -598,7 +599,13 @@ def _add_measure_flags(p):
     p.add_argument("--b", required=True, help="second measure")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ot`` argument parser, built once per process and reused.
+
+    Parsing leaves the parser unchanged: every call fills a fresh
+    namespace from the declared defaults.
+    """
     parser = _Parser(prog="ot",
                      description="Discrete optimal transport toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True,

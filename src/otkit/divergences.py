@@ -30,11 +30,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import ValidationError
-from .measures import (DiscreteMeasure, align_supports, check_cost_matrix,
-                       check_weights)
+from .measures import (DiscreteMeasure, _pairwise, align_supports,
+                       check_cost_matrix, check_weights)
 
 
 def _phi_kl(s):
@@ -235,10 +234,10 @@ def kernel_matrix(x, y, kernel: KernelSpec) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if kernel.kind == "gaussian":
-        sq = cdist(x, y, metric="sqeuclidean")
+        sq = _pairwise(x, y, "sqeuclidean")
         return np.exp(-sq / (2.0 * kernel.sigma**2))
     if kernel.kind == "energy":
-        return -cdist(x, y, metric="euclidean") ** kernel.exponent
+        return -_pairwise(x, y, "euclidean") ** kernel.exponent
     raise ValidationError(
         f"kernel kind {kernel.kind!r} has no pointwise evaluation")
 

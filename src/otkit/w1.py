@@ -153,6 +153,11 @@ class FlowGraph:
         self.edges = clean
         self.imbalance = s
         self.node_names = names
+        # The (u, v) pairs of the edges, the component count and each
+        # node's component label, for `w1_graph_beckmann`.
+        self.ends = ends
+        self.n_components = count
+        self.component = comp
 
 
 def w1_graph_beckmann(graph: FlowGraph) -> Tuple[float, np.ndarray]:
@@ -165,14 +170,11 @@ def w1_graph_beckmann(graph: FlowGraph) -> Tuple[float, np.ndarray]:
     n = graph.n_nodes
     scale = WEIGHT_DENOMINATOR
     supplies = np.zeros(n, dtype=np.int64)
-    m = len(graph.edges)
-    ends = np.array([(u, v) for u, v, _ in graph.edges],
-                    dtype=np.int64).reshape(m, 2)
-    _, count, comp = components(n, ends[:, 0], ends[:, 1])
-    for c in range(count):
-        idx = np.flatnonzero(comp == c)
+    for c in range(graph.n_components):
+        idx = np.flatnonzero(graph.component == c)
         supplies[idx] = quantize_balanced(graph.imbalance[idx], scale)
-    if m == 0:
+    ends = graph.ends
+    if len(ends) == 0:
         if np.any(supplies != 0):
             raise UnbalancedError("no edges available to route imbalance")
         return 0.0, np.zeros(0)

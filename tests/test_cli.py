@@ -22,7 +22,7 @@ from numpy.testing import assert_array_equal
 import serialize_reference
 from conftest import rational_simplex, random_points
 
-from otkit import exact
+from otkit import cli, exact
 from otkit.cli import canonical_json, main
 from otkit.measures import CostSpec, DiscreteMeasure, build_cost_matrix
 
@@ -514,3 +514,103 @@ class TestThreadCap:
                              capture_output=True, text=True, env=env,
                              check=True)
         assert out.stdout.strip() == "1"
+
+
+class TestParserReuse:
+    """`run` reuses one parser; no argument or default carries over."""
+
+    def test_runs_match_a_freshly_built_parser(self, tmp_path,
+                                               measure_files, capsys):
+        path_a, path_b, _, _ = measure_files
+        graph = write_json(tmp_path, "graph.json", {
+            "nodes": ["0", "1", "2"],
+            "edges": [["0", "1", 1.0], ["1", "2", 1.5]],
+            "imbalance": {"0": 0.5, "1": -0.8, "2": 0.3}})
+        out, trace = tmp_path / "out.json", tmp_path / "trace.jsonl"
+        sinkhorn = ["sinkhorn", "--a", path_a, "--b", path_b,
+                    "--epsilon", "0.5"]
+        argvs = [
+            ["sinkhorn", "--a", path_a, "--epsilon", "0.5", "--bogus"],
+            sinkhorn + ["--schedule", "4,2,1,0.5", "--trace", str(trace),
+                        "--out", str(out)],
+            sinkhorn,
+            sinkhorn + ["--trace", str(trace)],
+            sinkhorn + ["--schedule", "2,0.5", "--out", str(out)],
+            ["exact", "--a", path_a, "--b", path_b, "--out", str(out)],
+            ["exact", "--a", path_a, "--b", path_b, "--cost", "euclidean"],
+            ["w1", "graph", "--graph", graph],
+            sinkhorn,
+        ]
+
+        def results(fresh):
+            cli.build_parser.cache_clear()
+            seen = []
+            for argv in argvs:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                for path in (out, trace):
+                    path.unlink(missing_ok=True)
+                code, stdout, stderr = run_cli(argv, capsys)
+                seen.append((code, stdout, stderr,
+                             *(p.read_bytes() if p.exists() else None
+                               for p in (out, trace))))
+            return seen
+
+        fresh = results(fresh=True)
+        reused = results(fresh=False)
+        assert cli.build_parser.cache_info().misses == 1
+        assert fresh[0][0] == 2
+        assert json.loads(fresh[0][2])["error"]["code"] == "usage"
+        assert [r[0] for r in fresh[1:]] == [0] * (len(argvs) - 1)
+        assert fresh[2][1:] == fresh[-1][1:]
+        for argv, a, b in zip(argvs, fresh, reused):
+            assert a == b, argv
+
+
+class TestColdStart:
+    """What a fresh ``ot`` process imports: scipy only where a solver
+    calls it, so that a later top-level import cannot slow every run."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "from otkit.cli import main\n"
+        "argv = json.loads(sys.argv[1])\n"
+        "code = main(argv) if argv else 0\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules\n"
+        "                               if m.startswith('scipy'))]))\n"
+    )
+
+    def scipy_modules(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, OT_THREADS="1", PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True)
+        code, modules = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0, done.stderr
+        return modules
+
+    def test_import_and_scipy_free_subcommands_load_no_scipy(
+            self, tmp_path, measure_files):
+        path_a, path_b, _, _ = measure_files
+        gauss = write_json(tmp_path, "g.json",
+                           {"mean": [0.0, 1.0],
+                            "covariance": [[2.0, 0.5], [0.5, 1.0]]})
+        out = str(tmp_path / "out.json")
+        measures_ab = ["--a", path_a, "--b", path_b]
+        for argv in ([],
+                     ["sinkhorn", *measures_ab, "--epsilon", "0.5",
+                      "--out", out],
+                     ["gaussian", "--a", gauss, "--b", gauss, "--out", out],
+                     ["divergence", *measures_ab, "--kernel", "gaussian:1",
+                      "--out", out]):
+            assert self.scipy_modules(argv) == [], argv
+
+    def test_exact_loads_only_scipy_sparse(self, measure_files, tmp_path):
+        path_a, path_b, _, _ = measure_files
+        modules = self.scipy_modules(
+            ["exact", "--a", path_a, "--b", path_b,
+             "--out", str(tmp_path / "out.json")])
+        assert "scipy.sparse.csgraph" in modules
+        assert not [m for m in modules if m.startswith("scipy.spatial")]

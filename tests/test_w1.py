@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.spatial.distance import cdist
 
+from otkit import w1
 from otkit.errors import MetricAxiomError, UnbalancedError, ValidationError
 from otkit.exact import solve_kantorovich, w1_1d_cdf
 from otkit.measures import DiscreteMeasure
@@ -285,6 +286,21 @@ class TestBeckmann:
     def test_balanced_components_solve_independently(self):
         g = FlowGraph(4, [(0, 1, 2.0), (2, 3, 5.0)],
                       [0.5, -0.5, -0.25, 0.25])
+        value, flows = w1_graph_beckmann(g)
+        assert_allclose(value, 0.5 * 2.0 + 0.25 * 5.0, rtol=0, atol=1e-9)
+        assert_allclose(flows, [0.5, -0.25], rtol=0, atol=1e-9)
+
+    def test_components_are_found_once(self, monkeypatch):
+        # The solve reuses the labels FlowGraph found while checking that
+        # every component balances.
+        g = FlowGraph(5, [(0, 1, 2.0), (2, 3, 5.0)],
+                      [0.5, -0.5, -0.25, 0.25, 0.0])
+        assert g.n_components == 3
+        assert g.component.tolist() == [0, 0, 1, 1, 2]
+
+        def fail(*args):
+            raise AssertionError("components recomputed")
+        monkeypatch.setattr(w1, "components", fail)
         value, flows = w1_graph_beckmann(g)
         assert_allclose(value, 0.5 * 2.0 + 0.25 * 5.0, rtol=0, atol=1e-9)
         assert_allclose(flows, [0.5, -0.25], rtol=0, atol=1e-9)
