@@ -27,7 +27,6 @@ if _threads:
         _os.environ.setdefault(_var, _threads)
 del _os, _threads
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .measures import (
     Coupling,
     CostSpec,
@@ -45,8 +44,6 @@ from .measures import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_TOLERANCES",
-    "Tolerances",
     "DiscreteMeasure",
     "GridDensity1D",
     "CostSpec",

@@ -357,7 +357,7 @@ def _cmd_w1(args):
         return payload, None
     signed = _load_signed_measure(args.measure)
     pts = signed.points
-    dist = np.sqrt(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))
+    dist = build_cost_matrix(pts, pts, CostSpec.euclidean())
     if args.mode == "kr":
         value, f = w1.w1_kr_lp(signed, dist)
         return {"value": value, "f": f}, None

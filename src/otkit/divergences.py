@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .measures import (DiscreteMeasure, _pairwise, align_supports,
-                       check_cost_matrix, check_weights)
+                       check_cost_matrix, check_points, check_weights)
 
 
 def _phi_kl(s):
@@ -79,7 +79,7 @@ class EntropyFunction:
     Parameters
     ----------
     name : str
-        One of "kl", "tv", "chi2" for the presets, anything for custom.
+        A label; the presets are "kl", "tv" and "chi2".
     phi : callable
         Scalar convex function with domain in [0, inf); returns ``np.inf``
         outside the domain.
@@ -108,10 +108,6 @@ class EntropyFunction:
     def chi2(cls) -> "EntropyFunction":
         """Pearson chi-squared entropy phi(s) = (s - 1)^2."""
         return cls("chi2", _phi_chi2, np.inf, _legendre_chi2)
-
-    @classmethod
-    def custom(cls, name, phi, phi_prime_inf, legendre_nonneg):
-        return cls(str(name), phi, float(phi_prime_inf), legendre_nonneg)
 
 
 def from_name(name: str) -> EntropyFunction:
@@ -230,9 +226,12 @@ class KernelSpec:
 
 
 def kernel_matrix(x, y, kernel: KernelSpec) -> np.ndarray:
-    """Evaluate the kernel on all pairs of rows of ``x`` and ``y``."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
+    """Evaluate the kernel on all pairs of points of ``x`` and ``y``.
+
+    Both are read by `check_points`: a 1-D array is n points in R^1.
+    """
+    x = check_points(x, "x")
+    y = check_points(y, "y")
     if kernel.kind == "gaussian":
         sq = _pairwise(x, y, "sqeuclidean")
         return np.exp(-sq / (2.0 * kernel.sigma**2))

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import InfeasiblePotentialsError, ValidationError
-from .measures import DiscreteMeasure, GridDensity1D
+from .measures import (EQUALITY_TOL, MARGINAL_TOL, DiscreteMeasure,
+                       GridDensity1D, check_cost_matrix)
 
 __all__ = [
     "DualPotentials",
@@ -100,18 +100,17 @@ def dual_objective(a, b, potentials: DualPotentials) -> float:
     return float(np.dot(potentials.f, a) + np.dot(potentials.g, b))
 
 
-def check_feasibility(potentials: DualPotentials, C, atol=None,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES):
+def check_feasibility(potentials: DualPotentials, C, atol=MARGINAL_TOL):
     """Verify ``f_i + g_j <= C_ij`` up to ``atol``.
+
+    ``C`` must be a finite matrix of shape ``(f.size, g.size)``.
 
     Raises
     ------
     InfeasiblePotentialsError
         With the worst-violating entry (i, j) as witness.
     """
-    if atol is None:
-        atol = tolerances.marginal
-    C = np.asarray(C, dtype=float)
+    C = check_cost_matrix(C, (potentials.f.size, potentials.g.size))
     slack = potentials.f[:, None] + potentials.g[None, :] - C
     worst = np.unravel_index(np.argmax(slack), slack.shape)
     violation = float(slack[worst])
@@ -120,8 +119,7 @@ def check_feasibility(potentials: DualPotentials, C, atol=None,
     return violation
 
 
-def duality_gap(result, potentials: DualPotentials, C,
-                tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def duality_gap(result, potentials: DualPotentials, C) -> float:
     """Primal cost minus dual value for a transport result.
 
     The potentials are first checked for feasibility (epsilon must be 0);
@@ -131,7 +129,7 @@ def duality_gap(result, potentials: DualPotentials, C,
     """
     if potentials.epsilon != 0.0:
         raise ValidationError("duality_gap applies to unregularized potentials")
-    check_feasibility(potentials, C, tolerances=tolerances)
+    check_feasibility(potentials, C)
     a = result.coupling.row_marginal
     b = result.coupling.col_marginal
     return float(result.cost) - dual_objective(a, b, potentials)
@@ -170,15 +168,15 @@ class BrenierReport:
     passed: bool
 
 
-def w2_brenier_check(source: GridDensity1D, target, transport_map,
-                     monotonicity_atol=None,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> BrenierReport:
+def w2_brenier_check(source: GridDensity1D, target, transport_map
+                     ) -> BrenierReport:
     """Check that a candidate 1-D map is monotone and pushes source to target.
 
     The source density is discretized to cell-midpoint atoms (trapezoid
     masses), the map is applied, and the image is compared to the target in
     W1.  A map optimal for the squared cost must be nondecreasing on the
-    support and reproduce the target up to the grid resolution.
+    support, up to `EQUALITY_TOL`, and reproduce the target up to the grid
+    resolution.
 
     Parameters
     ----------
@@ -191,26 +189,24 @@ def w2_brenier_check(source: GridDensity1D, target, transport_map,
     """
     from .exact import w1_1d_cdf
 
-    if monotonicity_atol is None:
-        monotonicity_atol = tolerances.equality
-    if abs(source.total_mass - 1.0) > tolerances.marginal:
+    if abs(source.total_mass - 1.0) > MARGINAL_TOL:
         raise ValidationError("source must be a probability density")
     atoms = source.to_discrete()
     keep = atoms.weights > 0
-    src = DiscreteMeasure(atoms.points[keep], atoms.weights[keep], tolerances)
+    src = DiscreteMeasure(atoms.points[keep], atoms.weights[keep])
 
     mapped = np.asarray(transport_map(src.points[:, 0]), dtype=float)
     if mapped.shape != (src.n,):
         raise ValidationError("transport map must return one value per input")
     diffs = np.diff(mapped)
-    bad = np.flatnonzero(diffs < -monotonicity_atol)
+    bad = np.flatnonzero(diffs < -EQUALITY_TOL)
     monotone = bad.size == 0
     violation = None
     if not monotone:
         k = int(bad[0])
         violation = (float(src.points[k, 0]), float(src.points[k + 1, 0]))
 
-    image = DiscreteMeasure(mapped, src.weights, tolerances).normalized()
+    image = DiscreteMeasure(mapped, src.weights).normalized()
     if isinstance(target, GridDensity1D):
         target_atoms = target.to_discrete().normalized()
     elif isinstance(target, DiscreteMeasure):

@@ -372,7 +372,7 @@ _SCHEMES = ("explicit", "implicit")
 
 
 def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
-                  inner_tol=1e-10, max_inner=200000) -> ParticleTrajectory:
+                  max_inner=200000) -> ParticleTrajectory:
     """Integrate the particle flow dX/dt = velocity(X) of a functional.
 
     Parameters
@@ -386,7 +386,7 @@ def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
         Explicit Euler x <- x + dt v(x), or the proximal implicit step
         x+ = x + dt v(x+) solved by inner gradient descent on
         z -> ||z - x||^2/2 + dt Phi(z), where grad Phi = -velocity, down
-        to max-norm gradient `inner_tol`.
+        to max-norm gradient 1e-10.
 
     Returns
     -------
@@ -411,14 +411,18 @@ def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
         if scheme == "explicit":
             X = X + dt * functional.velocity(X)
         else:
-            X = _proximal_step(functional, X, dt, inner_tol, max_inner)
+            X = _proximal_step(functional, X, dt, max_inner)
         states[s + 1] = X
     times = np.arange(steps + 1) * dt
     weights = np.full(X.shape[0], 1.0 / X.shape[0])
     return ParticleTrajectory(times, states, weights)
 
 
-def _proximal_step(functional, X, dt, tol, max_inner):
+# Max-norm gradient at which an implicit step's inner solve stops.
+_INNER_TOL = 1e-10
+
+
+def _proximal_step(functional, X, dt, max_inner):
     # Gradient descent on z -> ||z - X||^2/2 + dt*Phi(z); the stationarity
     # condition (z - X) - dt*velocity(z) = 0 is the implicit Euler update.
     z = X.copy()
@@ -426,7 +430,7 @@ def _proximal_step(functional, X, dt, tol, max_inner):
     g = (z - X) - dt * functional.velocity(z)
     norm = float(np.max(np.abs(g)))
     for _ in range(max_inner):
-        if norm <= tol:
+        if norm <= _INNER_TOL:
             return z
         # eta <= 1 falls below the 1e-18 cutoff within 60 halvings.
         for _ in range(61):
@@ -442,10 +446,11 @@ def _proximal_step(functional, X, dt, tol, max_inner):
             )
         z, g, norm = z_new, g_new, norm_new
         eta = min(1.0, 2.0 * eta)
-    if norm <= tol:
+    if norm <= _INNER_TOL:
         return z
     raise ConvergenceError(
-        f"implicit inner solve did not reach {tol:g} within {max_inner} iterations"
+        f"implicit inner solve did not reach {_INNER_TOL:g} within "
+        f"{max_inner} iterations"
     )
 
 
@@ -487,10 +492,6 @@ class GeneralizedEntropy:
             lambda s: (q - 1.0) * np.asarray(s, dtype=float) ** q,
             lambda s: q * (q - 1.0) * np.asarray(s, dtype=float) ** (q - 1.0),
         )
-
-    @classmethod
-    def custom(cls, gtilde, gtilde_prime, name="custom"):
-        return cls(name, gtilde, gtilde_prime)
 
 
 class Density1DPath:
@@ -598,8 +599,8 @@ def entropy_flow_1d(rho0: GridDensity1D, entropy: GeneralizedEntropy,
 
 
 def _check_unit_time(t):
-    t = float(t)
-    if not np.isfinite(t) or t < 0.0 or t > 1.0:
+    t = as_number(t, "interpolation time")
+    if t < 0.0 or t > 1.0:
         raise ValidationError("interpolation time must lie in [0, 1]")
     return t
 
@@ -823,7 +824,7 @@ def _cumulative_mass(grid, rho):
     return out
 
 
-def dacorogna_moser_1d(path: Density1DPath, t, vanish_tol=1e-12) -> np.ndarray:
+def dacorogna_moser_1d(path: Density1DPath, t) -> np.ndarray:
     """Recover the 1-D continuity-equation velocity of a density path.
 
     In one dimension mass conservation forces rho_t v_t = -d/dt C_t with
@@ -836,26 +837,29 @@ def dacorogna_moser_1d(path: Density1DPath, t, vanish_tol=1e-12) -> np.ndarray:
     path : Density1DPath
     t : float
         Must coincide with one of the stored times.
-    vanish_tol : float
-        Node densities at or below this value make the quotient
-        meaningless and raise VanishingDensityError.
 
     Returns
     -------
     ndarray, shape (n_nodes,)
         Velocity at the grid nodes.
+
+    Raises
+    ------
+    VanishingDensityError
+        If a node density at time t is at or below 1e-12, which makes the
+        quotient meaningless.
     """
     if not isinstance(path, Density1DPath):
         raise ValidationError("path must be a Density1DPath")
     if path.n_times < 2:
         raise ValidationError("velocity recovery needs at least two snapshots")
-    t = float(t)
+    t = as_number(t, "t")
     times = path.times
     idx = int(np.argmin(np.abs(times - t)))
     if abs(times[idx] - t) > 1e-9 * max(1.0, abs(t)):
         raise ValidationError(f"t={t:g} is not one of the stored times")
     rho = path.densities[idx]
-    if np.any(rho <= vanish_tol):
+    if np.any(rho <= 1e-12):
         raise VanishingDensityError(
             "velocity recovery needs a strictly positive density "
             f"(min {float(rho.min()):.3e} at t={times[idx]:g})"

@@ -43,10 +43,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
-from .measures import (Coupling, as_float_array, check_cost_matrix,
-                       check_weights)
+from .measures import (MARGINAL_TOL, Coupling, as_float_array,
+                       check_cost_matrix, check_weights)
 
 __all__ = [
     "SinkhornConfig",
@@ -210,8 +209,7 @@ class SinkhornResult(NamedTuple):
     cost_linear: float
 
 
-def sinkhorn(a, b, C, config: SinkhornConfig,
-             tolerances: Tolerances = DEFAULT_TOLERANCES) -> SinkhornResult:
+def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     """Entropic optimal transport between probability vectors.
 
     Parameters
@@ -231,8 +229,8 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
         ``cost_reg = <f, a> + <g, b> - eps (mass - 1)`` and the linear
         cost ``<C, P>``.
     """
-    aw = check_weights(a, "a", probability=True, tolerances=tolerances)
-    bw = check_weights(b, "b", probability=True, tolerances=tolerances)
+    aw = check_weights(a, "a", probability=True)
+    bw = check_weights(b, "b", probability=True)
     C = check_cost_matrix(C, (aw.size, bw.size))
 
     active_a = np.flatnonzero(aw > 0)
@@ -393,29 +391,29 @@ def sinkhorn(a, b, C, config: SinkhornConfig,
         trace=trace,
         history=history,
     )
-    atol = max(1.5 * max(viol_a, viol_b) + 1e-15, tolerances.marginal)
-    coupling = Coupling(plan, aw, bw, atol=atol, tolerances=tolerances)
+    atol = max(1.5 * max(viol_a, viol_b) + 1e-15, MARGINAL_TOL)
+    coupling = Coupling(plan, aw, bw, atol=atol)
     cost_reg = float(f_full @ aw + g_full @ bw) - eps * (mass - 1.0)
     cost_linear = float(np.sum(plan * C))
     return SinkhornResult(state, coupling, cost_reg, cost_linear)
 
 
-def kl_projection_row(P, a, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coupling:
+def kl_projection_row(P, a) -> Coupling:
     """KL projection of a positive matrix onto the row-marginal constraint.
 
     Rescales each row of P to sum to ``a_i``: the minimizer of
     ``KL(Q | P)`` over couplings with row marginal a.  Rows with positive
     target but zero current mass are rejected.
     """
-    return _kl_projection(P, a, 0, tolerances)
+    return _kl_projection(P, a, 0)
 
 
-def kl_projection_col(P, b, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coupling:
+def kl_projection_col(P, b) -> Coupling:
     """KL projection onto the column-marginal constraint (see row version)."""
-    return _kl_projection(P, b, 1, tolerances)
+    return _kl_projection(P, b, 1)
 
 
-def _kl_projection(P, target, axis, tolerances):
+def _kl_projection(P, target, axis):
     """Rescale the rows (axis 0) or columns (axis 1) of P to sum to target."""
     side = ("row", "column")[axis]
     P = as_float_array(P, "plan")
@@ -435,7 +433,7 @@ def _kl_projection(P, target, axis, tolerances):
     Q = P * np.expand_dims(scale, 1 - axis)
     marginals = [Q.sum(axis=1), Q.sum(axis=0)]
     marginals[axis] = target
-    return Coupling(Q, *marginals, tolerances=tolerances)
+    return Coupling(Q, *marginals)
 
 
 def hilbert_metric(u, v) -> float:
@@ -479,8 +477,8 @@ def contraction_eta_lambda(K):
     return eta, lam
 
 
-def sinkhorn_divergence(a, b, C_ab, C_aa, C_bb, config: SinkhornConfig,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def sinkhorn_divergence(a, b, C_ab, C_aa, C_bb,
+                        config: SinkhornConfig) -> float:
     """Debiased entropic divergence.
 
     ``S(a, b) = OT_eps(a, b) - OT_eps(a, a)/2 - OT_eps(b, b)/2`` where
@@ -488,7 +486,7 @@ def sinkhorn_divergence(a, b, C_ab, C_aa, C_bb, config: SinkhornConfig,
     with the same configuration.  Identical arguments give exactly zero
     because the three solves coincide.
     """
-    res_ab = sinkhorn(a, b, C_ab, config, tolerances)
-    res_aa = sinkhorn(a, a, C_aa, config, tolerances)
-    res_bb = sinkhorn(b, b, C_bb, config, tolerances)
+    res_ab = sinkhorn(a, b, C_ab, config)
+    res_aa = sinkhorn(a, a, C_aa, config)
+    res_bb = sinkhorn(b, b, C_bb, config)
     return res_ab.cost_reg - 0.5 * res_aa.cost_reg - 0.5 * res_bb.cost_reg

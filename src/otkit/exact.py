@@ -24,11 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _mincostflow as mcf
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .duality import DualPotentials
 from .errors import MetricAxiomError, UnbalancedError, ValidationError
-from .measures import (Coupling, DiscreteMeasure, as_number,
-                       check_cost_matrix, check_weights)
+from .measures import (EQUALITY_TOL, MARGINAL_TOL, Coupling, DiscreteMeasure,
+                       as_number, check_cost_matrix, check_weights)
 
 __all__ = [
     "TransportResult",
@@ -70,8 +69,7 @@ class AssignmentResult(NamedTuple):
     cost: float
 
 
-def solve_kantorovich(a, b, C, tolerances: Tolerances = DEFAULT_TOLERANCES
-                      ) -> TransportResult:
+def solve_kantorovich(a, b, C) -> TransportResult:
     """Exact discrete optimal transport between probability vectors.
 
     Parameters
@@ -89,8 +87,8 @@ def solve_kantorovich(a, b, C, tolerances: Tolerances = DEFAULT_TOLERANCES
         the attached potentials satisfy ``f_i + g_j <= C_ij`` with
         equality on the support.
     """
-    aw = check_weights(a, "a", probability=True, tolerances=tolerances)
-    bw = check_weights(b, "b", probability=True, tolerances=tolerances)
+    aw = check_weights(a, "a", probability=True)
+    bw = check_weights(b, "b", probability=True)
     C = check_cost_matrix(C, (aw.shape[0], bw.shape[0]))
     a_int = mcf.quantize_simplex(aw, WEIGHT_DENOMINATOR)
     b_int = mcf.quantize_simplex(bw, WEIGHT_DENOMINATOR)
@@ -100,8 +98,8 @@ def solve_kantorovich(a, b, C, tolerances: Tolerances = DEFAULT_TOLERANCES
     plan = plan_int / float(WEIGHT_DENOMINATOR)
     # Quantization moves each marginal entry by < 1/denominator; allow a
     # little extra for float summation.
-    atol = tolerances.marginal + 64 * np.finfo(float).eps
-    coupling = Coupling(plan, aw, bw, atol=atol, tolerances=tolerances)
+    atol = MARGINAL_TOL + 64 * np.finfo(float).eps
+    coupling = Coupling(plan, aw, bw, atol=atol)
     cost = coupling.cost(C)
     potentials = DualPotentials(f, g, 0.0)
     return TransportResult(
@@ -138,8 +136,7 @@ def solve_assignment(C) -> AssignmentResult:
     return AssignmentResult(permutation, cost)
 
 
-def solve_1d_sorted(alpha, beta, p, tolerances: Tolerances = DEFAULT_TOLERANCES
-                    ) -> TransportResult:
+def solve_1d_sorted(alpha, beta, p) -> TransportResult:
     """Optimal 1-D transport for the cost |x - y|^p via the monotone sweep.
 
     Parameters
@@ -168,8 +165,8 @@ def solve_1d_sorted(alpha, beta, p, tolerances: Tolerances = DEFAULT_TOLERANCES
     for name, mu in (("alpha", alpha), ("beta", beta)):
         if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
             raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
-    aw = check_weights(alpha, "alpha", probability=True, tolerances=tolerances)
-    bw = check_weights(beta, "beta", probability=True, tolerances=tolerances)
+    aw = check_weights(alpha, "alpha", probability=True)
+    bw = check_weights(beta, "beta", probability=True)
     n, m = alpha.n, beta.n
     order_a = np.argsort(alpha.points[:, 0], kind="stable")
     order_b = np.argsort(beta.points[:, 0], kind="stable")
@@ -208,7 +205,7 @@ def solve_1d_sorted(alpha, beta, p, tolerances: Tolerances = DEFAULT_TOLERANCES
             if ib < m:
                 rb = wb[ib]
 
-    coupling = Coupling(plan, aw, bw, tolerances=tolerances)
+    coupling = Coupling(plan, aw, bw)
     return TransportResult(
         cost=float(cost),
         coupling=coupling,
@@ -223,8 +220,7 @@ def _sorted_support(measure):
     return srt.points[:, 0], np.cumsum(srt.weights)
 
 
-def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure,
-              tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure) -> float:
     """W1 between 1-D probability measures as the area between their cdfs.
 
     Computes ``integral |F_alpha(x) - F_beta(x)| dx`` exactly on the
@@ -233,7 +229,7 @@ def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     for name, mu in (("alpha", alpha), ("beta", beta)):
         if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
             raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
-        check_weights(mu, name, probability=True, tolerances=tolerances)
+        check_weights(mu, name, probability=True)
     xa, ca = _sorted_support(alpha)
     xb, cb = _sorted_support(beta)
     xs = np.union1d(xa, xb)
@@ -244,7 +240,7 @@ def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure,
     return float(np.sum(np.abs(Fa[:-1] - Fb[:-1]) * np.diff(xs)))
 
 
-def is_extremal_coupling(coupling, threshold=0.0) -> bool:
+def is_extremal_coupling(coupling) -> bool:
     """Whether a plan is a vertex of its transportation polytope.
 
     A feasible plan is extremal iff its support graph (rows and columns as
@@ -252,10 +248,10 @@ def is_extremal_coupling(coupling, threshold=0.0) -> bool:
     is a forest: #edges = #nodes - #components.
     """
     plan = coupling.plan if isinstance(coupling, Coupling) else np.asarray(coupling)
-    return mcf.support_graph(plan > threshold)[1]
+    return mcf.support_graph(plan > 0.0)[1]
 
 
-def validate_metric(D, tolerances: Tolerances = DEFAULT_TOLERANCES):
+def validate_metric(D):
     """Check the metric axioms of a distance matrix, with witnesses.
 
     Raises
@@ -265,7 +261,7 @@ def validate_metric(D, tolerances: Tolerances = DEFAULT_TOLERANCES):
     """
     D = check_cost_matrix(D, name="distance matrix")
     n = D.shape[0]
-    atol = tolerances.equality * max(1.0, float(np.max(np.abs(D))))
+    atol = EQUALITY_TOL * max(1.0, float(np.max(np.abs(D))))
     i, j = np.unravel_index(np.argmin(D), D.shape)
     if D[i, j] < -atol:
         raise MetricAxiomError("nonnegativity", (int(i), int(j)), f"D={D[i, j]!r}")
@@ -288,8 +284,7 @@ def validate_metric(D, tolerances: Tolerances = DEFAULT_TOLERANCES):
     return D
 
 
-def wasserstein_p(a, b, dist_matrix, p,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES) -> float:
+def wasserstein_p(a, b, dist_matrix, p) -> float:
     """Wasserstein distance of order p on a validated finite metric space.
 
     Parameters
@@ -308,6 +303,6 @@ def wasserstein_p(a, b, dist_matrix, p,
     p = as_number(p, "p")
     if p < 1:
         raise ValidationError("wasserstein_p requires p >= 1")
-    D = validate_metric(dist_matrix, tolerances)
-    result = solve_kantorovich(a, b, D**p, tolerances)
+    D = validate_metric(dist_matrix)
+    result = solve_kantorovich(a, b, D**p)
     return float(result.cost) ** (1.0 / p)

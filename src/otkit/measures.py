@@ -18,7 +18,7 @@ here, so that one rule decides what a valid input is:
   n points in R^1.
 * `check_weights`: a `DiscreteMeasure`'s weights or a finite, nonnegative
   1-D array, optionally of a given length; with ``probability=True`` it
-  must also sum to 1 within the ``marginal`` tolerance.
+  must also sum to 1 within `MARGINAL_TOL`.
 * `check_cost_matrix`: a finite, nonempty matrix of the expected shape
   (square when no shape is given).
 * `check_covariance`: a finite, symmetric, positive semidefinite matrix.
@@ -26,6 +26,15 @@ here, so that one rule decides what a valid input is:
 These, and `as_number` for scalar settings, coerce through
 `as_float_array`, which reports input that is not a numeric array
 (strings, ragged nesting) as a `ValidationError` naming the argument.
+
+The package's checks share two thresholds:
+
+* `MARGINAL_TOL` (1e-9): the defect a computed object may carry in a
+  constraint it must satisfy, such as coupling marginals, dual
+  feasibility and the total mass of a probability vector.
+* `EQUALITY_TOL` (1e-12): the rounding slack in identities that are exact
+  in real arithmetic, such as normalized mass, coincidence of atoms and
+  zero-sum of signed masses.
 
 File formats
 ------------
@@ -42,7 +51,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import ValidationError
 
 __all__ = [
@@ -63,6 +71,9 @@ __all__ = [
     "save_grid_json",
     "load_grid_json",
 ]
+
+MARGINAL_TOL = 1e-9
+EQUALITY_TOL = 1e-12
 
 
 def as_float_array(obj, name):
@@ -99,13 +110,12 @@ def check_points(obj, name="points"):
     return pts
 
 
-def check_weights(obj, name="weights", n=None, probability=False,
-                  tolerances: Tolerances = DEFAULT_TOLERANCES):
+def check_weights(obj, name="weights", n=None, probability=False):
     """The weights of a `DiscreteMeasure`, or ``obj`` as a weight vector.
 
     Weights are a finite, nonnegative 1-D array, of length ``n`` when it is
     given.  With ``probability`` they must also sum to 1 within
-    ``tolerances.marginal``, which rules out an empty vector.
+    `MARGINAL_TOL`, which rules out an empty vector.
     """
     if isinstance(obj, DiscreteMeasure):
         w = obj.weights
@@ -121,7 +131,7 @@ def check_weights(obj, name="weights", n=None, probability=False,
         raise ValidationError(f"{name} must be nonnegative")
     if probability:
         total = float(np.sum(w))
-        if abs(total - 1.0) > tolerances.marginal:
+        if abs(total - 1.0) > MARGINAL_TOL:
             raise ValidationError(
                 f"{name} must be a probability vector, total mass {total!r}")
     return w
@@ -174,20 +184,17 @@ class DiscreteMeasure:
         Atom locations; a 1-D array is treated as n points in R^1.
     weights : array_like, shape (n,)
         Nonnegative atom masses.
-    tolerances : Tolerances, optional
-        Numeric thresholds used in validation.
 
     Notes
     -----
     Weights are stored as given; use :meth:`normalized` to obtain the
     probability measure with the same atoms.  ``is_probability`` checks
-    the total mass against the ``equality`` tolerance.
+    the total mass against `EQUALITY_TOL`.
     """
 
-    def __init__(self, points, weights, tolerances: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, points, weights):
         self.points = check_points(points)
         self.weights = check_weights(weights, n=self.points.shape[0])
-        self.tolerances = tolerances
 
     @property
     def n(self) -> int:
@@ -203,7 +210,7 @@ class DiscreteMeasure:
 
     @property
     def is_probability(self) -> bool:
-        return abs(self.total_mass - 1.0) <= self.tolerances.equality
+        return abs(self.total_mass - 1.0) <= EQUALITY_TOL
 
     def normalized(self) -> "DiscreteMeasure":
         """Return the probability measure with the same atoms.
@@ -216,14 +223,14 @@ class DiscreteMeasure:
         total = self.total_mass
         if total <= 0.0:
             raise ValidationError("cannot normalize a measure with zero total mass")
-        return DiscreteMeasure(self.points, self.weights / total, self.tolerances)
+        return DiscreteMeasure(self.points, self.weights / total)
 
     def sorted_1d(self) -> "DiscreteMeasure":
         """Return a copy with atoms sorted by position (1-D only)."""
         if self.dim != 1:
             raise ValidationError("sorted_1d requires 1-D support")
         order = np.argsort(self.points[:, 0], kind="stable")
-        return DiscreteMeasure(self.points[order], self.weights[order], self.tolerances)
+        return DiscreteMeasure(self.points[order], self.weights[order])
 
     def __repr__(self):
         return (
@@ -248,7 +255,7 @@ class GridDensity1D:
         Nonnegative density values at the nodes.
     """
 
-    def __init__(self, grid, density, tolerances: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, grid, density):
         grid = as_float_array(grid, "grid")
         density = as_float_array(density, "density")
         if grid.ndim != 1 or grid.shape[0] < 2:
@@ -265,7 +272,6 @@ class GridDensity1D:
             raise ValidationError("density must be nonnegative")
         self.grid = grid
         self.density = density
-        self.tolerances = tolerances
 
     @property
     def n_nodes(self) -> int:
@@ -295,12 +301,12 @@ class GridDensity1D:
         total = self.total_mass
         if total <= 0.0:
             raise ValidationError("cannot normalize a density with zero total mass")
-        return GridDensity1D(self.grid, self.density / total, self.tolerances)
+        return GridDensity1D(self.grid, self.density / total)
 
     def to_discrete(self) -> DiscreteMeasure:
         """Collapse each cell's mass to an atom at the cell midpoint."""
         mids = 0.5 * (self.grid[:-1] + self.grid[1:])
-        return DiscreteMeasure(mids, self.cell_masses, self.tolerances)
+        return DiscreteMeasure(mids, self.cell_masses)
 
     def __repr__(self):
         return (
@@ -363,8 +369,7 @@ class CostSpec:
         return cls("explicit_matrix", matrix=matrix)
 
 
-def build_cost_matrix(alpha, beta, spec: CostSpec,
-                      tolerances: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def build_cost_matrix(alpha, beta, spec: CostSpec) -> np.ndarray:
     """Evaluate the ground cost between the supports of two measures.
 
     Parameters
@@ -405,8 +410,8 @@ def build_cost_matrix(alpha, beta, spec: CostSpec,
     if spec.kind == "p_power":
         return _pairwise(x, y, "euclidean") ** spec.p
     # zero_one: points are "equal" when they coincide in sup norm within
-    # the equality tolerance.
-    return (_pairwise(x, y, "chebyshev") > tolerances.equality).astype(float)
+    # EQUALITY_TOL.
+    return (_pairwise(x, y, "chebyshev") > EQUALITY_TOL).astype(float)
 
 
 # Cells per row block of `_pairwise`.  The block's temporary (64 KiB) stays
@@ -462,18 +467,17 @@ class Coupling:
     row_marginal, col_marginal : array_like
         The marginals the plan is required to match.
     atol : float, optional
-        Allowed entrywise marginal defect; defaults to the ``marginal``
-        tolerance.  Solvers that converge to a looser criterion pass their
-        own achieved tolerance.
+        Allowed entrywise marginal defect; defaults to `MARGINAL_TOL`.
+        Solvers that converge to a looser criterion pass their own
+        achieved tolerance.
 
     Notes
     -----
-    Entries in ``[-equality_tol, 0)`` are clamped to zero; anything more
+    Entries in ``[-EQUALITY_TOL, 0)`` are clamped to zero; anything more
     negative is rejected.
     """
 
-    def __init__(self, plan, row_marginal, col_marginal, atol=None,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, plan, row_marginal, col_marginal, atol=MARGINAL_TOL):
         plan = as_float_array(plan, "plan")
         if plan.ndim != 2:
             raise ValidationError(f"plan must be 2-D, got shape {plan.shape}")
@@ -482,12 +486,10 @@ class Coupling:
         if not np.all(np.isfinite(plan)):
             raise ValidationError("plan contains non-finite values")
         lowest = plan.min(initial=0.0)
-        if lowest < -tolerances.equality:
+        if lowest < -EQUALITY_TOL:
             raise ValidationError(f"plan has negative entry {lowest!r}")
         if lowest < 0.0:
             plan = np.maximum(plan, 0.0)
-        if atol is None:
-            atol = tolerances.marginal
         row_defect = float(np.max(np.abs(plan.sum(axis=1) - row), initial=0.0))
         col_defect = float(np.max(np.abs(plan.sum(axis=0) - col), initial=0.0))
         if row_defect > atol or col_defect > atol:
@@ -499,7 +501,6 @@ class Coupling:
         self.row_marginal = row
         self.col_marginal = col
         self.atol = float(atol)
-        self.tolerances = tolerances
 
     @property
     def shape(self):
@@ -510,9 +511,9 @@ class Coupling:
         C = check_cost_matrix(cost_matrix, self.plan.shape)
         return float(np.sum(self.plan * C))
 
-    def support(self, threshold=0.0):
-        """Indices (i, j) of entries strictly above ``threshold``."""
-        return np.argwhere(self.plan > threshold)
+    def support(self):
+        """Indices (i, j) of the positive entries."""
+        return np.argwhere(self.plan > 0.0)
 
     def __repr__(self):
         nnz = int(np.count_nonzero(self.plan))
@@ -524,14 +525,14 @@ def normalize(measure):
     return measure.normalized()
 
 
-def product_coupling(alpha, beta, tolerances: Tolerances = DEFAULT_TOLERANCES) -> Coupling:
+def product_coupling(alpha, beta) -> Coupling:
     """The independent coupling a (x) b of two probability vectors."""
-    a = check_weights(alpha, "alpha", probability=True, tolerances=tolerances)
-    b = check_weights(beta, "beta", probability=True, tolerances=tolerances)
-    return Coupling(np.outer(a, b), a, b, tolerances=tolerances)
+    a = check_weights(alpha, "alpha", probability=True)
+    b = check_weights(beta, "beta", probability=True)
+    return Coupling(np.outer(a, b), a, b)
 
 
-def glue(P: Coupling, Q: Coupling, tolerances: Tolerances = DEFAULT_TOLERANCES):
+def glue(P: Coupling, Q: Coupling):
     """Glue two couplings along their shared middle marginal.
 
     Given P between (a, b) and Q between (b, c), forms the three-way
@@ -552,10 +553,10 @@ def glue(P: Coupling, Q: Coupling, tolerances: Tolerances = DEFAULT_TOLERANCES):
             f"{b_left.shape[0]} vs {b_right.shape[0]}"
         )
     defect = float(np.max(np.abs(b_left - b_right), initial=0.0))
-    if defect > tolerances.marginal:
+    if defect > MARGINAL_TOL:
         raise ValidationError(
             f"middle marginals disagree by {defect:.3e}, "
-            f"allowed {tolerances.marginal:.3e}"
+            f"allowed {MARGINAL_TOL:.3e}"
         )
     b = b_left
     inv_b = np.zeros_like(b)
@@ -566,8 +567,8 @@ def glue(P: Coupling, Q: Coupling, tolerances: Tolerances = DEFAULT_TOLERANCES):
     a = P.plan.sum(axis=1)
     c = Q.plan.sum(axis=0)
     # Gluing compounds the marginal defects of both inputs.
-    atol = max(P.atol + Q.atol, tolerances.marginal)
-    return S, Coupling(R, a, c, atol=atol, tolerances=tolerances)
+    atol = max(P.atol + Q.atol, MARGINAL_TOL)
+    return S, Coupling(R, a, c, atol=atol)
 
 
 def _merge_close_points(points, weights, tol):
@@ -613,8 +614,8 @@ def pushforward(measure: DiscreteMeasure, mapping) -> DiscreteMeasure:
 
     Notes
     -----
-    Output atoms whose images coincide within the ``equality`` tolerance in
-    sup norm are merged, and the result is sorted lexicographically by
+    Output atoms whose images coincide within `EQUALITY_TOL` in sup norm
+    are merged, and the result is sorted lexicographically by
     position.
     """
     pts = measure.points
@@ -630,24 +631,23 @@ def pushforward(measure: DiscreteMeasure, mapping) -> DiscreteMeasure:
     if not np.all(np.isfinite(out)):
         raise ValidationError("mapping produced non-finite points")
     merged_pts, merged_wts, _, _ = _merge_close_points(
-        out, measure.weights, measure.tolerances.equality
+        out, measure.weights, EQUALITY_TOL
     )
-    return DiscreteMeasure(merged_pts, merged_wts, measure.tolerances)
+    return DiscreteMeasure(merged_pts, merged_wts)
 
 
 def align_supports(alpha: DiscreteMeasure, beta: DiscreteMeasure):
     """Express two measures as weight vectors on their union support.
 
-    Atoms coinciding within the ``equality`` tolerance (sup norm) are
-    identified.  Returns ``(points, wa, wb)`` with points sorted
-    lexicographically.
+    Atoms coinciding within `EQUALITY_TOL` (sup norm) are identified.
+    Returns ``(points, wa, wb)`` with points sorted lexicographically.
     """
     if alpha.dim != beta.dim:
         raise ValidationError("measures live in different dimensions")
     pts = np.vstack([alpha.points, beta.points])
     wts = np.concatenate([alpha.weights, beta.weights])
-    tol = alpha.tolerances.equality
-    merged_pts, _, group_of_original, _ = _merge_close_points(pts, wts, tol)
+    merged_pts, _, group_of_original, _ = _merge_close_points(
+        pts, wts, EQUALITY_TOL)
     k = merged_pts.shape[0]
     wa = np.zeros(k)
     wb = np.zeros(k)
@@ -670,16 +670,15 @@ def cdf_and_quantile(measure):
     Parameters
     ----------
     measure : DiscreteMeasure or GridDensity1D
-        Must be a probability measure (total mass 1 within the marginal
-        tolerance).
+        Must be a probability measure (total mass 1 within
+        `MARGINAL_TOL`).
 
     Returns
     -------
     (cdf, quantile)
         Two vectorized callables.
     """
-    tol = measure.tolerances
-    if abs(measure.total_mass - 1.0) > tol.marginal:
+    if abs(measure.total_mass - 1.0) > MARGINAL_TOL:
         raise ValidationError(
             f"cdf requires a probability measure, total mass {measure.total_mass!r}"
         )
@@ -687,7 +686,7 @@ def cdf_and_quantile(measure):
         if measure.dim != 1:
             raise ValidationError("cdf_and_quantile requires 1-D support")
         pts, wts, _, _ = _merge_close_points(
-            measure.points, measure.weights, tol.equality
+            measure.points, measure.weights, EQUALITY_TOL
         )
         xs = pts[:, 0]
         cum = np.cumsum(wts)

@@ -243,13 +243,10 @@ class LloydConfig:
     n_iter: int
     seed: int
     n_samples: int = 20000
-    init: str = "kmeanspp"
 
     def __post_init__(self):
         if self.n_iter < 0 or self.n_samples < 1:
             raise ValidationError("need n_iter >= 0 and n_samples >= 1")
-        if self.init not in ("kmeanspp", "random"):
-            raise ValidationError("init must be 'kmeanspp' or 'random'")
 
 
 def _kmeanspp_seed(samples, m, rng):
@@ -271,7 +268,8 @@ def _kmeanspp_seed(samples, m, rng):
 def lloyd_quantize(problem_or_sampler, m: int, config: LloydConfig):
     """Quadratic quantization of the source into m weighted points.
 
-    Runs Lloyd iteration on one fixed sample set: assign each sample to
+    Runs Lloyd iteration, from a k-means++ seeding, on one fixed sample
+    set: assign each sample to
     its nearest centroid, recenter each centroid at its cell average,
     and reseed any emptied cell at a random sample.  Returns the
     centroids, their empirical masses, and the final mean squared
@@ -289,10 +287,7 @@ def lloyd_quantize(problem_or_sampler, m: int, config: LloydConfig):
         raise ValidationError("need at least one centroid")
     rng = np.random.default_rng(config.seed)
     samples = sampler.draw(rng, config.n_samples)
-    if config.init == "kmeanspp":
-        centroids = _kmeanspp_seed(samples, m, rng)
-    else:
-        centroids = samples[rng.integers(config.n_samples, size=m)]
+    centroids = _kmeanspp_seed(samples, m, rng)
     for _ in range(config.n_iter):
         sq = build_cost_matrix(samples, centroids, CostSpec.sq_euclidean())
         labels = np.argmin(sq, axis=1)

@@ -21,7 +21,8 @@ import numpy as np
 from ._mincostflow import components, quantize_balanced, solve_min_cost_flow
 from .errors import UnbalancedError, ValidationError
 from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
-from .measures import as_float_array, check_cost_matrix, check_points
+from .measures import (EQUALITY_TOL, as_float_array, check_cost_matrix,
+                       check_points)
 
 
 class SignedDiscreteMeasure:
@@ -45,8 +46,8 @@ class SignedDiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.masses.sum())
 
-    def require_zero_sum(self, atol: float = 1e-12) -> None:
-        if abs(self.total_mass) > atol:
+    def require_zero_sum(self) -> None:
+        if abs(self.total_mass) > EQUALITY_TOL:
             raise UnbalancedError(
                 f"masses sum to {self.total_mass:.3e}, expected 0")
 

@@ -10,10 +10,10 @@ matrix, and the stop check rebuilds the log-plan and takes two
 import numpy as np
 from scipy.special import logsumexp
 
-from otkit.config import DEFAULT_TOLERANCES
 from otkit.entropic import SinkhornResult, SinkhornState, SinkhornTraceRecord
 from otkit.errors import ValidationError
-from otkit.measures import Coupling, check_cost_matrix, check_weights
+from otkit.measures import (MARGINAL_TOL, Coupling, check_cost_matrix,
+                            check_weights)
 
 
 def _softmin_rows(M, weights, epsilon):
@@ -23,10 +23,10 @@ def _softmin_rows(M, weights, epsilon):
     return m - epsilon * np.log(z)
 
 
-def sinkhorn_log_domain(a, b, C, config, tolerances=DEFAULT_TOLERANCES):
+def sinkhorn_log_domain(a, b, C, config):
     """Same contract as `otkit.entropic.sinkhorn`; ``log_domain`` is ignored."""
-    aw = check_weights(a, "a", probability=True, tolerances=tolerances)
-    bw = check_weights(b, "b", probability=True, tolerances=tolerances)
+    aw = check_weights(a, "a", probability=True)
+    bw = check_weights(b, "b", probability=True)
     C = check_cost_matrix(C, (aw.size, bw.size))
 
     active_a = np.flatnonzero(aw > 0)
@@ -146,8 +146,8 @@ def sinkhorn_log_domain(a, b, C, config, tolerances=DEFAULT_TOLERANCES):
         trace=trace,
         history=history,
     )
-    atol = max(1.5 * max(viol_a, viol_b) + 1e-15, tolerances.marginal)
-    coupling = Coupling(plan, aw, bw, atol=atol, tolerances=tolerances)
+    atol = max(1.5 * max(viol_a, viol_b) + 1e-15, MARGINAL_TOL)
+    coupling = Coupling(plan, aw, bw, atol=atol)
     cost_reg = float(f_full @ aw + g_full @ bw) - eps * (mass - 1.0)
     cost_linear = float(np.sum(plan * C))
     return SinkhornResult(state, coupling, cost_reg, cost_linear)

@@ -18,11 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
+from scipy.spatial.distance import cdist
 
 import serialize_reference
 from conftest import rational_simplex, random_points
 
-from otkit import cli, exact
+from otkit import cli, exact, w1
 from otkit.cli import canonical_json, main
 from otkit.measures import CostSpec, DiscreteMeasure, build_cost_matrix
 
@@ -334,6 +335,23 @@ class TestRoundTrip:
         kr = json.loads(out_kr)["value"]
         beck = json.loads(out_graph)["value"]
         assert abs(kr - beck) <= 1e-9
+
+    def test_w1_kr_uses_the_cdist_distances(self, tmp_path, capsys):
+        # From d = 8 on, numpy's sum over a coordinate axis regroups the
+        # terms and no longer gives cdist's bytes.
+        rng = np.random.default_rng(9)
+        points = rng.normal(size=(12, 9))
+        masses = np.concatenate([rational_simplex(rng, 6),
+                                 -rational_simplex(rng, 6)])
+        measure = write_json(tmp_path, "signed.json",
+                             {"points": points.tolist(),
+                              "masses": masses.tolist()})
+        _, out, _ = run_cli(["w1", "kr", "--measure", measure], capsys)
+        payload = json.loads(out)
+        value, f = w1.w1_kr_lp(w1.SignedDiscreteMeasure(points, masses),
+                               cdist(points, points))
+        assert payload["value"] == value
+        assert_array_equal(np.asarray(payload["f"]), f)
 
 
 class TestTraceFiles:

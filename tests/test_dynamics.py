@@ -389,6 +389,9 @@ class TestCouplingPath:
         path, _, _ = two_cloud_path(seed=4)
         with pytest.raises(ValidationError):
             path.atoms_at(1.5)
+        for t in ("x", float("nan")):
+            with pytest.raises(ValidationError, match="interpolation time"):
+                path.atoms_at(t)
         with pytest.raises(ValidationError):
             flow_match_velocity(path, -0.1, np.zeros(2), bandwidth=1.0)
 
@@ -558,6 +561,16 @@ class TestDacorognaMoser:
         path = Density1DPath([0.0, 0.1], grid, np.stack([rho, rho]))
         with pytest.raises(ValidationError):
             dacorogna_moser_1d(path, 0.05)
+
+    @pytest.mark.parametrize("t", [float("nan"), "x"])
+    def test_time_must_be_a_finite_number(self, t):
+        # NaN compares false against the stored-time tolerance, so it
+        # would pick the first snapshot.
+        grid = np.linspace(0.0, 1.0, 11)
+        rho = np.ones(11)
+        path = Density1DPath([0.0, 0.1], grid, np.stack([rho, rho]))
+        with pytest.raises(ValidationError, match="^t "):
+            dacorogna_moser_1d(path, t)
 
 
 class TestAttention:

@@ -129,6 +129,21 @@ class TestKantorovich:
             gap = duality_gap(res, res.potentials, C)
             assert -1e-10 <= gap <= 1e-8
 
+    @pytest.mark.parametrize("bad", [np.full((1, 5), 10.0),
+                                     np.full((8, 1), 10.0),
+                                     np.full((8, 5), np.nan)],
+                             ids=["one-row", "one-column", "all-nan"])
+    def test_certificates_refuse_a_bad_cost_matrix(self, rng, bad):
+        # A row or column broadcasts against f + g and NaN compares false
+        # against any tolerance, so neither may reach the slack test.
+        a = rational_simplex(rng, 8)
+        b = rational_simplex(rng, 5)
+        res = solve_kantorovich(a, b, rng.uniform(size=(8, 5)))
+        with pytest.raises(ValidationError, match="cost matrix"):
+            check_feasibility(res.potentials, bad)
+        with pytest.raises(ValidationError, match="cost matrix"):
+            duality_gap(res, res.potentials, bad)
+
     def test_zero_weight_atom_gets_empty_row(self, rng):
         a = np.array([0.5, 0.0, 0.5])
         b = rational_simplex(rng, 4)

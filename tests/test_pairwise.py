@@ -15,13 +15,11 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from otkit import measures
-from otkit.config import Tolerances
 from otkit.divergences import KernelSpec, kernel_matrix
 from otkit.errors import ValidationError
-from otkit.measures import CostSpec, build_cost_matrix
+from otkit.measures import EQUALITY_TOL, CostSpec, build_cost_matrix
 
 DIMS = (1, 2, 3, 8, 9, 17)
-EQUALITY = Tolerances().equality
 
 
 @st.composite
@@ -63,7 +61,7 @@ class TestCostMatrix:
             same_bytes(build_cost_matrix(x, y, CostSpec.p_power(p)),
                        cdist(x, y, "euclidean") ** p)
             same_bytes(build_cost_matrix(x, y, CostSpec.zero_one()),
-                       (cdist(x, y, "chebyshev") > EQUALITY).astype(float))
+                       (cdist(x, y, "chebyshev") > EQUALITY_TOL).astype(float))
 
     @settings(max_examples=100, deadline=None)
     @given(point_pairs(), st.sampled_from((0.5, 1.0, 2.0)), block_cells)
@@ -72,11 +70,11 @@ class TestCostMatrix:
         # sup-norm distance lands on either side of it or on it.
         x, _ = pair
         y = x.copy()
-        y[:, -1] += factor * EQUALITY
+        y[:, -1] += factor * EQUALITY_TOL
         y = np.vstack([x, y])
         with mock.patch.object(measures, "_BLOCK_CELLS", cells):
             C = build_cost_matrix(x, y, CostSpec.zero_one())
-        same_bytes(C, (cdist(x, y, "chebyshev") > EQUALITY).astype(float))
+        same_bytes(C, (cdist(x, y, "chebyshev") > EQUALITY_TOL).astype(float))
 
     def test_explicit_matrix_is_copied(self):
         M = np.arange(6.0).reshape(2, 3)
@@ -105,6 +103,19 @@ class TestKernelMatrix:
         same_bytes(gauss,
                    np.exp(-cdist(x, y, "sqeuclidean") / (2.0 * sigma**2)))
         same_bytes(energy, -cdist(x, y, "euclidean") ** p)
+
+    def test_one_dimensional_input_is_points_on_the_line(self):
+        x, y = np.array([0.0, 1.0]), np.array([2.0, 3.0, 5.0])
+        K = kernel_matrix(x, y, KernelSpec.gaussian(1.0))
+        same_bytes(K, np.exp(-cdist(x[:, None], y[:, None], "sqeuclidean")
+                             / 2.0))
+
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_points_rejected(self, side):
+        pts = {"x": [[0.0], [1.0]], "y": [[2.0]]}
+        pts[side] = [[np.nan]] + pts[side]
+        with pytest.raises(ValidationError, match=f"{side} has non-finite"):
+            kernel_matrix(pts["x"], pts["y"], KernelSpec.energy(1.0))
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="dimensions differ"):
