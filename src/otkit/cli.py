@@ -280,18 +280,20 @@ def _cmd_sinkhorn(args):
     config = entropic.SinkhornConfig(
         epsilon=args.epsilon, max_iter=args.max_iter,
         marginal_tol=args.tol, epsilon_schedule=schedule,
-        log_domain=not args.scaling_domain)
+        log_domain=not args.scaling_domain,
+        record_trace=args.trace is not None)
     res = entropic.sinkhorn(alpha.weights, beta.weights, C, config)
-    trace = [{"iter": rec.iteration, "viol_a": rec.viol_a,
-              "viol_b": rec.viol_b, "dual": rec.dual,
-              "hilbert_step": rec.hilbert_step}
-             for rec in res.state.trace]
+    trace = None
+    if args.trace is not None:
+        trace = [{"iter": rec.iteration, "viol_a": rec.viol_a,
+                  "viol_b": rec.viol_b, "dual": rec.dual,
+                  "hilbert_step": rec.hilbert_step}
+                 for rec in res.state.trace]
     if res.state.status != "optimal":
         _write_trace(args.trace, trace)
         raise ConvergenceError(
             f"sinkhorn stopped at {res.state.iteration} iterations with "
             f"status {res.state.status!r}")
-    last = res.state.trace[-1]
     payload = {
         "cost_reg": res.cost_reg,
         "cost_linear": res.cost_linear,
@@ -300,8 +302,8 @@ def _cmd_sinkhorn(args):
         "epsilon": res.state.epsilon,
         "iterations": res.state.iteration,
         "status": res.state.status,
-        "viol_a": last.viol_a,
-        "viol_b": last.viol_b,
+        "viol_a": res.state.viol_a,
+        "viol_b": res.state.viol_b,
     }
     return payload, trace
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import InfeasiblePotentialsError, ValidationError
 from .measures import (EQUALITY_TOL, MARGINAL_TOL, DiscreteMeasure,
-                       GridDensity1D, check_cost_matrix)
+                       GridDensity1D, as_float_array, check_cost_matrix,
+                       check_weights)
 
 __all__ = [
     "DualPotentials",
@@ -67,12 +68,13 @@ def c_transform(g, C):
     ``f_i = min_j C_ij - g_j``.
     """
     g = np.asarray(g, dtype=float)
-    C = np.asarray(C, dtype=float)
+    C = as_float_array(C, "cost matrix")
     if C.ndim != 2 or g.shape != (C.shape[1],):
         raise ValidationError(
             f"expected g of length {C.shape[1] if C.ndim == 2 else '?'}, "
             f"got shape {g.shape}"
         )
+    C = check_cost_matrix(C, C.shape)
     return np.min(C - g[None, :], axis=1)
 
 
@@ -82,21 +84,20 @@ def c_bar_transform(f, C):
     ``g_j = min_i C_ij - f_i``.
     """
     f = np.asarray(f, dtype=float)
-    C = np.asarray(C, dtype=float)
+    C = as_float_array(C, "cost matrix")
     if C.ndim != 2 or f.shape != (C.shape[0],):
         raise ValidationError(
             f"expected f of length {C.shape[0] if C.ndim == 2 else '?'}, "
             f"got shape {f.shape}"
         )
+    C = check_cost_matrix(C, C.shape)
     return np.min(C - f[:, None], axis=0)
 
 
 def dual_objective(a, b, potentials: DualPotentials) -> float:
     """Dual value <f, a> + <g, b>."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != potentials.f.shape or b.shape != potentials.g.shape:
-        raise ValidationError("marginal and potential lengths disagree")
+    a = check_weights(a, "a", n=potentials.f.size)
+    b = check_weights(b, "b", n=potentials.g.size)
     return float(np.dot(potentials.f, a) + np.dot(potentials.g, b))
 
 
@@ -138,9 +139,9 @@ def duality_gap(result, potentials: DualPotentials, C) -> float:
 def semi_dual_energy(f, a, b, C) -> float:
     """Semi-dual value <f, a> + <f^c, b> with f^c the tight completion."""
     f = np.asarray(f, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     g = c_bar_transform(f, C)
+    a = check_weights(a, "a", n=f.size)
+    b = check_weights(b, "b", n=g.size)
     return float(np.dot(f, a) + np.dot(g, b))
 
 

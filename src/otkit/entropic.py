@@ -26,14 +26,18 @@ is redone in the log domain, and the kernel is rebuilt.  With
 scaling-domain algorithm, and an underflowed kernel row or an overflow is
 reported as a `ValidationError`.
 
-The dual objective recorded in the trace is
+When asked (``record_trace``), a trace records for every iteration the
+marginal violations, the Hilbert step of f and the dual objective
 
     D(f, g) = <f, a> + <g, b> - eps (mass(P) - 1),
 
 which increases at every half-update by eps times a generalized
 Kullback-Leibler divergence between the target marginal and the current
-one.  Convergence diagnostics based on the Hilbert projective metric
-(`hilbert_metric`, `contraction_eta_lambda`) bound the linear rate.
+one.  Without a trace or ``record_history`` an iteration updates only the
+scalings, and f and g are formed where they are read: at an absorption, a
+stop and the end of the budget.  Convergence diagnostics based on the
+Hilbert projective metric (`hilbert_metric`, `contraction_eta_lambda`)
+bound the linear rate.
 """
 
 from __future__ import annotations
@@ -108,14 +112,15 @@ def _gibbs_plan(C, f, g, epsilon, log_ra, log_rb):
 # [1/_ABSORB, _ABSORB]; a kernel entry below 1e-308 then moves the plan by
 # at most 1e-308 * _ABSORB**2 = 1e-208.
 _ABSORB = 1e50
+_LOW = 1.0 / _ABSORB
 _QUIET = {"divide": "ignore", "over": "ignore", "invalid": "ignore"}
 _STRICT = {"divide": "raise", "over": "raise", "invalid": "raise"}
 
 
 def _bounded(scaling):
     """True if every entry lies in [1/_ABSORB, _ABSORB] (so none is NaN)."""
-    return bool(scaling.min() >= 1.0 / _ABSORB
-                and scaling.max() <= _ABSORB)
+    return bool(np.minimum.reduce(scaling) >= _LOW
+                and np.maximum.reduce(scaling) <= _ABSORB)
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,11 @@ class SinkhornConfig:
     record_history : bool
         Keep a snapshot of (f, g) after every half-update, starting with
         the initial pair.
+    record_trace : bool
+        Keep one `SinkhornTraceRecord` per iteration in
+        ``SinkhornState.trace``.  Off (default), an iteration computes
+        only what the stop test and the absorption need, and the trace
+        stays empty.
     """
 
     epsilon: float
@@ -156,6 +166,7 @@ class SinkhornConfig:
     epsilon_schedule: Sequence[float] | None = None
     reference_weights: tuple | None = None
     record_history: bool = False
+    record_trace: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.epsilon) and self.epsilon > 0):
@@ -191,13 +202,21 @@ class SinkhornTraceRecord:
 
 @dataclass
 class SinkhornState:
-    """Converged (or budget-exhausted) potentials plus per-iteration trace."""
+    """Converged (or budget-exhausted) potentials.
+
+    ``viol_a`` and ``viol_b`` are the L1 marginal violations of the last
+    stop test, taken on the iterates rather than on the returned plan.
+    ``trace`` holds one record per iteration when the config asked for it
+    (``record_trace``) and is empty otherwise.
+    """
 
     f: np.ndarray
     g: np.ndarray
     epsilon: float
     iteration: int
     status: str
+    viol_a: float
+    viol_b: float
     trace: list = field(default_factory=list)
     history: list | None = None
 
@@ -280,8 +299,13 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     # an iteration makes anyway.  With the safeguard on, the first f
     # half-step of each stage, and any half-step whose scaling is zero,
     # non-finite or outside [1/_ABSORB, _ABSORB], is taken in the log
-    # domain and K is rebuilt at the new potentials.
+    # domain and K is rebuilt at the new potentials.  Unless a trace or
+    # the history records them every half-step, f and g are formed only
+    # where they are read: at an absorption, a stop test that passes and
+    # the last iteration of the budget (None marks one not formed).
     safeguard = config.log_domain
+    record = config.record_trace
+    eager = record or history is not None
     iteration = 0
     status = "max_iter"
     eps = float(stages[0])
@@ -303,18 +327,22 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                     if K is not None:
                         u = sub_a / Kv
                     if K is None or (safeguard and not _bounded(u)):
+                        if g is None:
+                            g = gh + eps * np.log(v)
                         f = (_softmin_update(sub_C, g, log_rb, eps)
                              + eps * (log_a - log_ra))
                         fh, gh = f, g
                         K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
                         u, v = ones_a, ones_b
                     else:
-                        f = fh + eps * np.log(u)
+                        f = fh + eps * np.log(u) if eager else None
                     if history is not None:
                         history.append((f, g))
                     Ktu = K.T @ u
                     v = sub_b / Ktu
                     if safeguard and not _bounded(v):
+                        if f is None:
+                            f = fh + eps * np.log(u)
                         g = (_softmin_update(sub_C.T, f, log_ra, eps)
                              + eps * (log_b - log_rb))
                         fh, gh = f, g
@@ -322,27 +350,34 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                         u, v = ones_a, ones_b
                         Ktu = K.sum(axis=0)
                     else:
-                        g = gh + eps * np.log(v)
+                        g = gh + eps * np.log(v) if eager else None
                     if history is not None:
                         history.append((f, g))
                     Kv = K @ v
                     row = u * Kv
-                    viol_a = float(np.abs(row - sub_a).sum())
-                    viol_b = float(np.abs(v * Ktu - sub_b).sum())
-                    mass = float(row.sum())
-                    dual = (float(f @ sub_a + g @ sub_b)
-                            - eps * (mass - 1.0))
-                    step = (f - f_old) / eps
-                    hilbert_step = float(step.max() - step.min())
-                    trace.append(SinkhornTraceRecord(
-                        iteration=iteration,
-                        epsilon=eps,
-                        viol_a=viol_a,
-                        viol_b=viol_b,
-                        dual=dual,
-                        hilbert_step=hilbert_step,
-                    ))
-                    if max(viol_a, viol_b) <= config.marginal_tol:
+                    viol_a = float(np.add.reduce(np.abs(row - sub_a)))
+                    viol_b = float(np.add.reduce(np.abs(v * Ktu - sub_b)))
+                    if record:
+                        mass = float(row.sum())
+                        dual = (float(f @ sub_a + g @ sub_b)
+                                - eps * (mass - 1.0))
+                        step = (f - f_old) / eps
+                        hilbert_step = float(step.max() - step.min())
+                        trace.append(SinkhornTraceRecord(
+                            iteration=iteration,
+                            epsilon=eps,
+                            viol_a=viol_a,
+                            viol_b=viol_b,
+                            dual=dual,
+                            hilbert_step=hilbert_step,
+                        ))
+                    stop = max(viol_a, viol_b) <= config.marginal_tol
+                    if stop or iteration == config.max_iter:
+                        if f is None:
+                            f = fh + eps * np.log(u)
+                        if g is None:
+                            g = gh + eps * np.log(v)
+                    if stop:
                         # The final stage stops only once the plan it
                         # returns meets the tolerance too.
                         if final_stage:
@@ -365,7 +400,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
 
     if status != "optimal":
         out = returned(f, g, eps)
-    f, g, plan, viol_a, viol_b = out
+    f, g, plan, plan_viol_a, plan_viol_b = out
     mass = float(plan.sum(axis=1).sum())
 
     # Reinsert dropped atoms with tight-completion potentials.
@@ -388,10 +423,12 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
         epsilon=eps,
         iteration=iteration,
         status=status,
+        viol_a=viol_a,
+        viol_b=viol_b,
         trace=trace,
         history=history,
     )
-    atol = max(1.5 * max(viol_a, viol_b) + 1e-15, MARGINAL_TOL)
+    atol = max(1.5 * max(plan_viol_a, plan_viol_b) + 1e-15, MARGINAL_TOL)
     coupling = Coupling(plan, aw, bw, atol=atol)
     cost_reg = float(f_full @ aw + g_full @ bw) - eps * (mass - 1.0)
     cost_linear = float(np.sum(plan * C))
@@ -446,7 +483,7 @@ def hilbert_metric(u, v) -> float:
     v = np.asarray(v, dtype=float)
     if u.shape != v.shape or u.ndim != 1:
         raise ValidationError("hilbert_metric expects two 1-D arrays of equal size")
-    if np.any(u <= 0) or np.any(v <= 0):
+    if not (np.all(u > 0) and np.all(v > 0)):
         raise ValidationError("hilbert_metric requires strictly positive vectors")
     r = np.log(u) - np.log(v)
     return float(np.ptp(r))
@@ -466,7 +503,7 @@ def contraction_eta_lambda(K):
     K = np.asarray(K, dtype=float)
     if K.ndim != 2:
         raise ValidationError("kernel must be a matrix")
-    if np.any(K <= 0):
+    if not np.all(K > 0):
         raise ValidationError("kernel must be strictly positive")
     L = np.log(K)
     D = L[:, None, :] - L[None, :, :]

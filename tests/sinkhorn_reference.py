@@ -104,6 +104,8 @@ def sinkhorn_log_domain(a, b, C, config):
         if final_stage:
             status = "optimal"
 
+    stop_viol = (viol_a, viol_b)
+
     # Gauge: split the dual value evenly between the two potentials.
     shift = 0.5 * (float(f @ sub_a) - float(g @ sub_b))
     f = f - shift
@@ -143,6 +145,8 @@ def sinkhorn_log_domain(a, b, C, config):
         epsilon=eps,
         iteration=iteration,
         status=status,
+        viol_a=stop_viol[0],
+        viol_b=stop_viol[1],
         trace=trace,
         history=history,
     )

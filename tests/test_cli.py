@@ -373,6 +373,44 @@ class TestTraceFiles:
         duals = [rec["dual"] for rec in records]
         assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(duals, duals[1:]))
 
+    @pytest.mark.parametrize("schedule", [[], ["--schedule", "2,1,0.5"]],
+                             ids=["plain", "schedule"])
+    def test_sinkhorn_payload_does_not_depend_on_the_trace(
+            self, tmp_path, measure_files, capsys, schedule):
+        # The payload is computed with and without the trace statistics;
+        # only the config echo names the trace file.
+        path_a, path_b, _, _ = measure_files
+        trace = tmp_path / "trace.jsonl"
+        argv = ["sinkhorn", "--a", path_a, "--b", path_b, "--epsilon", "0.5",
+                *schedule]
+        code, plain, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, traced, _ = run_cli(argv + ["--trace", str(trace)], capsys)
+        assert code == 0
+        payload = json.loads(traced)
+        assert payload["config"]["inputs"].pop("trace") == str(trace)
+        assert canonical_json(payload) + "\n" == plain
+        iters = [json.loads(line)["iter"]
+                 for line in trace.read_text().splitlines()]
+        assert iters == list(range(1, payload["iterations"] + 1))
+        last = json.loads(trace.read_text().splitlines()[-1])
+        assert (last["viol_a"], last["viol_b"]) == (payload["viol_a"],
+                                                    payload["viol_b"])
+
+    def test_sinkhorn_trace_is_written_on_nonconvergence(
+            self, tmp_path, measure_files, capsys):
+        path_a, path_b, _, _ = measure_files
+        trace = tmp_path / "trace.jsonl"
+        code, out, err = run_cli(
+            ["sinkhorn", "--a", path_a, "--b", path_b, "--epsilon", "0.001",
+             "--max-iter", "3", "--trace", str(trace)], capsys)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"]["code"] == "convergence"
+        iters = [json.loads(line)["iter"]
+                 for line in trace.read_text().splitlines()]
+        assert iters == [1, 2, 3]
+
     def test_semidiscrete_trace_schema(self, tmp_path, capsys):
         targets = write_json(tmp_path, "t.json", [[0.0], [1.0]])
         weights = write_json(tmp_path, "w.json", [0.25, 0.75])

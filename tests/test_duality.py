@@ -1,9 +1,11 @@
-"""The 1-D Brenier map check: monotonicity and pushforward in W1."""
+"""The 1-D Brenier map check, and the input checks of the dual helpers."""
 
 import numpy as np
 import pytest
 
-from otkit.duality import w2_brenier_check
+from otkit.duality import (DualPotentials, c_bar_transform, c_transform,
+                           dual_objective, semi_dual_energy,
+                           w2_brenier_check)
 from otkit.errors import ValidationError
 from otkit.measures import DiscreteMeasure, GridDensity1D
 
@@ -69,3 +71,37 @@ class TestW2BrenierCheck:
         heavy = GridDensity1D(GRID, 2.0 * np.ones_like(GRID))
         with pytest.raises(ValidationError, match="probability"):
             w2_brenier_check(heavy, uniform(), lambda x: x)
+
+
+NAN_COST = np.full((3, 2), np.nan)
+
+
+class TestDualHelpersCheckInputs:
+    """Non-finite costs and weights raise instead of returning NaN."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: c_transform([0.0, 0.0], NAN_COST),
+        lambda: c_bar_transform([0.0, 0.0, 0.0], NAN_COST),
+        lambda: semi_dual_energy([0.0, 0.0, 0.0], [0.5, 0.25, 0.25],
+                                 [0.5, 0.5], NAN_COST),
+        lambda: semi_dual_energy([0.0, 0.0], [0.5, 0.5], [np.nan, 1.0],
+                                 np.eye(2)),
+        lambda: dual_objective([np.nan, 1.0, 0.0], [0.5, 0.5],
+                               DualPotentials([0, 0, 0], [0, 0])),
+        lambda: dual_objective([0.5, 0.5, 0.0], [0.5, 0.5],
+                               DualPotentials([0, 0], [0, 0])),
+    ], ids=["c_transform", "c_bar_transform", "semi_dual_nan_cost",
+            "semi_dual_nan_weight", "dual_objective_nan",
+            "dual_objective_length"])
+    def test_rejected(self, call):
+        with pytest.raises(ValidationError):
+            call()
+
+    def test_finite_inputs_keep_their_values(self):
+        C = np.array([[0.0, 2.0], [1.0, 0.5], [3.0, 1.0]])
+        assert c_transform([1.0, 0.5], C).tolist() == [-1.0, 0.0, 0.5]
+        assert c_bar_transform([0.0, 1.0, 0.5], C).tolist() == [0.0, -0.5]
+        assert semi_dual_energy([0.0, 1.0, 0.5], [0.5, 0.25, 0.25],
+                                [0.5, 0.5], C) == 0.125
+        assert dual_objective([0.5, 0.5, 0.0], [0.5, 0.5],
+                              DualPotentials([1, 2, 3], [4, 6])) == 6.5

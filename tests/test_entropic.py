@@ -1,5 +1,7 @@
 """Sinkhorn solver: convergence, dual identities, Hilbert-metric bounds."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -146,11 +148,23 @@ class TestSinkhornBasics:
 
     def test_dual_trace_is_nondecreasing(self, rng):
         a, b, C = make_instance(rng, 8, 6)
-        cfg = SinkhornConfig(epsilon=0.2 * float(C.mean()), marginal_tol=1e-11)
+        cfg = SinkhornConfig(epsilon=0.2 * float(C.mean()), marginal_tol=1e-11,
+                             record_trace=True)
         state, *_ = sinkhorn(a, b, C, cfg)
         duals = [rec.dual for rec in state.trace]
         diffs = np.diff(duals)
         assert np.all(diffs >= -1e-12)
+
+    def test_trace_is_recorded_only_when_asked(self, rng):
+        a, b, C = make_instance(rng, 6, 5)
+        cfg = SinkhornConfig(epsilon=0.3 * float(C.mean()))
+        state = sinkhorn(a, b, C, cfg).state
+        assert state.trace == []
+        traced = sinkhorn(a, b, C, replace(cfg, record_trace=True)).state
+        assert [rec.iteration for rec in traced.trace] == list(
+            range(1, traced.iteration + 1))
+        last = traced.trace[-1]
+        assert (state.viol_a, state.viol_b) == (last.viol_a, last.viol_b)
 
     def test_budget_exhaustion_reported(self, rng):
         a, b, C = make_instance(rng, 6, 6)
@@ -209,6 +223,7 @@ def unit_square_instance(seed, n, m):
 def assert_matches_reference(a, b, C, cfg):
     new = sinkhorn(a, b, C, cfg).state
     ref = sinkhorn_log_domain(a, b, C, cfg).state
+    assert len(new.trace) == new.iteration
     assert new.status == ref.status
     assert abs(new.iteration - ref.iteration) <= max(1, 0.01 * ref.iteration)
     scale = max(cfg.epsilon, float(np.abs(ref.f).max()),
@@ -249,7 +264,7 @@ class TestAgainstLogDomainReference:
         schedule = tuple(eps * 2.0 ** k for k in range(stages - 1, -1, -1))
         cfg = SinkhornConfig(epsilon=eps, max_iter=5000, marginal_tol=1e-9,
                              reference_weights=reference,
-                             epsilon_schedule=schedule)
+                             epsilon_schedule=schedule, record_trace=True)
         assert_matches_reference(a, b, C, cfg)
 
     def test_kernel_at_zero_potentials_has_an_empty_row(self):
@@ -261,7 +276,56 @@ class TestAgainstLogDomainReference:
             sinkhorn(a, b, C, SinkhornConfig(epsilon=eps, max_iter=100000,
                                              log_domain=False))
         assert_matches_reference(a, b, C, SinkhornConfig(epsilon=eps,
-                                                         max_iter=100000))
+                                                         max_iter=100000,
+                                                         record_trace=True))
+
+
+def solve_or_error(a, b, C, cfg):
+    """Everything a solve returns, as comparable bytes, or its error."""
+    try:
+        state, coupling, cost_reg, cost_linear = sinkhorn(a, b, C, cfg)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    return (state.status, state.iteration, state.epsilon, state.f.tobytes(),
+            state.g.tobytes(), coupling.plan.tobytes(), cost_reg,
+            cost_linear, state.viol_a, state.viol_b)
+
+
+class TestTraceOffPath:
+    """Without a trace, f and g are formed only where they are read; the
+    solve must not move by a bit against the traced one."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           m=st.integers(1, 12), zero_a=st.booleans(), zero_b=st.booleans(),
+           log10_scale=st.floats(-8.0, 8.0),
+           eps_decade=st.integers(-6, 2),
+           with_reference=st.booleans(), stages=st.integers(1, 4),
+           log_domain=st.booleans(), max_iter=st.sampled_from([1, 7, 5000]))
+    def test_fuzz(self, seed, n, m, zero_a, zero_b, log10_scale,
+                  eps_decade, with_reference, stages, log_domain, max_iter):
+        rng, C = unit_square_instance(seed, n, m)
+        C = C * 10.0 ** log10_scale
+        a = rng.exponential(size=n) + 1e-3
+        b = rng.exponential(size=m) + 1e-3
+        if zero_a and n > 1:
+            a[rng.integers(n)] = 0.0
+        if zero_b and m > 1:
+            b[rng.integers(m)] = 0.0
+        a, b = a / a.sum(), b / b.sum()
+        # In the lowest decades the scalings leave [1e-50, 1e50] and are
+        # absorbed (or the scaling-domain kernel underflows).
+        eps = 10.0 ** (eps_decade + rng.random()) * float(C.mean())
+        reference = ((rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m))
+                     if with_reference else None)
+        schedule = tuple(eps * 2.0 ** k for k in range(stages - 1, -1, -1))
+        cfg = SinkhornConfig(epsilon=eps, max_iter=max_iter,
+                             marginal_tol=1e-9, log_domain=log_domain,
+                             reference_weights=reference,
+                             epsilon_schedule=schedule)
+        plain = solve_or_error(a, b, C, cfg)
+        assert solve_or_error(a, b, C, replace(cfg, record_trace=True)) == plain
+        assert solve_or_error(a, b, C, replace(cfg, record_history=True)) == plain
 
 
 class TestDualIncrements:
@@ -348,6 +412,18 @@ class TestHilbert:
     def test_requires_positive_vectors(self):
         with pytest.raises(ValidationError):
             hilbert_metric([1.0, 0.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("u, v", [([1.0, np.nan], [1.0, 1.0]),
+                                      ([1.0, 1.0], [np.nan, 1.0])])
+    def test_nan_entries_rejected(self, u, v):
+        with pytest.raises(ValidationError):
+            hilbert_metric(u, v)
+
+    @pytest.mark.parametrize("K", [[[1.0, 0.0], [1.0, 1.0]],
+                                   [[1.0, np.nan], [1.0, 1.0]]])
+    def test_eta_requires_a_positive_kernel(self, K):
+        with pytest.raises(ValidationError):
+            contraction_eta_lambda(K)
 
     def test_eta_exhaustive_matches_pairwise(self, rng):
         K = rng.uniform(0.2, 3.0, size=(3, 4))  # against a pairwise loop
