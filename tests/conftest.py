@@ -57,3 +57,36 @@ def f_update_gap(b, C, f, g, eps):
     """How far one more f update from g moves f (reference weights (a, b))."""
     f_next = -eps * logsumexp((g[None, :] - C) / eps, b=b[None, :], axis=1)
     return float(np.abs(f_next - f).max())
+
+
+def potential_plan(a, b, C, f, g, eps, reference=None):
+    """The plan r^a_i r^b_j exp((f_i + g_j - C_ij) / eps) of reported
+    Sinkhorn potentials, zero off the support of (a, b), with reference
+    weights (r^a, r^b) defaulting to (a, b).  Plain numpy, so that it checks
+    the solver rather than repeats it."""
+    ra, rb = (a, b) if reference is None else reference
+    support = (a > 0)[:, None] & (b > 0)[None, :]
+    with np.errstate(over="ignore", under="ignore"):
+        P = ra[:, None] * rb[None, :] * np.exp((f[:, None] + g[None, :] - C)
+                                               / eps)
+    return np.where(support, P, 0.0)
+
+
+def l1_violations(P, a, b):
+    """The L1 distances of the plan's row and column sums to (a, b)."""
+    return (float(np.abs(P.sum(axis=1) - a).sum()),
+            float(np.abs(P.sum(axis=0) - b).sum()))
+
+
+def exponent_rounding(a, b, C, f, g, eps):
+    """A bound on the relative rounding of a plan entry rebuilt from (f, g).
+
+    An entry is exp((f_i + g_j - C_ij) / eps); its exponent, and the
+    solver's own from the potentials it absorbed, carry rounding errors of
+    a few units in the last place of (|f_i| + |g_j| + |C_ij|) / eps, and the
+    entry carries the same relative error.  64 units in the last place
+    leave room for the few operations on either side.
+    """
+    support = (a > 0)[:, None] & (b > 0)[None, :]
+    size = np.abs(f)[:, None] + np.abs(g)[None, :] + np.abs(C)
+    return 64 * np.finfo(float).eps * (1.0 + float(size[support].max()) / eps)

@@ -20,6 +20,7 @@ from otkit.entropic import (
     sinkhorn_divergence,
     softmin,
 )
+from otkit.entropic import _relaxation, _relaxed
 from otkit.errors import ValidationError
 from otkit.exact import solve_kantorovich
 from otkit.measures import CostSpec, build_cost_matrix
@@ -27,8 +28,11 @@ from otkit.measures import CostSpec, build_cost_matrix
 from sinkhorn_reference import sinkhorn_log_domain
 
 from conftest import (
+    exponent_rounding,
     f_update_gap,
     full_iterates,
+    l1_violations,
+    potential_plan,
     random_points,
     random_simplex,
     rational_simplex,
@@ -238,34 +242,45 @@ def assert_matches_reference(a, b, C, cfg):
         assert abs(rec.hilbert_step - want.hilbert_step) <= 1e-10
 
 
+# One draw of the instance law that the absorbed-kernel loop is fuzzed on.
+REFERENCE_LAW = dict(
+    seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+    m=st.integers(1, 12), zero_a=st.booleans(), zero_b=st.booleans(),
+    log10_scale=st.floats(-8.0, 8.0), eps_share=st.floats(3e-3, 1e3),
+    with_reference=st.booleans(), stages=st.integers(1, 4))
+
+
+def reference_law_instance(seed, n, m, zero_a, zero_b, log10_scale,
+                           eps_share, with_reference, stages):
+    """(a, b, C, config) of one draw of `REFERENCE_LAW`, with a trace."""
+    rng, C = unit_square_instance(seed, n, m)
+    C = C * 10.0 ** log10_scale
+    a = rng.exponential(size=n) + 1e-3
+    b = rng.exponential(size=m) + 1e-3
+    if zero_a and n > 1:
+        a[rng.integers(n)] = 0.0
+    if zero_b and m > 1:
+        b[rng.integers(m)] = 0.0
+    a, b = a / a.sum(), b / b.sum()
+    eps = eps_share * float(C.mean())
+    reference = ((rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m))
+                 if with_reference else None)
+    schedule = tuple(eps * 2.0 ** k for k in range(stages - 1, -1, -1))
+    return a, b, C, SinkhornConfig(epsilon=eps, max_iter=5000,
+                                   marginal_tol=1e-9,
+                                   reference_weights=reference,
+                                   epsilon_schedule=schedule,
+                                   record_trace=True)
+
+
 class TestAgainstLogDomainReference:
     """The absorbed-kernel loop against the plain log-domain loop."""
 
     @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
-           m=st.integers(1, 12), zero_a=st.booleans(), zero_b=st.booleans(),
-           log10_scale=st.floats(-8.0, 8.0),
-           eps_share=st.floats(3e-3, 1e3), with_reference=st.booleans(),
-           stages=st.integers(1, 4))
-    def test_fuzz(self, seed, n, m, zero_a, zero_b, log10_scale, eps_share,
-                  with_reference, stages):
-        rng, C = unit_square_instance(seed, n, m)
-        C = C * 10.0 ** log10_scale
-        a = rng.exponential(size=n) + 1e-3
-        b = rng.exponential(size=m) + 1e-3
-        if zero_a and n > 1:
-            a[rng.integers(n)] = 0.0
-        if zero_b and m > 1:
-            b[rng.integers(m)] = 0.0
-        a, b = a / a.sum(), b / b.sum()
-        eps = eps_share * float(C.mean())
-        reference = ((rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m))
-                     if with_reference else None)
-        schedule = tuple(eps * 2.0 ** k for k in range(stages - 1, -1, -1))
-        cfg = SinkhornConfig(epsilon=eps, max_iter=5000, marginal_tol=1e-9,
-                             reference_weights=reference,
-                             epsilon_schedule=schedule, record_trace=True)
-        assert_matches_reference(a, b, C, cfg)
+    @given(**REFERENCE_LAW)
+    def test_fuzz(self, **draw):
+        a, b, C, cfg = reference_law_instance(**draw)
+        assert_matches_reference(a, b, C, replace(cfg, overrelax=False))
 
     def test_kernel_at_zero_potentials_has_an_empty_row(self):
         rng, C = unit_square_instance(20, 8, 7)
@@ -277,7 +292,114 @@ class TestAgainstLogDomainReference:
                                              log_domain=False))
         assert_matches_reference(a, b, C, SinkhornConfig(epsilon=eps,
                                                          max_iter=100000,
-                                                         record_trace=True))
+                                                         record_trace=True,
+                                                         overrelax=False))
+
+
+class TestOverrelaxedAgainstPlain:
+    """Over-relaxed steps against plain ones, on the reference law."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(**REFERENCE_LAW)
+    def test_fuzz(self, **draw):
+        a, b, C, cfg = reference_law_instance(**draw)
+        relaxed = sinkhorn(a, b, C, cfg)
+        plain = sinkhorn(a, b, C, replace(cfg, overrelax=False))
+        # The same status, except where the relaxed steps reach the
+        # tolerance within a budget that the plain ones exhaust: at
+        # eps = 3e-3 mean(C) plain steps can take over 10^5 iterations.
+        assert (relaxed.state.status, plain.state.status) != (
+            "max_iter", "optimal")
+        on_a, on_b = a > 0, b > 0
+        scale = float(np.abs(C).max()) + max(cfg.epsilon_schedule)
+        tol = cfg.marginal_tol
+        for res in (relaxed, plain):
+            if res.state.status == "optimal":
+                f, g = res.state.f, res.state.g
+                P = potential_plan(a, b, C, f, g, cfg.epsilon,
+                                   cfg.reference_weights)
+                rounding = exponent_rounding(a, b, C, f, g, cfg.epsilon)
+                assert max(l1_violations(P, a, b)) <= tol + rounding
+        if plain.state.status == "optimal":
+            # D is concave with gradient (a - P 1, b - P^T 1), whose L1
+            # norms are at most tol at both solutions, so either value is
+            # within tol (|f1 - f2|_inf + |g1 - g2|_inf) of the other.
+            df = np.abs(relaxed.state.f - plain.state.f)[on_a].max()
+            dg = np.abs(relaxed.state.g - plain.state.g)[on_b].max()
+            assert (abs(relaxed.cost_reg - plain.cost_reg)
+                    <= tol * (df + dg) + 1e-13 * scale)
+        # Within a stage the dual value never decreases.
+        for prev, rec in zip(relaxed.state.trace, relaxed.state.trace[1:]):
+            if rec.epsilon == prev.epsilon:
+                assert rec.dual >= prev.dual - 1e-13 * scale
+
+
+class TestOverrelaxation:
+    @pytest.mark.parametrize("ratio", [0.0, 1e-300, 1e-6, 0.3, 0.9,
+                                       0.99**5 * (1 - 1e-15), 0.99**5,
+                                       0.999, 1.0, 2.0, np.inf])
+    def test_omega_stays_below_the_cap(self, ratio):
+        # Over a window of 5 iterations the violation fell by `ratio`.
+        omega = _relaxation(1.0, ratio)
+        rate = ratio ** 0.2
+        if rate < 0.99 * (1 - 1e-15):
+            assert omega == pytest.approx(2.0 / (1.0 + np.sqrt(1.0 - rate)),
+                                          rel=1e-15)
+        assert 1.0 <= omega <= 2.0 / (1.0 + np.sqrt(1.0 - 0.99))
+
+    def test_no_window_from_a_zero_violation(self):
+        assert _relaxation(0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("seed, n, m, share", [(24, 6, 5, 0.02),
+                                                   (3, 10, 10, 0.01),
+                                                   (30, 10, 10, 0.01)])
+    def test_dual_trace_is_nondecreasing_at_small_eps(self, seed, n, m,
+                                                      share):
+        # Taken unguarded, the first relaxed steps of these solves lower
+        # the dual value by 6e-4 to 2e-2.
+        rng = np.random.default_rng(seed)
+        x, y = rng.random((n, 2)), rng.random((m, 2))
+        C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1)
+        a = rng.exponential(size=n) + 1e-3
+        b = rng.exponential(size=m) + 1e-3
+        cfg = SinkhornConfig(epsilon=share * float(C.mean()), max_iter=20000,
+                             marginal_tol=1e-11, record_trace=True)
+        state = sinkhorn(a / a.sum(), b / b.sum(), C, cfg).state
+        assert state.status == "optimal"
+        assert np.all(np.diff([rec.dual for rec in state.trace]) >= -1e-12)
+
+    def test_step_that_lowers_the_dual_is_taken_plain(self):
+        # One atom whose row holds e^-5 of its mass: t = 5, and the step
+        # with omega = 1.8 changes D by eps (9 - e^4 + e^-5) < 0.
+        x, target = np.array([1.0]), np.array([1.0])
+        marginal = np.exp([-5.0])
+        x_plain = target / marginal
+        assert _relaxed(x, x_plain, marginal, target, 1.8) is x_plain
+        # With t = 0.5 the gain is positive and the step is over-relaxed.
+        marginal = np.exp([-0.5])
+        relaxed = _relaxed(x, target / marginal, marginal, target, 1.8)
+        assert_allclose(relaxed, np.exp([0.9]), rtol=1e-15)
+
+
+class TestStageBoundary:
+    @pytest.mark.parametrize("overrelax", [True, False])
+    def test_budget_ending_a_stage_returns_that_stage(self, overrelax):
+        # A budget that runs out exactly as the first stage stops returns
+        # that stage's eps, potentials and plan together.
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            a, b, C = make_instance(rng, 6, 5)
+            cfg = SinkhornConfig(epsilon=0.05, epsilon_schedule=(0.2, 0.05),
+                                 overrelax=overrelax, record_trace=True)
+            trace = sinkhorn(a, b, C, cfg).state.trace
+            first = sum(rec.epsilon == 0.2 for rec in trace)
+            res = sinkhorn(a, b, C, replace(cfg, max_iter=first))
+            state = res.state
+            assert (state.status, state.iteration, state.epsilon) == (
+                "max_iter", first, 0.2)
+            P = plan_from_potentials(a, b, C, state.f, state.g, 0.2)
+            assert max(l1_violations(P, a, b)) <= cfg.marginal_tol * (1 + 1e-6)
+            assert np.abs(P - res.coupling.plan).sum() <= 1e-12
 
 
 def solve_or_error(a, b, C, cfg):
@@ -333,7 +455,7 @@ class TestDualIncrements:
         a, b, C = make_instance(rng, 5, 4)
         eps = 0.4 * float(C.mean())
         cfg = SinkhornConfig(epsilon=eps, max_iter=30, marginal_tol=1e-14,
-                             record_history=True)
+                             record_history=True, overrelax=False)
         state, *_ = sinkhorn(a, b, C, cfg)
         hist = state.history
         assert hist is not None and len(hist) >= 7
