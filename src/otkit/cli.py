@@ -41,8 +41,8 @@ from . import gaussian as gaussian_mod
 from . import semidiscrete, w1
 from .errors import ConvergenceError, OTError, ValidationError
 from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
-                       as_float_array, build_cost_matrix, check_covariance,
-                       check_points, load_measure_csv, measure_from_dict,
+                       build_cost_matrix, check_covariance, check_points,
+                       check_vector, load_measure_csv, measure_from_dict,
                        product_coupling)
 from .selftest import run_selftest
 
@@ -400,9 +400,7 @@ def _parse_float(token, context):
 
 def _linear_preset(spec, dim):
     name = _get(spec, "name", "potential")
-    center = as_float_array(spec.get("center", np.zeros(dim)), "center")
-    if center.shape != (dim,):
-        raise ValidationError(f"potential center must have dimension {dim}")
+    center = check_vector(spec.get("center", np.zeros(dim)), "center", dim)
     if name not in ("quadratic", "gaussian_well"):
         raise ValidationError(
             f"unknown potential {name!r}; expected quadratic or "

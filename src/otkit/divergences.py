@@ -32,8 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ValidationError
-from .measures import (DiscreteMeasure, _pairwise, align_supports,
-                       check_cost_matrix, check_points, check_weights)
+from .measures import (DiscreteMeasure, _pairwise, align_supports, as_number,
+                       check_cost_matrix, check_points, check_vector,
+                       check_weights)
 
 
 def _phi_kl(s):
@@ -156,12 +157,8 @@ def phi_dual_value(f, b, entropy: EntropyFunction) -> float:
     Returns ``sum_i phi*(f_i) b_i``; combined with ``<f, a>`` this yields
     the weak-duality lower bound on the divergence.
     """
-    f = np.asarray(f, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if f.shape != b.shape or f.ndim != 1:
-        raise ValidationError("witness and weights must be 1-D of equal length")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("witness must be finite")
+    b = check_weights(b, "b")
+    f = check_vector(f, "witness", b.shape[0])
     total = 0.0
     for fi, bi in zip(f, b):
         if bi > 0:
@@ -178,9 +175,10 @@ def phi_dual_gap(a, b, f, entropy: EntropyFunction) -> float:
     Nonnegative for every finite witness; zero (up to rounding) at the
     optimal witness ``f_i = phi'(a_i / b_i)`` when phi is differentiable.
     """
+    a = check_weights(a, "a")
+    f = check_vector(f, "witness", a.shape[0])
     primal = phi_divergence(a, b, entropy)
-    dual = float(np.asarray(f, dtype=float) @ np.asarray(a, dtype=float))
-    dual -= phi_dual_value(f, b, entropy)
+    dual = float(f @ a) - phi_dual_value(f, b, entropy)
     return primal - dual
 
 
@@ -203,16 +201,18 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":
-        if not (np.isfinite(sigma) and sigma > 0):
+        sigma = as_number(sigma, "sigma")
+        if not sigma > 0:
             raise ValidationError("gaussian kernel needs sigma > 0")
-        return cls(kind="gaussian", sigma=float(sigma),
+        return cls(kind="gaussian", sigma=sigma,
                    conditionally_positive=True)
 
     @classmethod
     def energy(cls, p: float) -> "KernelSpec":
-        if not (0.0 < p < 2.0):
+        p = as_number(p, "p")
+        if not 0.0 < p < 2.0:
             raise ValidationError("energy kernel needs exponent in (0, 2)")
-        return cls(kind="energy", exponent=float(p),
+        return cls(kind="energy", exponent=p,
                    conditionally_positive=True)
 
     @classmethod

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import InfeasiblePotentialsError, ValidationError
 from .measures import (EQUALITY_TOL, MARGINAL_TOL, DiscreteMeasure,
-                       GridDensity1D, as_float_array, check_cost_matrix,
-                       check_weights)
+                       GridDensity1D, as_number, check_cost_matrix,
+                       check_matrix, check_vector, check_weights)
 
 __all__ = [
     "DualPotentials",
@@ -50,16 +50,11 @@ class DualPotentials:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        f = np.asarray(self.f, dtype=float)
-        g = np.asarray(self.g, dtype=float)
-        if f.ndim != 1 or g.ndim != 1:
-            raise ValidationError("potentials must be 1-D arrays")
-        if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
-            raise ValidationError("potentials contain non-finite values")
-        if not self.epsilon >= 0.0:
+        object.__setattr__(self, "f", check_vector(self.f, "f"))
+        object.__setattr__(self, "g", check_vector(self.g, "g"))
+        object.__setattr__(self, "epsilon", as_number(self.epsilon, "epsilon"))
+        if self.epsilon < 0.0:
             raise ValidationError("epsilon must be nonnegative")
-        object.__setattr__(self, "f", f)
-        object.__setattr__(self, "g", g)
 
 
 def c_transform(g, C):
@@ -67,15 +62,7 @@ def c_transform(g, C):
 
     ``f_i = min_j C_ij - g_j``.
     """
-    g = np.asarray(g, dtype=float)
-    C = as_float_array(C, "cost matrix")
-    if C.ndim != 2 or g.shape != (C.shape[1],):
-        raise ValidationError(
-            f"expected g of length {C.shape[1] if C.ndim == 2 else '?'}, "
-            f"got shape {g.shape}"
-        )
-    C = check_cost_matrix(C, C.shape)
-    return np.min(C - g[None, :], axis=1)
+    return _transform(g, "g", C, 1)
 
 
 def c_bar_transform(f, C):
@@ -83,15 +70,14 @@ def c_bar_transform(f, C):
 
     ``g_j = min_i C_ij - f_i``.
     """
-    f = np.asarray(f, dtype=float)
-    C = as_float_array(C, "cost matrix")
-    if C.ndim != 2 or f.shape != (C.shape[0],):
-        raise ValidationError(
-            f"expected f of length {C.shape[0] if C.ndim == 2 else '?'}, "
-            f"got shape {f.shape}"
-        )
-    C = check_cost_matrix(C, C.shape)
-    return np.min(C - f[:, None], axis=0)
+    return _transform(f, "f", C, 0)
+
+
+def _transform(h, name, C, axis):
+    """``min`` over ``axis`` of ``C`` less the potential ``h`` laid along it."""
+    C = check_matrix(C, "cost matrix")
+    h = check_vector(h, name, C.shape[axis])
+    return np.min(C - np.expand_dims(h, 1 - axis), axis=axis)
 
 
 def dual_objective(a, b, potentials: DualPotentials) -> float:
@@ -138,7 +124,7 @@ def duality_gap(result, potentials: DualPotentials, C) -> float:
 
 def semi_dual_energy(f, a, b, C) -> float:
     """Semi-dual value <f, a> + <f^c, b> with f^c the tight completion."""
-    f = np.asarray(f, dtype=float)
+    f = check_vector(f, "f")
     g = c_bar_transform(f, C)
     a = check_weights(a, "a", n=f.size)
     b = check_weights(b, "b", n=g.size)

@@ -32,8 +32,9 @@ from .errors import (
     ValidationError,
     VanishingDensityError,
 )
-from .measures import (Coupling, GridDensity1D, as_float_array, as_number,
-                       check_points, check_weights)
+from .measures import (Coupling, GridDensity1D, _check_increasing,
+                       as_float_array, as_integer, as_number, check_matrix,
+                       check_points, check_vector, check_weights)
 
 __all__ = [
     "ParticleTrajectory",
@@ -82,18 +83,14 @@ class ParticleTrajectory:
     """
 
     def __init__(self, times, states, weights):
-        times = np.asarray(times, dtype=float)
-        states = np.asarray(states, dtype=float)
-        if times.ndim != 1 or times.shape[0] < 1:
-            raise ValidationError("times must be a nonempty 1-D array")
-        if np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be strictly increasing")
+        times = _check_increasing(times, "times", 1)
+        states = as_float_array(states, "states")
         if states.ndim != 3 or states.shape[0] != times.shape[0]:
             raise ValidationError(
                 f"states must have shape (len(times), n, d), got {states.shape}"
             )
-        if not np.all(np.isfinite(times)) or not np.all(np.isfinite(states)):
-            raise ValidationError("trajectory contains non-finite values")
+        if not np.all(np.isfinite(states)):
+            raise ValidationError("states has non-finite values")
         weights = check_weights(weights, n=states.shape[1], probability=True)
         self.times = times
         self.states = states
@@ -278,13 +275,7 @@ class FunctionalSpec:
         functional is the empirical risk (1/2N) sum_k (G(u_k) - y_k)^2.
         """
         U = check_points(features, "features")
-        y = as_float_array(labels, "labels")
-        if y.shape != (U.shape[0],):
-            raise ValidationError(
-                f"labels shape {y.shape} does not match {U.shape[0]} samples"
-            )
-        if not np.all(np.isfinite(y)):
-            raise ValidationError("labels contain non-finite values")
+        y = check_vector(labels, "labels", U.shape[0])
         if activation not in _ACTIVATIONS:
             raise ValidationError(
                 f"unknown activation {activation!r}; expected one of {_ACTIVATIONS}"
@@ -404,6 +395,9 @@ def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
         )
     X = functional._as_particles(x0)
     steps = _step_count(dt, T)
+    max_inner = as_integer(max_inner, "max_inner")
+    if max_inner < 0:
+        raise ValidationError("max_inner must be nonnegative")
     dt = float(dt)
     states = np.empty((steps + 1,) + X.shape)
     states[0] = X
@@ -498,23 +492,10 @@ class Density1DPath:
     """Densities on a fixed 1-D grid sampled at increasing times."""
 
     def __init__(self, times, grid, densities):
-        times = np.asarray(times, dtype=float)
-        grid = np.asarray(grid, dtype=float)
-        densities = np.asarray(densities, dtype=float)
-        if times.ndim != 1 or times.shape[0] < 1 or np.any(np.diff(times) <= 0):
-            raise ValidationError("times must be 1-D and strictly increasing")
-        if grid.ndim != 1 or grid.shape[0] < 2 or np.any(np.diff(grid) <= 0):
-            raise ValidationError("grid must be 1-D and strictly increasing")
-        if densities.shape != (times.shape[0], grid.shape[0]):
-            raise ValidationError(
-                "densities must have shape (len(times), len(grid)), "
-                f"got {densities.shape}"
-            )
-        if not np.all(np.isfinite(densities)):
-            raise ValidationError("densities contain non-finite values")
-        self.times = times
-        self.grid = grid
-        self.densities = densities
+        self.times = _check_increasing(times, "times", 1)
+        self.grid = _check_increasing(grid, "grid", 2)
+        self.densities = check_matrix(densities, "densities",
+                                      (self.times.shape[0], self.grid.shape[0]))
 
     @property
     def n_times(self) -> int:
@@ -727,11 +708,7 @@ def flow_match_velocity(path: CouplingPath, t, z, bandwidth) -> np.ndarray:
     NoSupportError
         If no atom position is within `bandwidth` of `z`.
     """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (path.dim,):
-        raise ValidationError(
-            f"query point must have shape ({path.dim},), got {z.shape}"
-        )
+    z = check_vector(z, "query point", path.dim)
     return _match_velocities(path, t, z[None], _check_bandwidth(bandwidth))[0]
 
 
@@ -887,21 +864,13 @@ def attention_velocity(tokens, Q, K, V, queries) -> np.ndarray:
     Y = check_points(tokens, "tokens")
     X = check_points(queries, "queries")
     d = Y.shape[1]
-    Q = as_float_array(Q, "Q")
-    K = as_float_array(K, "K")
-    V = as_float_array(V, "V")
-    if (Q.ndim != 2 or K.ndim != 2 or Q.shape[0] != d or K.shape[0] != d
-            or Q.shape[1] != K.shape[1]):
-        raise ValidationError(
-            f"Q and K must be ({d}, p) matrices with a common score width"
-        )
-    if V.shape != (d, d):
-        raise ValidationError(f"V must have shape ({d}, {d}), got {V.shape}")
+    Q = check_matrix(Q, "Q")
+    if Q.shape[0] != d:
+        raise ValidationError(f"Q must have {d} rows, got shape {Q.shape}")
+    K = check_matrix(K, "K", Q.shape)
+    V = check_matrix(V, "V", (d, d))
     if X.shape[1] != d:
         raise ValidationError("queries must share the token dimension")
-    if not (np.all(np.isfinite(Q)) and np.all(np.isfinite(K))
-            and np.all(np.isfinite(V))):
-        raise ValidationError("Q, K, V must be finite")
     keys = Y @ K
     values = Y @ V
     out = np.empty_like(X)
@@ -923,7 +892,7 @@ def transformer_flow(tokens, Q, K, V, depth) -> ParticleTrajectory:
     states identically, bit for bit.
     """
     X = check_points(tokens, "tokens")
-    depth = int(as_number(depth, "depth"))
+    depth = as_integer(depth, "depth")
     if depth < 1:
         raise ValidationError("depth must be at least 1")
     states = np.empty((depth + 1,) + X.shape)
@@ -953,7 +922,7 @@ def mlp_flow(features, labels, n_neurons, dt, T, activation="identity",
         The risk along the trajectory, one value per time.
     """
     spec = FunctionalSpec.mlp_risk(features, labels, activation)
-    n = int(as_number(n_neurons, "n_neurons"))
+    n = as_integer(n_neurons, "n_neurons")
     if n < 1:
         raise ValidationError("n_neurons must be at least 1")
     rng = np.random.default_rng(seed)

@@ -63,8 +63,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .measures import (MARGINAL_TOL, Coupling, as_float_array,
-                       check_cost_matrix, check_weights)
+from .measures import (MARGINAL_TOL, Coupling, as_integer, as_number,
+                       check_cost_matrix, check_matrix, check_vector,
+                       check_weights)
 
 __all__ = [
     "SinkhornConfig",
@@ -84,10 +85,11 @@ __all__ = [
 
 def gibbs_kernel(C, epsilon) -> np.ndarray:
     """Elementwise kernel K = exp(-C / epsilon)."""
-    C = np.asarray(C, dtype=float)
+    C = check_matrix(C, "cost matrix")
+    epsilon = as_number(epsilon, "epsilon")
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    return np.exp(-C / float(epsilon))
+    return np.exp(-C / epsilon)
 
 
 def softmin(values, weights, epsilon) -> float:
@@ -95,13 +97,16 @@ def softmin(values, weights, epsilon) -> float:
 
     Stabilized by subtracting the hard minimum first; tends to the hard
     minimum as eps -> 0 and to -eps log sum w_j - <mean> ... as eps grows.
+    Entries of zero weight take no part.
     """
-    h = np.asarray(values, dtype=float)
-    w = np.asarray(weights, dtype=float)
+    h = check_vector(values, "values")
+    w = check_weights(weights, "weights", n=h.shape[0])
+    epsilon = as_number(epsilon, "epsilon")
+    if not (epsilon > 0 and np.any(w > 0)):
+        raise ValidationError("softmin needs epsilon > 0 and a positive weight")
+    h, w = h[w > 0], w[w > 0]
     m = float(np.min(h))
-    return m - float(epsilon) * float(
-        np.log(np.sum(w * np.exp(-(h - m) / epsilon)))
-    )
+    return m - epsilon * float(np.log(np.sum(w * np.exp(-(h - m) / epsilon))))
 
 
 def _softmin_update(C, h, log_rh, epsilon):
@@ -235,17 +240,22 @@ class SinkhornConfig:
     overrelax: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0):
+        object.__setattr__(self, "epsilon", as_number(self.epsilon, "epsilon"))
+        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
+        object.__setattr__(self, "marginal_tol",
+                           as_number(self.marginal_tol, "marginal_tol"))
+        if not self.epsilon > 0:
             raise ValidationError("epsilon must be positive and finite")
         if self.max_iter < 1:
             raise ValidationError("max_iter must be at least 1")
-        if not (np.isfinite(self.marginal_tol) and self.marginal_tol > 0):
+        if not self.marginal_tol > 0:
             raise ValidationError("marginal_tol must be positive")
         if self.epsilon_schedule is not None:
-            sched = tuple(float(e) for e in self.epsilon_schedule)
+            sched = tuple(map(float, check_vector(self.epsilon_schedule,
+                                                  "epsilon_schedule")))
             if not sched:
                 raise ValidationError("epsilon_schedule must be nonempty")
-            if any(not (np.isfinite(e) and e > 0) for e in sched):
+            if any(not e > 0 for e in sched):
                 raise ValidationError("epsilon_schedule entries must be positive")
             if any(e2 >= e1 for e1, e2 in zip(sched, sched[1:])):
                 raise ValidationError("epsilon_schedule must be strictly decreasing")
@@ -544,9 +554,7 @@ def kl_projection_col(P, b) -> Coupling:
 def _kl_projection(P, target, axis):
     """Rescale the rows (axis 0) or columns (axis 1) of P to sum to target."""
     side = ("row", "column")[axis]
-    P = as_float_array(P, "plan")
-    if P.ndim != 2:
-        raise ValidationError("plan must be a matrix")
+    P = check_matrix(P, "plan")
     target = check_weights(target, f"{side} marginal", n=P.shape[axis])
     if np.any(P < 0):
         raise ValidationError("plan must be nonnegative")
@@ -570,12 +578,11 @@ def hilbert_metric(u, v) -> float:
     ``d_H(u, v) = max_i log(u_i / v_i) - min_i log(u_i / v_i)``; zero iff
     the vectors are proportional.
     """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.ndim != 1:
-        raise ValidationError("hilbert_metric expects two 1-D arrays of equal size")
-    if not (np.all(u > 0) and np.all(v > 0)):
-        raise ValidationError("hilbert_metric requires strictly positive vectors")
+    u = check_vector(u, "u")
+    v = check_vector(v, "v", u.shape[0])
+    if not (u.size and np.all(u > 0) and np.all(v > 0)):
+        raise ValidationError(
+            "hilbert_metric requires nonempty, strictly positive vectors")
     r = np.log(u) - np.log(v)
     return float(np.ptp(r))
 
@@ -591,16 +598,15 @@ def contraction_eta_lambda(K):
     ``log eta = max_{i, j} [max_k (L_ik - L_jk) - min_k (L_ik - L_jk)]``
     with ``L = log K``.
     """
-    K = np.asarray(K, dtype=float)
-    if K.ndim != 2:
-        raise ValidationError("kernel must be a matrix")
+    K = check_matrix(K, "kernel")
     if not np.all(K > 0):
         raise ValidationError("kernel must be strictly positive")
     L = np.log(K)
     D = L[:, None, :] - L[None, :, :]
     log_eta = float((D.max(axis=2) - D.min(axis=2)).max())
-    eta = float(np.exp(log_eta))
-    root = np.exp(0.5 * log_eta)
+    with np.errstate(over="ignore"):  # past the float range eta is inf
+        eta = float(np.exp(log_eta))
+        root = np.exp(0.5 * log_eta)
     lam = 1.0 if not np.isfinite(root) else float((root - 1.0) / (root + 1.0))
     return eta, lam
 

@@ -27,7 +27,8 @@ from . import _mincostflow as mcf
 from .duality import DualPotentials
 from .errors import MetricAxiomError, UnbalancedError, ValidationError
 from .measures import (EQUALITY_TOL, MARGINAL_TOL, Coupling, DiscreteMeasure,
-                       as_number, check_cost_matrix, check_weights)
+                       as_number, check_cost_matrix, check_matrix,
+                       check_weights)
 
 __all__ = [
     "TransportResult",
@@ -247,7 +248,8 @@ def is_extremal_coupling(coupling) -> bool:
     nodes, positive entries as edges) contains no cycle, that is, iff it
     is a forest: #edges = #nodes - #components.
     """
-    plan = coupling.plan if isinstance(coupling, Coupling) else np.asarray(coupling)
+    plan = (coupling.plan if isinstance(coupling, Coupling)
+            else check_matrix(coupling, "plan"))
     return mcf.support_graph(plan > 0.0)[1]
 
 

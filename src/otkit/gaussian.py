@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .measures import as_float_array, check_covariance
+from .measures import as_float_array, check_covariance, check_vector
 
 __all__ = [
     "bures_distance",
@@ -44,23 +44,13 @@ def _sym_sqrt(S):
     return (V * root) @ V.T
 
 
-def _check_means(mean_a, mean_b, d=None):
-    """Both means as finite vectors of one length (``d`` when given).
+def _check_means(mean_a, mean_b, d):
+    """Both means as finite vectors of length ``d``.
 
     Column vectors of shape (d, 1) are read as vectors.
     """
-    means = []
-    for mean, name in ((mean_a, "mean_a"), (mean_b, "mean_b")):
-        m = as_float_array(mean, name).reshape(-1)
-        if not np.all(np.isfinite(m)):
-            raise ValidationError(f"{name} contains non-finite values")
-        means.append(m)
-    ma, mb = means
-    if ma.shape != mb.shape:
-        raise ValidationError("means have different dimensions")
-    if d is not None and ma.shape != (d,):
-        raise ValidationError("mean and covariance dimensions disagree")
-    return ma, mb
+    return tuple(check_vector(as_float_array(mean, name).reshape(-1), name, d)
+                 for mean, name in ((mean_a, "mean_a"), (mean_b, "mean_b")))
 
 
 def bures_squared(Sigma_a, Sigma_b) -> float:

@@ -10,22 +10,27 @@ the gluing of two plans that share a middle marginal.
 
 Input checks
 ------------
-The solvers, the flows and the command line check the weight vectors,
-point clouds and cost matrices they are given through the three checkers
-here, so that one rule decides what a valid input is:
+The solvers, the flows and the command line check the arrays and scalar
+settings they are given through the checkers here, so that one rule
+decides what a valid input is:
 
-* `check_points`: a finite (n, d) array with n >= 1; 1-D input is read as
+* `check_vector`: a finite 1-D array, optionally of a given length.
+* `check_weights`: a `DiscreteMeasure`'s weights or a `check_vector` that
+  is also nonnegative; with ``probability=True`` it must also sum to 1
+  within `MARGINAL_TOL`.
+* `check_matrix`: a finite, nonempty 2-D array, optionally of a given
+  shape.
+* `check_points`: a `check_matrix` of shape (n, d); 1-D input is read as
   n points in R^1.
-* `check_weights`: a `DiscreteMeasure`'s weights or a finite, nonnegative
-  1-D array, optionally of a given length; with ``probability=True`` it
-  must also sum to 1 within `MARGINAL_TOL`.
-* `check_cost_matrix`: a finite, nonempty matrix of the expected shape
-  (square when no shape is given).
+* `check_cost_matrix`: a `check_matrix` of the expected shape (square
+  when no shape is given).
 * `check_covariance`: a finite, symmetric, positive semidefinite matrix.
+* `as_number` and `as_integer`: one finite number, and one finite whole
+  number, for scalar settings and iteration budgets.
 
-These, and `as_number` for scalar settings, coerce through
-`as_float_array`, which reports input that is not a numeric array
-(strings, ragged nesting) as a `ValidationError` naming the argument.
+All of these coerce through `as_float_array`, which reports input that is
+not a numeric array (strings, ragged nesting) as a `ValidationError`
+naming the argument.
 
 The package's checks share two thresholds:
 
@@ -92,41 +97,62 @@ def as_number(obj, name):
     return float(x)
 
 
+def as_integer(obj, name):
+    """``obj`` as an int, raising `ValidationError` unless it is one finite
+    whole number."""
+    x = as_number(obj, name)
+    if x != int(x):
+        raise ValidationError(f"{name} must be a whole number, got {obj!r}")
+    return int(x)
+
+
+def check_vector(obj, name, n=None):
+    """``obj`` as a finite 1-D array, of length ``n`` when it is given."""
+    v = as_float_array(obj, name)
+    if v.ndim != 1:
+        raise ValidationError(f"{name} must be 1-D, got shape {v.shape}")
+    if n is not None and v.shape[0] != n:
+        raise ValidationError(f"expected {n} {name}, got {v.shape[0]}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{name} has non-finite values")
+    return v
+
+
+def check_matrix(obj, name, shape=None):
+    """``obj`` as a finite, nonempty 2-D array, of ``shape`` when given."""
+    M = as_float_array(obj, name)
+    if M.ndim != 2 or (shape is not None and M.shape != shape):
+        raise ValidationError(
+            f"{name} shape {M.shape}, expected {shape or 'a matrix'}")
+    if M.size == 0:
+        raise ValidationError(f"{name} is empty")
+    if not np.all(np.isfinite(M)):
+        raise ValidationError(f"{name} has non-finite values")
+    return M
+
+
 def check_points(obj, name="points"):
     """The points of a `DiscreteMeasure`, or ``obj`` as a finite (n, d) array.
 
-    A 1-D array is read as n points in R^1; at least one point is required.
+    A 1-D array is read as n points in R^1; at least one point of at least
+    one coordinate is required.
     """
     if isinstance(obj, DiscreteMeasure):
         return obj.points
     pts = as_float_array(obj, name)
-    if pts.ndim == 1:
-        pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ValidationError(
-            f"{name} must be a nonempty 1-D or 2-D array, got shape {pts.shape}")
-    if not np.all(np.isfinite(pts)):
-        raise ValidationError(f"{name} has non-finite values")
-    return pts
+    return check_matrix(pts[:, None] if pts.ndim == 1 else pts, name)
 
 
 def check_weights(obj, name="weights", n=None, probability=False):
     """The weights of a `DiscreteMeasure`, or ``obj`` as a weight vector.
 
-    Weights are a finite, nonnegative 1-D array, of length ``n`` when it is
-    given.  With ``probability`` they must also sum to 1 within
-    `MARGINAL_TOL`, which rules out an empty vector.
+    Weights are a `check_vector` that is also nonnegative.  With
+    ``probability`` they must also sum to 1 within `MARGINAL_TOL`, which
+    rules out an empty vector.
     """
     if isinstance(obj, DiscreteMeasure):
-        w = obj.weights
-    else:
-        w = as_float_array(obj, name)
-    if w.ndim != 1:
-        raise ValidationError(f"{name} must be 1-D, got shape {w.shape}")
-    if n is not None and w.shape[0] != n:
-        raise ValidationError(f"expected {n} {name}, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError(f"{name} has non-finite values")
+        obj = obj.weights
+    w = check_vector(obj, name, n)
     if np.any(w < 0):
         raise ValidationError(f"{name} must be nonnegative")
     if probability:
@@ -137,18 +163,20 @@ def check_weights(obj, name="weights", n=None, probability=False):
     return w
 
 
-def check_cost_matrix(obj, shape=None, name="cost matrix"):
-    """``obj`` as a finite, nonempty matrix of ``shape`` (square if None)."""
-    C = as_float_array(obj, name)
-    if shape is None and C.ndim == 2 and C.shape[0] == C.shape[1]:
-        shape = C.shape  # any square matrix will do
-    if C.shape != shape:
+def _check_increasing(obj, name, least):
+    """A strictly increasing `check_vector` of ``least`` or more entries."""
+    v = check_vector(obj, name)
+    if v.shape[0] < least or np.any(np.diff(v) <= 0):
         raise ValidationError(
-            f"{name} shape {C.shape}, expected {shape or 'a square matrix'}")
-    if C.size == 0:
-        raise ValidationError(f"{name} is empty")
-    if not np.all(np.isfinite(C)):
-        raise ValidationError(f"{name} has non-finite values")
+            f"{name} must hold {least} or more strictly increasing values")
+    return v
+
+
+def check_cost_matrix(obj, shape=None, name="cost matrix"):
+    """`check_matrix` of ``shape``, or of any square shape if None."""
+    C = check_matrix(obj, name, shape)
+    if C.shape[0] != C.shape[1] and shape is None:
+        raise ValidationError(f"{name} shape {C.shape}, expected a square matrix")
     return C
 
 
@@ -158,13 +186,9 @@ def check_covariance(obj, name="covariance", d=None):
     (eigenvalues down to -1e-10 of it).  ``d`` fixes the size.  Returns the
     symmetrized matrix.
     """
-    S = as_float_array(obj, name)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
+    S = check_matrix(obj, name, None if d is None else (d, d))
+    if S.shape[0] != S.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got {S.shape}")
-    if d is not None and S.shape != (d, d):
-        raise ValidationError(f"{name} must be {d}x{d}, got {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise ValidationError(f"{name} contains non-finite values")
     scale = max(1.0, float(np.max(np.abs(S))))
     if float(np.max(np.abs(S - S.T))) > 1e-8 * scale:
         raise ValidationError(f"{name} is not symmetric")
@@ -256,22 +280,8 @@ class GridDensity1D:
     """
 
     def __init__(self, grid, density):
-        grid = as_float_array(grid, "grid")
-        density = as_float_array(density, "density")
-        if grid.ndim != 1 or grid.shape[0] < 2:
-            raise ValidationError("grid must be 1-D with at least two nodes")
-        if density.shape != grid.shape:
-            raise ValidationError(
-                f"density shape {density.shape} does not match grid {grid.shape}"
-            )
-        if not np.all(np.isfinite(grid)) or not np.all(np.isfinite(density)):
-            raise ValidationError("grid or density contains non-finite values")
-        if np.any(np.diff(grid) <= 0):
-            raise ValidationError("grid must be strictly increasing")
-        if np.any(density < 0):
-            raise ValidationError("density must be nonnegative")
-        self.grid = grid
-        self.density = density
+        self.grid = _check_increasing(grid, "grid", 2)
+        self.density = check_weights(density, "density", n=self.grid.shape[0])
 
     @property
     def n_nodes(self) -> int:
@@ -338,15 +348,14 @@ class CostSpec:
                 f"unknown cost kind {self.kind!r}; expected one of {_COST_KINDS}"
             )
         if self.kind == "p_power":
-            if self.p is None or not np.isfinite(self.p) or self.p < 1:
+            object.__setattr__(self, "p", as_number(self.p, "p"))
+            if self.p < 1:
                 raise ValidationError("p_power cost requires finite p >= 1")
         if self.kind == "explicit_matrix":
             if self.matrix is None:
                 raise ValidationError("explicit_matrix cost requires a matrix")
-            m = as_float_array(self.matrix, "explicit cost matrix")
-            if m.ndim != 2 or not np.all(np.isfinite(m)):
-                raise ValidationError("explicit cost matrix must be 2-D and finite")
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix",
+                               check_matrix(self.matrix, "explicit cost matrix"))
 
     @classmethod
     def sq_euclidean(cls):
@@ -358,7 +367,7 @@ class CostSpec:
 
     @classmethod
     def p_power(cls, p):
-        return cls("p_power", p=float(p))
+        return cls("p_power", p=p)
 
     @classmethod
     def zero_one(cls):

@@ -20,8 +20,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .errors import ValidationError
-from .measures import (CostSpec, as_float_array, build_cost_matrix,
-                       check_covariance, check_points, check_weights)
+from .measures import (CostSpec, as_float_array, as_integer, as_number,
+                       build_cost_matrix, check_covariance, check_points,
+                       check_vector, check_weights)
 
 
 class Sampler:
@@ -48,9 +49,10 @@ class Sampler:
 
     @classmethod
     def uniform_box(cls, low, high) -> "Sampler":
-        low = np.atleast_1d(np.asarray(low, dtype=float))
-        high = np.atleast_1d(np.asarray(high, dtype=float))
-        if low.shape != high.shape or np.any(low >= high):
+        low = check_vector(np.atleast_1d(as_float_array(low, "low")), "low")
+        high = check_vector(np.atleast_1d(as_float_array(high, "high")),
+                            "high", low.shape[0])
+        if np.any(low >= high):
             raise ValidationError("box needs low < high componentwise")
         d = low.shape[0]
 
@@ -61,9 +63,7 @@ class Sampler:
 
     @classmethod
     def gaussian(cls, mean, cov) -> "Sampler":
-        mean = np.atleast_1d(as_float_array(mean, "mean"))
-        if mean.ndim != 1 or not np.all(np.isfinite(mean)):
-            raise ValidationError("mean must be a finite vector")
+        mean = check_vector(np.atleast_1d(as_float_array(mean, "mean")), "mean")
         d = mean.shape[0]
         cov = check_covariance(np.atleast_2d(as_float_array(cov, "covariance")),
                                "covariance", d)
@@ -127,11 +127,8 @@ class LaguerreAssignment:
     """Membership map x -> argmin_j c(x, y_j) - g_j, lowest index on ties."""
 
     def __init__(self, problem: SemiDiscreteProblem, g):
-        g = np.asarray(g, dtype=float)
-        if g.shape != (problem.m,) or not np.all(np.isfinite(g)):
-            raise ValidationError("need one finite weight per target")
         self.problem = problem
-        self.g = g
+        self.g = check_vector(g, "g", problem.m)
 
     def scores(self, points) -> np.ndarray:
         C = build_cost_matrix(points, self.problem.targets, self.problem.cost)
@@ -184,6 +181,10 @@ class SGDConfig:
     heldout_samples: int = 2000
 
     def __post_init__(self):
+        for name in ("n_iter", "eval_every", "heldout_samples"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
+        for name in ("tau0", "ell0"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         if self.n_iter < 1 or self.tau0 <= 0 or self.ell0 < 1:
             raise ValidationError("need n_iter >= 1, tau0 > 0, ell0 >= 1")
         if self.eval_every < 1 or self.heldout_samples < 1:
@@ -245,6 +246,8 @@ class LloydConfig:
     n_samples: int = 20000
 
     def __post_init__(self):
+        for name in ("n_iter", "n_samples"):
+            object.__setattr__(self, name, as_integer(getattr(self, name), name))
         if self.n_iter < 0 or self.n_samples < 1:
             raise ValidationError("need n_iter >= 0 and n_samples >= 1")
 

@@ -21,22 +21,16 @@ import numpy as np
 from ._mincostflow import components, quantize_balanced, solve_min_cost_flow
 from .errors import UnbalancedError, ValidationError
 from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
-from .measures import (EQUALITY_TOL, as_float_array, check_cost_matrix,
-                       check_points)
+from .measures import (EQUALITY_TOL, as_integer, check_cost_matrix,
+                       check_points, check_vector)
 
 
 class SignedDiscreteMeasure:
     """Finitely supported signed measure ``sum_k m_k delta_{z_k}``."""
 
     def __init__(self, points, masses):
-        pts = check_points(points)
-        m = as_float_array(masses, "masses")
-        if m.shape != (pts.shape[0],):
-            raise ValidationError("masses must be 1-D, one per point")
-        if not np.all(np.isfinite(m)):
-            raise ValidationError("masses must be finite")
-        self.points = pts
-        self.masses = m
+        self.points = check_points(points)
+        self.masses = check_vector(masses, "masses", self.points.shape[0])
 
     @property
     def n(self) -> int:
@@ -120,12 +114,8 @@ class FlowGraph:
     """
 
     def __init__(self, n_nodes, edges, imbalance, node_names=None):
-        n = int(n_nodes)
-        s = as_float_array(imbalance, "imbalance")
-        if s.shape != (n,):
-            raise ValidationError("one imbalance per node required")
-        if not np.all(np.isfinite(s)):
-            raise ValidationError("imbalances must be finite")
+        n = as_integer(n_nodes, "n_nodes")
+        s = check_vector(imbalance, "imbalance", n)
         clean = []
         for u, v, length in edges:
             try:

@@ -1,14 +1,20 @@
 """Every result an iterative solver returns describes itself truly, at every
 budget: what it reports is recomputed here in plain numpy and compared."""
 
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from otkit import _mincostflow
+from otkit.dynamics import FunctionalSpec, gradient_flow
 from otkit.entropic import SinkhornConfig, sinkhorn
-from otkit.errors import ValidationError
+from otkit.errors import ConvergenceError, ValidationError
+from otkit.exact import solve_kantorovich
+from otkit.w1 import FlowGraph, SignedDiscreteMeasure, flat_norm, w1_graph_beckmann
 
 from conftest import exponent_rounding, l1_violations, potential_plan
 
@@ -123,3 +129,147 @@ class TestSinkhornBudgetSweep:
                 assert res.state.iteration == budget
                 assert ((res.state.epsilon, res.state.viol_a, res.state.viol_b)
                         == (rec.epsilon, rec.viol_a, rec.viol_b))
+
+
+@contextmanager
+def flow_engine(budget=None):
+    """Collect the push count of every flow solve run inside, with the push
+    budget set to ``budget``, or left at its default when None."""
+    pushes = []
+    loop = _mincostflow._successive_shortest_paths
+
+    def counting(*args):
+        out = loop(*args)
+        pushes.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_mincostflow, "_successive_shortest_paths", counting)
+        if budget is not None:
+            mp.setattr(_mincostflow, "_push_budget", lambda n, m: budget)
+        yield pushes
+
+
+def sweep_push_budget(solve):
+    """Run ``solve`` (one flow solve, returning bytes-comparable values) at
+    every push budget from 0 to its push count + 1."""
+    with flow_engine() as pushes:
+        full = solve()
+    (count,) = pushes
+    for budget in range(count + 2):
+        with flow_engine(budget) as budget_pushes:
+            if budget < count:
+                with pytest.raises(ConvergenceError):
+                    solve()
+            else:
+                assert solve() == full
+                assert budget_pushes == pushes
+
+
+def flow_instance(seed, n, m, zero, duplicate, log10_scale):
+    """Points in [0, 1]^2 with exponential weights; optionally one zero
+    weight on each side and one source point repeated."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, 2))
+    y = rng.random((m, 2))
+    if duplicate and n > 1:
+        x[-1] = x[0]
+    C = ((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1) * 10.0 ** log10_scale
+    a = rng.exponential(size=n) + 1e-3
+    b = rng.exponential(size=m) + 1e-3
+    if zero and n > 1:
+        a[rng.integers(n)] = 0.0
+    if zero and m > 1:
+        b[rng.integers(m)] = 0.0
+    return x, a / a.sum(), b / b.sum(), C
+
+
+FLOW_SWEEP = settings(max_examples=30, deadline=None, derandomize=True)
+FLOW_DRAWS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+                  m=st.integers(1, 5), zero=st.booleans(),
+                  duplicate=st.booleans(), log10_scale=st.floats(-8.0, 8.0))
+
+
+class TestPushBudgetSweep:
+    """Below its push count a flow solve raises ConvergenceError; from it
+    up it returns the default-budget solve bit for bit.  About 0.5 s for
+    90 instances on a 2-CPU machine."""
+
+    @FLOW_SWEEP
+    @given(**FLOW_DRAWS)
+    def test_solve_kantorovich(self, seed, n, m, zero, duplicate, log10_scale):
+        _, a, b, C = flow_instance(seed, n, m, zero, duplicate, log10_scale)
+
+        def solve():
+            res = solve_kantorovich(a, b, C)
+            return (res.coupling.plan.tobytes(), res.potentials.f.tobytes(),
+                    res.potentials.g.tobytes(), res.iterations, res.cost)
+
+        sweep_push_budget(solve)
+
+    @FLOW_SWEEP
+    @given(**FLOW_DRAWS)
+    def test_flat_norm(self, seed, n, m, zero, duplicate, log10_scale):
+        x, a, b, _ = flow_instance(seed, n, m, zero, duplicate, log10_scale)
+        masses = a - np.resize(b, n)
+        D = np.sqrt(((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1))
+        measure = SignedDiscreteMeasure(x, masses)
+        sweep_push_budget(lambda: flat_norm(measure, D * 10.0 ** log10_scale))
+
+    @FLOW_SWEEP
+    @given(**FLOW_DRAWS)
+    def test_w1_graph_beckmann(self, seed, n, m, zero, duplicate, log10_scale):
+        _, a, b, C = flow_instance(seed, n + 1, m + 1, zero, duplicate,
+                                   log10_scale)
+        # A path through the k sources, each also joined to the sink k.
+        k = n + 1
+        edges = ([(i, i + 1, float(C[i, 0]) + 1e-3) for i in range(k - 1)]
+                 + [(i, k, float(C[i, -1]) + 1e-3) for i in range(k)])
+        graph = FlowGraph(k + 1, edges, np.append(a, -1.0))
+
+        def solve():
+            value, flow = w1_graph_beckmann(graph)
+            return value, flow.tobytes()
+
+        sweep_push_budget(solve)
+
+
+class TestInnerBudgetSweep:
+    """An implicit gradient flow raises ConvergenceError below some inner
+    budget and returns the default-budget trajectory bit for bit from it
+    up.  About 0.5 s for 30 flows on a 2-CPU machine."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4),
+           duplicate=st.booleans(), interaction=st.booleans(),
+           dt=st.sampled_from([0.05, 0.25, 0.5]))
+    def test_gradient_flow(self, seed, n, duplicate, interaction, dt):
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal((n, 2))
+        if duplicate and n > 1:
+            x0[-1] = x0[0]
+        if interaction:
+            spec = FunctionalSpec.interaction(
+                lambda x, y: 0.5 * np.sum((x - y) ** 2, axis=-1),
+                lambda x, y: x - y, dim=2)
+        else:
+            spec = FunctionalSpec.linear(
+                lambda x: 0.5 * np.sum(x * x, axis=-1), lambda x: x, dim=2)
+
+        def flow(max_inner=200000):
+            traj = gradient_flow(spec, x0, dt, 2 * dt, scheme="implicit",
+                                 max_inner=max_inner)
+            return traj.times.tobytes(), traj.states.tobytes()
+
+        full = flow()
+        budget = 0
+        while budget < SWEEP_CAP:
+            try:
+                result = flow(budget)
+            except ConvergenceError:
+                budget += 1
+                continue
+            break
+        assert budget < SWEEP_CAP
+        assert result == full
+        assert flow(budget + 1) == full

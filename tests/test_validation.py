@@ -16,11 +16,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from otkit.divergences import EntropyFunction, KernelSpec, mmd_squared, phi_divergence
+from otkit.divergences import (
+    EntropyFunction,
+    KernelSpec,
+    mmd_squared,
+    phi_divergence,
+    phi_dual_gap,
+    phi_dual_value,
+)
+from otkit.duality import (
+    DualPotentials,
+    c_bar_transform,
+    c_transform,
+    semi_dual_energy,
+)
 from otkit.dynamics import (
     CouplingPath,
+    Density1DPath,
     FunctionalSpec,
     GeneralizedEntropy,
+    ParticleTrajectory,
     flow_match_velocity,
     gradient_flow,
     mlp_flow,
@@ -28,20 +43,38 @@ from otkit.dynamics import (
 )
 from otkit.entropic import (
     SinkhornConfig,
+    contraction_eta_lambda,
+    gibbs_kernel,
+    hilbert_metric,
     kl_projection_col,
     kl_projection_row,
     sinkhorn,
+    softmin,
 )
 from otkit.errors import OTError, ValidationError
 from otkit.exact import (
+    is_extremal_coupling,
     solve_1d_sorted,
     solve_assignment,
     solve_kantorovich,
     wasserstein_p,
 )
-from otkit.measures import Coupling, DiscreteMeasure, product_coupling
-from otkit.semidiscrete import Sampler, SemiDiscreteProblem
-from otkit.w1 import SignedDiscreteMeasure, flat_norm, w1_kr_lp
+from otkit.gaussian import gaussian_monge_map, gaussian_w2_squared
+from otkit.measures import (
+    CostSpec,
+    Coupling,
+    DiscreteMeasure,
+    GridDensity1D,
+    product_coupling,
+)
+from otkit.semidiscrete import (
+    LaguerreAssignment,
+    LloydConfig,
+    Sampler,
+    SemiDiscreteProblem,
+    SGDConfig,
+)
+from otkit.w1 import FlowGraph, SignedDiscreteMeasure, flat_norm, w1_kr_lp
 
 SWEEP = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -233,6 +266,67 @@ def test_gradient_flow(x0, dt):
 
 
 _EYE = [[1.0, 0.0], [0.0, 1.0]]
+_PATH = CouplingPath.monge([[0.0], [1.0]], [[1.0], [3.0]], [0.5, 0.5])
+_PROBLEM = SemiDiscreteProblem(Sampler.uniform_box([0.0], [1.0]),
+                               [[0.25], [0.5], [0.75]], [0.25, 0.5, 0.25])
+_KL = EntropyFunction.kl()
+
+
+def _draw_box(low, high):
+    return Sampler.uniform_box(low, high).draw(np.random.default_rng(0), 3)
+
+
+# Entry points whose array arguments come from vectors() (u, v) and
+# matrices() (M); each call takes the arguments it needs.
+VECTOR_CALLS = {
+    "c_transform": lambda u, v, M: c_transform(u, M),
+    "c_bar_transform": lambda u, v, M: c_bar_transform(u, M),
+    "dual_potentials": lambda u, v, M: DualPotentials(u, v),
+    "semi_dual_energy": lambda u, v, M: semi_dual_energy(u, u, v, M),
+    "uniform_box": lambda u, v, M: _draw_box(u, v),
+    "laguerre": lambda u, v, M: LaguerreAssignment(_PROBLEM, u).membership(
+        [[0.1], [0.9]]),
+    "gaussian_w2": lambda u, v, M: gaussian_w2_squared(u, _EYE, v, _EYE),
+    "gaussian_map": lambda u, v, M: gaussian_monge_map(u, _EYE, v, _EYE)(u),
+    "mlp_risk": lambda u, v, M: FunctionalSpec.mlp_risk(M, u),
+    "flow_match": lambda u, v, M: flow_match_velocity(_PATH, 0.5, u, 0.5),
+    "trajectory": lambda u, v, M: ParticleTrajectory(
+        u, np.zeros((len(v), 1, 1)), [1.0]),
+    "density_path": lambda u, v, M: Density1DPath(u, v, M),
+    "grid_density": lambda u, v, M: GridDensity1D(u, v).normalized(),
+    "hilbert_metric": lambda u, v, M: hilbert_metric(u, v),
+    "softmin": lambda u, v, M: softmin(u, v, 0.5),
+    "gibbs_kernel": lambda u, v, M: gibbs_kernel(M, 0.5),
+    "contraction": lambda u, v, M: contraction_eta_lambda(M),
+    "phi_dual_value": lambda u, v, M: phi_dual_value(u, v, _KL),
+    "phi_dual_gap": lambda u, v, M: phi_dual_gap(u, v, u, _KL),
+    "flow_graph": lambda u, v, M: FlowGraph(
+        3, [(0, 1, 1.0), (1, 2, 1.0)], u),
+    "extremal": lambda u, v, M: is_extremal_coupling(M),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_CALLS))
+@SWEEP
+@given(vectors(), vectors(), matrices())
+def test_vector_and_matrix_arguments(name, u, v, M):
+    returns_or_raises_ot_error(VECTOR_CALLS[name], u, v, M)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: c_transform([np.nan, 1.0], [[1.0, 2.0]]),
+    lambda: Sampler.uniform_box([np.nan], [1.0]),
+    lambda: phi_dual_value([0.0], [np.nan], _KL),
+    lambda: softmin([1.0], [1.0], 0.0),
+    lambda: is_extremal_coupling([[np.nan]]),
+    lambda: SGDConfig(n_iter=10, seed=0, tau0=np.nan),
+    lambda: SinkhornConfig(epsilon=1.0, max_iter=2.5),
+], ids=["c-transform-nan-potential", "uniform-box-nan-bound",
+        "phi-dual-nan-weight", "softmin-zero-epsilon", "extremal-nan-plan",
+        "sgd-nan-tau0", "sinkhorn-fractional-max-iter"])
+def test_silently_accepted_input_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 @pytest.mark.parametrize("call", [
@@ -250,9 +344,23 @@ _EYE = [[1.0, 0.0], [0.0, 1.0]]
     lambda: mlp_flow([[0.5], [1.0]], [0.0, 1.0], "x", 0.1, 0.2),
     lambda: flow_match_velocity(CouplingPath.monge([[0.0]], [[1.0]], [1.0]),
                                 0.0, [0.0], "x"),
+    lambda: SinkhornConfig(epsilon="x"),
+    lambda: SinkhornConfig(epsilon=1.0, max_iter="x"),
+    lambda: SinkhornConfig(epsilon=1.0, epsilon_schedule=["x", 1.0]),
+    lambda: SGDConfig(n_iter="x", seed=0),
+    lambda: LloydConfig(n_iter="x", seed=0),
+    lambda: CostSpec.p_power("x"),
+    lambda: KernelSpec.gaussian("x"),
+    lambda: KernelSpec.energy("x"),
+    lambda: gradient_flow(FunctionalSpec.linear(_quadratic, lambda x: x, dim=2),
+                          [[0.0, 1.0]], 0.1, 0.2, scheme="implicit",
+                          max_inner="x"),
 ], ids=["kl-row-target", "kl-col-target", "1d-p", "wasserstein-p",
         "wasserstein-p-vector", "power-q", "transformer-depth",
-        "transformer-depth-vector", "mlp-n-neurons", "flowmatch-bandwidth"])
+        "transformer-depth-vector", "mlp-n-neurons", "flowmatch-bandwidth",
+        "sinkhorn-epsilon", "sinkhorn-max-iter", "sinkhorn-schedule",
+        "sgd-n-iter", "lloyd-n-iter", "p-power", "gaussian-sigma",
+        "energy-p", "max-inner"])
 def test_non_numeric_setting_is_a_validation_error(call):
     with pytest.raises(ValidationError):
         call()
