@@ -32,7 +32,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +40,9 @@ from . import gaussian as gaussian_mod
 from . import semidiscrete, w1
 from .errors import ConvergenceError, OTError, ValidationError
 from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
-                       build_cost_matrix, check_covariance, check_points,
-                       check_vector, load_measure_csv, measure_from_dict,
-                       product_coupling)
+                       _trapezoid_cdf, build_cost_matrix, check_covariance,
+                       check_points, check_vector, load_measure_csv,
+                       measure_from_dict, product_coupling, read_json)
 from .selftest import run_selftest
 
 
@@ -114,46 +113,29 @@ def _error_code(exc) -> str:
 # run configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce one CLI run."""
-
-    subcommand: str
-    inputs: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
-    out: str | None = None
-    format: str = "json"
-
-    def as_dict(self):
-        return {
-            "subcommand": self.subcommand,
-            "inputs": dict(self.inputs),
-            "params": dict(self.params),
-            "out": self.out,
-            "format": self.format,
-        }
+_CONFIG_INPUT_KEYS = ("a", "b", "targets", "weights", "measure", "graph",
+                      "config", "trace")
+_CONFIG_SKIP_KEYS = ("subcommand", "out", "format")
 
 
-def _finish(payload: dict, config: RunConfig) -> str:
+def _finish(payload: dict, args) -> str:
+    """``payload`` rendered in ``args.format``, with the artifact version
+    and an echo of everything needed to reproduce the run."""
+    inputs, params = {}, {}
+    for key, value in vars(args).items():
+        if key not in _CONFIG_SKIP_KEYS and value is not None:
+            (inputs if key in _CONFIG_INPUT_KEYS else params)[key] = value
     payload = dict(payload)
     payload["artifact_version"] = __version__
-    payload["config"] = config.as_dict()
-    return _render(payload, config.format)
+    payload["config"] = {"subcommand": args.subcommand, "inputs": inputs,
+                         "params": params, "out": args.out,
+                         "format": args.format}
+    return _render(payload, args.format)
 
 
 # ---------------------------------------------------------------------------
 # input loading
 # ---------------------------------------------------------------------------
-
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-
 
 def _get(payload, key, path):
     if not isinstance(payload, dict) or key not in payload:
@@ -163,21 +145,18 @@ def _get(payload, key, path):
 
 def _load_measure(path) -> DiscreteMeasure:
     if str(path).endswith(".csv"):
-        try:
-            return load_measure_csv(path)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {path}: {exc}") from exc
-    return measure_from_dict(_read_json(path))
+        return load_measure_csv(path)
+    return measure_from_dict(read_json(path))
 
 
 def _load_signed_measure(path) -> w1.SignedDiscreteMeasure:
-    payload = _read_json(path)
+    payload = read_json(path)
     return w1.SignedDiscreteMeasure(_get(payload, "points", path),
                                     _get(payload, "masses", path))
 
 
 def _load_gaussian(path):
-    payload = _read_json(path)
+    payload = read_json(path)
     mean = check_points(_get(payload, "mean", path), f"{path}: mean")
     if mean.shape[1] != 1:
         raise ValidationError(f"{path}: mean must be a vector")
@@ -211,7 +190,7 @@ def _sampler_spec(text, dim) -> semidiscrete.Sampler:
         return semidiscrete.Sampler.gaussian(np.zeros(dim), np.eye(dim))
     if text.startswith("mixture:"):
         path = text[len("mixture:"):]
-        payload = _read_json(path)
+        payload = read_json(path)
         return semidiscrete.Sampler.gaussian_mixture(
             _get(payload, "weights", path),
             _get(payload, "means", path),
@@ -327,10 +306,10 @@ def _cmd_gaussian(args):
 
 
 def _cmd_semidiscrete(args):
-    targets = check_points(_read_json(args.targets), "targets")
+    targets = check_points(read_json(args.targets), "targets")
     sampler = _sampler_spec(args.sampler, targets.shape[1])
     problem = semidiscrete.SemiDiscreteProblem(sampler, targets,
-                                               _read_json(args.weights))
+                                               read_json(args.weights))
     config = semidiscrete.SGDConfig(
         n_iter=args.iters, seed=args.seed, tau0=args.tau0, ell0=args.ell0,
         eval_every=args.eval_every, heldout_samples=args.heldout_samples)
@@ -348,7 +327,7 @@ def _cmd_semidiscrete(args):
 
 def _cmd_w1(args):
     if args.mode == "graph":
-        graph = w1.flow_graph_from_dict(_read_json(args.graph))
+        graph = w1.flow_graph_from_dict(read_json(args.graph))
         value, flows = w1.w1_graph_beckmann(graph)
         payload = {
             "value": value,
@@ -486,12 +465,13 @@ def _flow_entropy1d(cfg, path):
     flow_path = dynamics.entropy_flow_1d(rho0, entropy,
                                          dt=_get(cfg, "dt", path),
                                          T=_get(cfg, "T", path))
-    widths = np.gradient(flow_path.grid)
     payload = {
         "grid": flow_path.grid,
         "final_density": flow_path.densities[-1],
-        "mass_initial": float(widths @ flow_path.densities[0]),
-        "mass_final": float(widths @ flow_path.densities[-1]),
+        "mass_initial": _trapezoid_cdf(flow_path.grid,
+                                       flow_path.densities[0])[-1],
+        "mass_final": _trapezoid_cdf(flow_path.grid,
+                                     flow_path.densities[-1])[-1],
         "n_steps": flow_path.n_times - 1,
     }
     trace = [{"t": float(t), "density": rho}
@@ -568,7 +548,7 @@ _FLOW_HANDLERS = {
 
 
 def _cmd_flow(args):
-    cfg = _read_json(args.config)
+    cfg = read_json(args.config)
     if not isinstance(cfg, dict):
         raise ValidationError(f"{args.config} must hold a JSON object")
     return _FLOW_HANDLERS[args.mode](cfg, args.config)
@@ -695,27 +675,6 @@ _HANDLERS = {
     "flow": _cmd_flow,
 }
 
-_CONFIG_INPUT_KEYS = ("a", "b", "targets", "weights", "measure", "graph",
-                      "config")
-_CONFIG_SKIP_KEYS = ("subcommand", "out", "format", "trace")
-
-
-def _run_config(args) -> RunConfig:
-    inputs, params = {}, {}
-    for key, value in sorted(vars(args).items()):
-        if key in _CONFIG_SKIP_KEYS or value is None:
-            continue
-        if key in _CONFIG_INPUT_KEYS:
-            inputs[key] = value
-        else:
-            params[key] = value
-    trace = getattr(args, "trace", None)
-    if trace is not None:
-        inputs["trace"] = trace
-    return RunConfig(subcommand=args.subcommand, inputs=inputs,
-                     params=params, out=args.out, format=args.format)
-
-
 def run(argv=None) -> int:
     """Parse argv, run one subcommand, and return the exit code."""
     args = build_parser().parse_args(argv)
@@ -727,10 +686,9 @@ def run(argv=None) -> int:
         needed = "graph" if args.mode == "graph" else "measure"
         if getattr(args, needed) is None:
             raise ValidationError(f"w1 {args.mode} requires --{needed}")
-    config = _run_config(args)
     payload, trace = _HANDLERS[args.subcommand](args)
     _write_trace(getattr(args, "trace", None), trace or [])
-    _write_text(args.out, _finish(payload, config))
+    _write_text(args.out, _finish(payload, args))
     return 0
 
 

@@ -197,32 +197,27 @@ class KernelSpec:
     sigma: Optional[float] = None
     exponent: Optional[float] = None
     matrix: Optional[np.ndarray] = None
-    conditionally_positive: bool = False
 
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":
         sigma = as_number(sigma, "sigma")
         if not sigma > 0:
             raise ValidationError("gaussian kernel needs sigma > 0")
-        return cls(kind="gaussian", sigma=sigma,
-                   conditionally_positive=True)
+        return cls(kind="gaussian", sigma=sigma)
 
     @classmethod
     def energy(cls, p: float) -> "KernelSpec":
         p = as_number(p, "p")
         if not 0.0 < p < 2.0:
             raise ValidationError("energy kernel needs exponent in (0, 2)")
-        return cls(kind="energy", exponent=p,
-                   conditionally_positive=True)
+        return cls(kind="energy", exponent=p)
 
     @classmethod
-    def custom_matrix(cls, matrix,
-                      conditionally_positive: bool = False) -> "KernelSpec":
+    def custom_matrix(cls, matrix) -> "KernelSpec":
         M = check_cost_matrix(matrix, name="custom kernel matrix")
         if not np.allclose(M, M.T, rtol=0, atol=1e-12 * max(1.0, np.abs(M).max())):
             raise ValidationError("custom kernel matrix must be symmetric")
-        return cls(kind="custom_matrix", matrix=M,
-                   conditionally_positive=bool(conditionally_positive))
+        return cls(kind="custom_matrix", matrix=M)
 
 
 def kernel_matrix(x, y, kernel: KernelSpec) -> np.ndarray:

@@ -33,8 +33,9 @@ from .errors import (
     VanishingDensityError,
 )
 from .measures import (Coupling, GridDensity1D, _check_increasing,
-                       as_float_array, as_integer, as_number, check_matrix,
-                       check_points, check_vector, check_weights)
+                       _trapezoid_cdf, as_float_array, as_integer, as_number,
+                       check_matrix, check_points, check_vector,
+                       check_weights)
 
 __all__ = [
     "ParticleTrajectory",
@@ -118,6 +119,18 @@ class ParticleTrajectory:
             f"n_particles={self.n_particles}, dim={self.dim}, "
             f"T={self.times[-1]:.6g})"
         )
+
+
+def _trajectory(times, X, step):
+    """The uniform-weight `ParticleTrajectory` at ``times`` that starts at
+    ``X`` and moves to ``step(s, X)`` at step s = 0, 1, ..."""
+    states = np.empty((times.shape[0],) + X.shape)
+    states[0] = X
+    for s in range(times.shape[0] - 1):
+        X = step(s, X)
+        states[s + 1] = X
+    return ParticleTrajectory(times, states,
+                              np.full(X.shape[0], 1.0 / X.shape[0]))
 
 
 def _call(fn, shape, label, *args):
@@ -216,7 +229,7 @@ class FunctionalSpec:
             raise ValidationError(
                 f"unknown functional kind {kind!r}; expected one of {_FUNCTIONAL_KINDS}"
             )
-        dim = int(dim)
+        dim = as_integer(dim, "dim")
         if dim < 1:
             raise ValidationError("dim must be at least 1")
         self.kind = kind
@@ -399,17 +412,12 @@ def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
     if max_inner < 0:
         raise ValidationError("max_inner must be nonnegative")
     dt = float(dt)
-    states = np.empty((steps + 1,) + X.shape)
-    states[0] = X
-    for s in range(steps):
+
+    def step(s, X):
         if scheme == "explicit":
-            X = X + dt * functional.velocity(X)
-        else:
-            X = _proximal_step(functional, X, dt, max_inner)
-        states[s + 1] = X
-    times = np.arange(steps + 1) * dt
-    weights = np.full(X.shape[0], 1.0 / X.shape[0])
-    return ParticleTrajectory(times, states, weights)
+            return X + dt * functional.velocity(X)
+        return _proximal_step(functional, X, dt, max_inner)
+    return _trajectory(np.arange(steps + 1) * dt, X, step)
 
 
 # Max-norm gradient at which an implicit step's inner solve stops.
@@ -504,7 +512,7 @@ class Density1DPath:
     def density_at(self, index) -> GridDensity1D:
         # Flux-form rounding can leave nodes a few ulp below zero; clamp
         # only those before the validating constructor sees them.
-        rho = self.densities[int(index)]
+        rho = self.densities[as_integer(index, "index")]
         if np.any(rho < -1e-12):
             raise ValidationError("density snapshot has negative values")
         return GridDensity1D(self.grid, np.maximum(rho, 0.0))
@@ -775,13 +783,9 @@ def flow_match_trajectory(path: CouplingPath, x0, dt,
     dt = float(dt)
     bandwidth = _check_bandwidth(
         path.default_bandwidth if bandwidth is None else bandwidth)
-    states = np.empty((steps + 1,) + Z.shape)
-    states[0] = Z
-    for s in range(steps):
-        Z = Z + dt * _match_velocities(path, s * dt, Z, bandwidth)
-        states[s + 1] = Z
-    weights = np.full(Z.shape[0], 1.0 / Z.shape[0])
-    return ParticleTrajectory(np.arange(steps + 1) * dt, states, weights)
+    return _trajectory(
+        np.arange(steps + 1) * dt, Z,
+        lambda s, Z: Z + dt * _match_velocities(path, s * dt, Z, bandwidth))
 
 
 def integrate_flow_match(path: CouplingPath, x0, dt, bandwidth=None) -> np.ndarray:
@@ -793,12 +797,6 @@ def integrate_flow_match(path: CouplingPath, x0, dt, bandwidth=None) -> np.ndarr
     single = np.ndim(x0) == 1
     traj = flow_match_trajectory(path, Z.T if single else Z, dt, bandwidth)
     return traj.final_state[0] if single else traj.final_state
-
-
-def _cumulative_mass(grid, rho):
-    out = np.zeros(grid.shape[0])
-    np.cumsum(0.5 * (rho[1:] + rho[:-1]) * np.diff(grid), out=out[1:])
-    return out
 
 
 def dacorogna_moser_1d(path: Density1DPath, t) -> np.ndarray:
@@ -843,8 +841,8 @@ def dacorogna_moser_1d(path: Density1DPath, t) -> np.ndarray:
         )
     lo = max(idx - 1, 0)
     hi = min(idx + 1, path.n_times - 1)
-    dC = (_cumulative_mass(path.grid, path.densities[hi])
-          - _cumulative_mass(path.grid, path.densities[lo]))
+    dC = (_trapezoid_cdf(path.grid, path.densities[hi])
+          - _trapezoid_cdf(path.grid, path.densities[lo]))
     return -(dC / (times[hi] - times[lo])) / rho
 
 
@@ -895,14 +893,9 @@ def transformer_flow(tokens, Q, K, V, depth) -> ParticleTrajectory:
     depth = as_integer(depth, "depth")
     if depth < 1:
         raise ValidationError("depth must be at least 1")
-    states = np.empty((depth + 1,) + X.shape)
-    states[0] = X
-    for layer in range(depth):
-        X = X + attention_velocity(X, Q, K, V, X) / depth
-        states[layer + 1] = X
-    times = np.arange(depth + 1) / depth
-    weights = np.full(X.shape[0], 1.0 / X.shape[0])
-    return ParticleTrajectory(times, states, weights)
+    return _trajectory(
+        np.arange(depth + 1) / depth, X,
+        lambda s, X: X + attention_velocity(X, Q, K, V, X) / depth)
 
 
 def mlp_flow(features, labels, n_neurons, dt, T, activation="identity",

@@ -84,12 +84,18 @@ __all__ = [
 
 
 def gibbs_kernel(C, epsilon) -> np.ndarray:
-    """Elementwise kernel K = exp(-C / epsilon)."""
+    """Elementwise kernel K = exp(-C / epsilon); entries past the float
+    range raise `ValidationError`, entries below it underflow to 0."""
     C = check_matrix(C, "cost matrix")
     epsilon = as_number(epsilon, "epsilon")
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    return np.exp(-C / epsilon)
+    try:
+        with np.errstate(over="raise", under="ignore"):
+            return np.exp(-C / epsilon)
+    except FloatingPointError as exc:
+        raise ValidationError(f"exp(-C / epsilon) overflows at epsilon "
+                              f"{epsilon!r}, cost {float(C.min())!r}") from exc
 
 
 def softmin(values, weights, epsilon) -> float:

@@ -45,7 +45,9 @@ File formats
 ------------
 Point measures travel as JSON ``{"points": [[...], ...], "weights": [...]}``
 or as CSV with one row per atom and the weight in the last column.  Grid
-densities travel as JSON ``{"grid": [...], "density": [...]}``.
+densities travel as JSON ``{"grid": [...], "density": [...]}``.  One
+reader, `read_json`, reads every JSON file: here, in `otkit.w1` and in the
+CLI.  Every loader raises `ValidationError` on a missing or malformed file.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ __all__ = [
     "product_coupling",
     "glue",
     "align_supports",
+    "read_json",
     "save_measure_json",
     "load_measure_json",
     "load_measure_csv",
@@ -302,10 +305,7 @@ class GridDensity1D:
 
     def node_cdf(self) -> np.ndarray:
         """Cumulative mass at each node, starting at 0."""
-        out = np.empty(self.n_nodes)
-        out[0] = 0.0
-        np.cumsum(self.cell_masses, out=out[1:])
-        return out
+        return _trapezoid_cdf(self.grid, self.density)
 
     def normalized(self) -> "GridDensity1D":
         total = self.total_mass
@@ -324,6 +324,14 @@ class GridDensity1D:
             f"range=({self.grid[0]:.6g}, {self.grid[-1]:.6g}), "
             f"total_mass={self.total_mass:.6g})"
         )
+
+
+def _trapezoid_cdf(grid, rho):
+    """Trapezoid-rule cumulative mass of node values ``rho`` on ``grid`` at
+    each node, starting at 0; its last entry is the total mass."""
+    out = np.zeros(grid.shape[0])
+    np.cumsum(0.5 * (rho[:-1] + rho[1:]) * np.diff(grid), out=out[1:])
+    return out
 
 
 _COST_KINDS = ("sq_euclidean", "euclidean", "p_power", "zero_one", "explicit_matrix")
@@ -586,7 +594,7 @@ def _merge_close_points(points, weights, tol):
     Points are sorted lexicographically; each point is compared with the
     representative (first member) of the current group.  Returns sorted
     merged points and accumulated weights, plus the group index of each
-    input atom (in sorted order positions).
+    input atom.
     """
     n = points.shape[0]
     order = np.lexsort(points.T[::-1])
@@ -608,7 +616,7 @@ def _merge_close_points(points, weights, tol):
     # Map original atom index -> group index.
     group_of_original = np.empty(n, dtype=int)
     group_of_original[order] = group
-    return merged_points, merged_weights, group_of_original, order
+    return merged_points, merged_weights, group_of_original
 
 
 def pushforward(measure: DiscreteMeasure, mapping) -> DiscreteMeasure:
@@ -639,7 +647,7 @@ def pushforward(measure: DiscreteMeasure, mapping) -> DiscreteMeasure:
         out = np.stack(rows, axis=0)
     if not np.all(np.isfinite(out)):
         raise ValidationError("mapping produced non-finite points")
-    merged_pts, merged_wts, _, _ = _merge_close_points(
+    merged_pts, merged_wts, _ = _merge_close_points(
         out, measure.weights, EQUALITY_TOL
     )
     return DiscreteMeasure(merged_pts, merged_wts)
@@ -655,7 +663,7 @@ def align_supports(alpha: DiscreteMeasure, beta: DiscreteMeasure):
         raise ValidationError("measures live in different dimensions")
     pts = np.vstack([alpha.points, beta.points])
     wts = np.concatenate([alpha.weights, beta.weights])
-    merged_pts, _, group_of_original, _ = _merge_close_points(
+    merged_pts, _, group_of_original = _merge_close_points(
         pts, wts, EQUALITY_TOL)
     k = merged_pts.shape[0]
     wa = np.zeros(k)
@@ -694,7 +702,7 @@ def cdf_and_quantile(measure):
     if isinstance(measure, DiscreteMeasure):
         if measure.dim != 1:
             raise ValidationError("cdf_and_quantile requires 1-D support")
-        pts, wts, _, _ = _merge_close_points(
+        pts, wts, _ = _merge_close_points(
             measure.points, measure.weights, EQUALITY_TOL
         )
         xs = pts[:, 0]
@@ -768,23 +776,38 @@ def measure_from_dict(payload) -> DiscreteMeasure:
     return DiscreteMeasure(points, weights)
 
 
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that cannot be read
+    or is not valid JSON raises `ValidationError` naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def load_measure_json(path) -> DiscreteMeasure:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return measure_from_dict(payload)
+    return measure_from_dict(read_json(path))
 
 
 def load_measure_csv(path) -> DiscreteMeasure:
     """Read atoms from CSV; each row is x_1, ..., x_d, weight."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            records = list(csv.reader(fh))
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for record in csv.reader(fh):
-            if not record or all(not cell.strip() for cell in record):
-                continue
-            try:
-                rows.append([float(cell) for cell in record])
-            except ValueError as exc:
-                raise ValidationError(f"non-numeric CSV cell in row {record}") from exc
+    for record in records:
+        if not record or all(not cell.strip() for cell in record):
+            continue
+        try:
+            rows.append([float(cell) for cell in record])
+        except ValueError as exc:
+            raise ValidationError(
+                f"non-numeric CSV cell in row {record}") from exc
     if not rows:
         raise ValidationError("CSV measure file is empty")
     width = len(rows[0])
@@ -811,6 +834,4 @@ def grid_from_dict(payload) -> GridDensity1D:
 
 
 def load_grid_json(path) -> GridDensity1D:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return grid_from_dict(payload)
+    return grid_from_dict(read_json(path))

@@ -53,7 +53,8 @@ def _cloud_pair(seed, n, m, dim=2):
 
 
 # ---------------------------------------------------------------------------
-# checks; each is a zero-argument callable that raises CheckFailure on error
+# checks; each is a zero-argument callable that raises CheckFailure on error.
+# `run_selftest` runs every check_* function in the order defined here.
 # ---------------------------------------------------------------------------
 
 def check_kantorovich_matches_assignment_enumeration():
@@ -363,42 +364,6 @@ def check_mlp_risk_starts_at_half_mean_square():
     _require(risk[-1] <= risk[0] + 1e-12, "risk increased along the flow")
 
 
-CHECKS = [
-    ("kantorovich_matches_assignment_enumeration",
-     check_kantorovich_matches_assignment_enumeration),
-    ("one_dimensional_solvers_agree", check_one_dimensional_solvers_agree),
-    ("wasserstein_triangle_inequality", check_wasserstein_triangle_inequality),
-    ("zero_one_cost_halves_total_variation",
-     check_zero_one_cost_halves_total_variation),
-    ("gaussian_w2_univariate_closed_form",
-     check_gaussian_w2_univariate_closed_form),
-    ("bures_diagonal_closed_form", check_bures_diagonal_closed_form),
-    ("sinkhorn_marginals_and_gauge", check_sinkhorn_marginals_and_gauge),
-    ("sinkhorn_domains_agree", check_sinkhorn_domains_agree),
-    ("epsilon_ladder_costs_decrease", check_epsilon_ladder_costs_decrease),
-    ("hilbert_contraction_per_sweep", check_hilbert_contraction_per_sweep),
-    ("exact_duality_gap_vanishes", check_exact_duality_gap_vanishes),
-    ("c_transform_sweep_stationary", check_c_transform_sweep_stationary),
-    ("semidiscrete_gradient_balances", check_semidiscrete_gradient_balances),
-    ("sgd_boundary_near_quantile", check_sgd_boundary_near_quantile),
-    ("lloyd_centroids_split_uniform", check_lloyd_centroids_split_uniform),
-    ("kr_lp_matches_graph_beckmann", check_kr_lp_matches_graph_beckmann),
-    ("flat_norm_caps_at_two", check_flat_norm_caps_at_two),
-    ("kl_plugin_witness_tight", check_kl_plugin_witness_tight),
-    ("phi_divergences_nonnegative", check_phi_divergences_nonnegative),
-    ("mmd_matches_pairwise_enumeration",
-     check_mmd_matches_pairwise_enumeration),
-    ("sinkhorn_divergence_self_zero", check_sinkhorn_divergence_self_zero),
-    ("interaction_flow_preserves_mean",
-     check_interaction_flow_preserves_mean),
-    ("entropy_flow_preserves_mass", check_entropy_flow_preserves_mass),
-    ("flow_match_reaches_targets", check_flow_match_reaches_targets),
-    ("attention_respects_relabeling", check_attention_respects_relabeling),
-    ("mlp_risk_starts_at_half_mean_square",
-     check_mlp_risk_starts_at_half_mean_square),
-]
-
-
 def run_selftest():
     """Run every check and render the report.
 
@@ -408,9 +373,11 @@ def run_selftest():
         The report text (one PASS/FAIL line per check plus a summary
         line) and True iff every check passed.
     """
+    checks = [(name[len("check_"):], fn) for name, fn in globals().items()
+              if name.startswith("check_")]
     lines = []
     failed = 0
-    for name, fn in CHECKS:
+    for name, fn in checks:
         try:
             fn()
         except CheckFailure as exc:
@@ -421,7 +388,7 @@ def run_selftest():
             failed += 1
         else:
             lines.append(f"PASS {name}")
-    total = len(CHECKS)
+    total = len(checks)
     lines.append(f"selftest: {total} checks, {total - failed} passed, "
                  f"{failed} failed")
     return "\n".join(lines) + "\n", failed == 0

@@ -33,15 +33,17 @@ class Sampler:
     """
 
     def __init__(self, name: str, dim: int, draw: Callable, mean=None):
+        dim = as_integer(dim, "dim")
         if dim < 1:
             raise ValidationError("sampler dimension must be >= 1")
         self.name = name
-        self.dim = int(dim)
+        self.dim = dim
         self._draw = draw
         self.mean = None if mean is None else np.asarray(mean, dtype=float)
 
     def draw(self, rng, n: int) -> np.ndarray:
-        pts = np.asarray(self._draw(rng, int(n)), dtype=float)
+        n = as_integer(n, "n")
+        pts = np.asarray(self._draw(rng, n), dtype=float)
         if pts.shape != (n, self.dim):
             raise ValidationError(
                 f"sampler returned shape {pts.shape}, expected {(n, self.dim)}")
@@ -141,6 +143,7 @@ class LaguerreAssignment:
 def semi_discrete_energy_mc(problem: SemiDiscreteProblem, g,
                             n_samples: int, seed) -> Tuple[float, float]:
     """Monte Carlo estimate of the semi-dual energy with standard error."""
+    n_samples = as_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     cells = LaguerreAssignment(problem, g)
@@ -160,6 +163,7 @@ def semi_discrete_gradient_mc(problem: SemiDiscreteProblem, g,
     The components sum to zero because both the target weights and the
     empirical cell frequencies are probability vectors.
     """
+    n_samples = as_integer(n_samples, "n_samples")
     if n_samples < 1:
         raise ValidationError("need at least one sample")
     cells = LaguerreAssignment(problem, g)
@@ -279,13 +283,13 @@ def lloyd_quantize(problem_or_sampler, m: int, config: LloydConfig):
     quantization cost, which is nonincreasing across iterations on the
     fixed set.
     """
-    sampler = (problem_or_sampler.sampler
-               if isinstance(problem_or_sampler, SemiDiscreteProblem)
-               else problem_or_sampler)
-    if isinstance(problem_or_sampler, SemiDiscreteProblem):
-        if problem_or_sampler.cost.kind != "sq_euclidean":
+    sampler = problem_or_sampler
+    if isinstance(sampler, SemiDiscreteProblem):
+        if sampler.cost.kind != "sq_euclidean":
             raise ValidationError(
                 "Lloyd recentering is specific to squared euclidean cost")
+        sampler = sampler.sampler
+    m = as_integer(m, "m")
     if m < 1:
         raise ValidationError("need at least one centroid")
     rng = np.random.default_rng(config.seed)

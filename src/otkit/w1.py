@@ -22,7 +22,7 @@ from ._mincostflow import components, quantize_balanced, solve_min_cost_flow
 from .errors import UnbalancedError, ValidationError
 from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
 from .measures import (EQUALITY_TOL, as_integer, check_cost_matrix,
-                       check_points, check_vector)
+                       check_points, check_vector, read_json)
 
 
 class SignedDiscreteMeasure:
@@ -210,8 +210,7 @@ def flow_graph_from_dict(payload) -> FlowGraph:
 
 
 def load_flow_graph_json(path) -> FlowGraph:
-    with open(path) as fh:
-        return flow_graph_from_dict(json.load(fh))
+    return flow_graph_from_dict(read_json(path))
 
 
 def save_flow_graph_json(path, graph: FlowGraph) -> None:

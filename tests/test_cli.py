@@ -466,6 +466,26 @@ class TestTraceFiles:
             assert set(rec) == {"t", "density"}
             assert len(rec["density"]) == grid.shape[0]
 
+    def test_entropy_mass_is_the_conserved_trapezoid_mass(self, tmp_path,
+                                                          capsys):
+        # The scheme conserves sum_i w_i rho_i with half-width end cells,
+        # which is the trapezoid mass; a mass that weights the end nodes
+        # by a full cell width drifts (0.6 -> 0.4244 here).
+        grid = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+        rho = np.array([2.0, 0.1, 0.1, 0.1, 0.1])
+        cfg = write_json(tmp_path, "heat.json", {
+            "grid": grid.tolist(), "density": rho.tolist(),
+            "dt": 0.01, "T": 0.1})
+        code, out, _ = run_cli(["flow", "entropy1d", "--config", cfg],
+                               capsys)
+        assert code == 0
+        payload = json.loads(out)
+        trapezoid = float(np.sum(0.5 * (rho[:-1] + rho[1:]) * np.diff(grid)))
+        assert abs(trapezoid - 0.3375) <= 1e-15
+        assert abs(payload["mass_initial"] - trapezoid) <= 1e-12 * trapezoid
+        assert (abs(payload["mass_final"] - payload["mass_initial"])
+                <= 1e-12 * payload["mass_initial"])
+
     def test_flowmatch_reaches_targets(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "match.json", {
             "source": {"points": [[-1.0], [0.0], [2.0]],

@@ -289,8 +289,7 @@ class TestMMD:
         b = random_simplex(rng, 4)
         kern = KernelSpec.gaussian(0.9)
         z = np.vstack([x, y])
-        custom = KernelSpec.custom_matrix(kernel_matrix(z, z, kern),
-                                          conditionally_positive=True)
+        custom = KernelSpec.custom_matrix(kernel_matrix(z, z, kern))
         alpha, beta = DiscreteMeasure(x, a), DiscreteMeasure(y, b)
         assert_allclose(mmd_squared(alpha, beta, custom),
                         mmd_squared(alpha, beta, kern), rtol=1e-14)

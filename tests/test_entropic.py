@@ -70,6 +70,12 @@ class TestGibbsSoftmin:
         K = gibbs_kernel(C, 2.0)
         assert_allclose(K, np.exp(-C / 2.0), rtol=0, atol=0)
 
+    def test_gibbs_kernel_overflow_is_a_validation_error(self):
+        # exp(3000) is past the float range; exp(-3000) underflows to 0.
+        with pytest.raises(ValidationError, match="overflows"):
+            gibbs_kernel([[-3.0]], 1e-3)
+        assert gibbs_kernel([[3.0]], 1e-3)[0, 0] == 0.0
+
     def test_softmin_approaches_hard_minimum(self):
         h = np.array([3.0, 1.0, 2.0])
         w = np.array([0.2, 0.5, 0.3])

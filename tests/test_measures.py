@@ -27,6 +27,7 @@ from otkit.measures import (
     save_grid_json,
     save_measure_json,
 )
+from otkit.w1 import load_flow_graph_json
 
 from conftest import random_simplex
 
@@ -351,6 +352,26 @@ class TestIO:
         back = load_grid_json(path)
         assert_allclose(back.grid, rho.grid, rtol=0, atol=0)
         assert_allclose(back.density, rho.density, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("loader", [load_measure_json, load_grid_json,
+                                        load_flow_graph_json,
+                                        load_measure_csv])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_file_is_a_validation_error(self, tmp_path, loader,
+                                                   kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        with pytest.raises(ValidationError, match="cannot read"):
+            loader(path)
+
+    @pytest.mark.parametrize("loader", [load_measure_json, load_grid_json,
+                                        load_flow_graph_json])
+    def test_malformed_json_is_a_validation_error(self, tmp_path, loader):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(ValidationError, match="is not valid JSON"):
+            loader(path)
 
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

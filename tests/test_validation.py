@@ -73,6 +73,9 @@ from otkit.semidiscrete import (
     Sampler,
     SemiDiscreteProblem,
     SGDConfig,
+    lloyd_quantize,
+    semi_discrete_energy_mc,
+    semi_discrete_gradient_mc,
 )
 from otkit.w1 import FlowGraph, SignedDiscreteMeasure, flat_norm, w1_kr_lp
 
@@ -270,6 +273,12 @@ _PATH = CouplingPath.monge([[0.0], [1.0]], [[1.0], [3.0]], [0.5, 0.5])
 _PROBLEM = SemiDiscreteProblem(Sampler.uniform_box([0.0], [1.0]),
                                [[0.25], [0.5], [0.75]], [0.25, 0.5, 0.25])
 _KL = EntropyFunction.kl()
+_LLOYD = LloydConfig(n_iter=1, seed=0, n_samples=10)
+_G = [0.0, 0.0, 0.0]
+
+
+def _draw_unit(rng, n):
+    return rng.random((n, 1))
 
 
 def _draw_box(low, high):
@@ -297,6 +306,8 @@ VECTOR_CALLS = {
     "hilbert_metric": lambda u, v, M: hilbert_metric(u, v),
     "softmin": lambda u, v, M: softmin(u, v, 0.5),
     "gibbs_kernel": lambda u, v, M: gibbs_kernel(M, 0.5),
+    # Negative costs at small epsilon overflow exp(-C / epsilon).
+    "gibbs_kernel_small_epsilon": lambda u, v, M: gibbs_kernel(M, 1e-3),
     "contraction": lambda u, v, M: contraction_eta_lambda(M),
     "phi_dual_value": lambda u, v, M: phi_dual_value(u, v, _KL),
     "phi_dual_gap": lambda u, v, M: phi_dual_gap(u, v, u, _KL),
@@ -355,12 +366,36 @@ def test_silently_accepted_input_is_a_validation_error(call):
     lambda: gradient_flow(FunctionalSpec.linear(_quadratic, lambda x: x, dim=2),
                           [[0.0, 1.0]], 0.1, 0.2, scheme="implicit",
                           max_inner="x"),
+    lambda: lloyd_quantize(_PROBLEM.sampler, "x", _LLOYD),
+    lambda: semi_discrete_gradient_mc(_PROBLEM, _G, "x", 0),
+    lambda: semi_discrete_energy_mc(_PROBLEM, _G, "x", 0),
+    lambda: FunctionalSpec.linear(_quadratic, lambda x: x, dim="x"),
+    lambda: Sampler("box", "x", _draw_unit),
+    lambda: _PROBLEM.sampler.draw(np.random.default_rng(0), "x"),
 ], ids=["kl-row-target", "kl-col-target", "1d-p", "wasserstein-p",
         "wasserstein-p-vector", "power-q", "transformer-depth",
         "transformer-depth-vector", "mlp-n-neurons", "flowmatch-bandwidth",
         "sinkhorn-epsilon", "sinkhorn-max-iter", "sinkhorn-schedule",
         "sgd-n-iter", "lloyd-n-iter", "p-power", "gaussian-sigma",
-        "energy-p", "max-inner"])
+        "energy-p", "max-inner", "lloyd-m", "gradient-mc-n-samples",
+        "energy-mc-n-samples", "functional-dim", "sampler-dim",
+        "sampler-draw-n"])
 def test_non_numeric_setting_is_a_validation_error(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: lloyd_quantize(_PROBLEM.sampler, 2.5, _LLOYD),
+    lambda: semi_discrete_gradient_mc(_PROBLEM, _G, 2.5, 0),
+    lambda: semi_discrete_energy_mc(_PROBLEM, _G, 2.5, 0),
+    lambda: FunctionalSpec.linear(_quadratic, lambda x: x, dim=2.5),
+    lambda: Sampler("box", 2.5, _draw_unit),
+    lambda: _PROBLEM.sampler.draw(np.random.default_rng(0), 2.5),
+    lambda: Density1DPath([0.0, 1.0], [0.0, 1.0],
+                          [[1.0, 1.0], [1.0, 1.0]]).density_at(0.5),
+], ids=["lloyd-m", "gradient-mc-n-samples", "energy-mc-n-samples",
+        "functional-dim", "sampler-dim", "sampler-draw-n", "density-at"])
+def test_fractional_size_is_a_validation_error(call):
+    with pytest.raises(ValidationError, match="whole number"):
         call()
