@@ -777,8 +777,9 @@ def measure_from_dict(payload) -> DiscreteMeasure:
 
 
 def read_json(path):
-    """The JSON value in the file at ``path``; a file that cannot be read
-    or is not valid JSON raises `ValidationError` naming the path."""
+    """The JSON value in the file at ``path``; a file that cannot be read,
+    is not valid JSON or nests deeper than the parser's recursion limit
+    raises `ValidationError` naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -786,6 +787,8 @@ def read_json(path):
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path} is nested too deeply to read") from exc
 
 
 def load_measure_json(path) -> DiscreteMeasure:

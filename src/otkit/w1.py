@@ -21,8 +21,9 @@ import numpy as np
 from ._mincostflow import components, quantize_balanced, solve_min_cost_flow
 from .errors import UnbalancedError, ValidationError
 from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
-from .measures import (EQUALITY_TOL, as_integer, check_cost_matrix,
-                       check_points, check_vector, read_json)
+from .measures import (EQUALITY_TOL, as_integer, as_number,
+                       check_cost_matrix, check_points, check_vector,
+                       read_json)
 
 
 class SignedDiscreteMeasure:
@@ -118,13 +119,12 @@ class FlowGraph:
         s = check_vector(imbalance, "imbalance", n)
         clean = []
         for u, v, length in edges:
-            try:
-                u, v, length = int(u), int(v), float(length)
-            except (TypeError, ValueError) as exc:
-                raise ValidationError(f"bad edge {(u, v, length)!r}") from exc
+            u = as_integer(u, "edge endpoint")
+            v = as_integer(v, "edge endpoint")
+            length = as_number(length, "edge length")
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise ValidationError(f"bad edge ({u}, {v})")
-            if not (np.isfinite(length) and length > 0):
+            if length <= 0:
                 raise ValidationError("edge lengths must be positive")
             clean.append((u, v, length))
         if abs(s.sum()) > 1e-12 * max(1.0, np.abs(s).sum()):

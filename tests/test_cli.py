@@ -81,6 +81,17 @@ class TestExitCodes:
         assert code == 2
         assert "error" in json.loads(err)
 
+    def test_deeply_nested_json_is_two(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run_cli(["flow", "gradient", "--config", str(deep)],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation"
+        assert str(deep) in error["message"]
+
     def test_unknown_flag_is_two(self, measure_files, capsys):
         path_a, path_b, _, _ = measure_files
         code, _, err = run_cli(

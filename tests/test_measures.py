@@ -373,6 +373,15 @@ class TestIO:
         with pytest.raises(ValidationError, match="is not valid JSON"):
             loader(path)
 
+    @pytest.mark.parametrize("loader", [load_measure_json, load_grid_json,
+                                        load_flow_graph_json])
+    def test_deeply_nested_json_is_a_validation_error(self, tmp_path,
+                                                      loader):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValidationError, match="nested too deeply"):
+            loader(path)
+
     def test_missing_keys_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"points": [[0.0]]}))

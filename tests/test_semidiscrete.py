@@ -1,11 +1,14 @@
 """Laguerre cells, semi-dual Monte Carlo energy, SGD, and Lloyd."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from otkit import semidiscrete
 from otkit.errors import ValidationError
 from otkit.measures import CostSpec
 from otkit.semidiscrete import (
@@ -259,17 +262,46 @@ def sgd_instances(draw):
     return problem, config
 
 
-class TestSGDAgainstPerStepReference:
-    """One cost matrix per batch against one validated 1 x m matrix per step."""
+# How `_Replay` decides between replay passes and plain steps: its
+# measured costs, replay passes only (passes cost nothing), or plain steps
+# only (a pass costs more than any block).
+REPLAY_RULES = {"measured": {},
+                "replay only": {"_PASS_COST": 0, "_CELLS_PER_STEP": np.inf},
+                "plain only": {"_PASS_COST": np.inf}}
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(sgd_instances())
-    def test_same_potentials_and_trace(self, instance):
-        problem, config = instance
+
+def _same_as_reference(problem, config, window=semidiscrete._WINDOW,
+                       rule="measured"):
+    with mock.patch.multiple(semidiscrete, _WINDOW=window,
+                             **REPLAY_RULES[rule]):
         g, trace = sgd_solve(problem, config)
-        g_ref, trace_ref = sgd_reference.sgd_solve(problem, config)
-        assert g.tobytes() == g_ref.tobytes()
-        assert trace == trace_ref
+    g_ref, trace_ref = sgd_reference.sgd_solve(problem, config)
+    assert g.tobytes() == g_ref.tobytes()
+    assert trace == trace_ref
+
+
+class TestSGDAgainstPerStepReference:
+    """Speculative replay in blocks against one validated 1 x m matrix per
+    step.
+
+    The instances take up to 700 steps, so they cross the 256-sample batch
+    edges, with large steps (tau0 = 1, ell0 = 1) whose guesses often miss,
+    and evaluations every 1 to 400 steps, which need not divide the block.
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(sgd_instances(), st.sampled_from([1, 2, 3, 7, 16, 64, 300]),
+           st.sampled_from(sorted(REPLAY_RULES)))
+    def test_same_potentials_and_trace(self, instance, window, rule):
+        _same_as_reference(*instance, window=window, rule=rule)
+
+    @pytest.mark.parametrize("tau0", [0.01, 1.0])
+    def test_full_length_run(self, tau0):
+        rng = np.random.default_rng(16)
+        problem = SemiDiscreteProblem(Sampler.uniform_box([0, 0], [1, 1]),
+                                      rng.random((16, 2)), np.full(16, 1 / 16))
+        _same_as_reference(problem, SGDConfig(n_iter=15000, seed=5,
+                                               tau0=tau0))
 
 
 class TestLloyd:

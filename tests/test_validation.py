@@ -394,8 +394,10 @@ def test_non_numeric_setting_is_a_validation_error(call):
     lambda: _PROBLEM.sampler.draw(np.random.default_rng(0), 2.5),
     lambda: Density1DPath([0.0, 1.0], [0.0, 1.0],
                           [[1.0, 1.0], [1.0, 1.0]]).density_at(0.5),
+    lambda: FlowGraph(3, [(0.5, 1, 1.0), (1, 2, 1.0)], [0.5, 0.0, -0.5]),
 ], ids=["lloyd-m", "gradient-mc-n-samples", "energy-mc-n-samples",
-        "functional-dim", "sampler-dim", "sampler-draw-n", "density-at"])
+        "functional-dim", "sampler-dim", "sampler-draw-n", "density-at",
+        "flow-graph-endpoint"])
 def test_fractional_size_is_a_validation_error(call):
     with pytest.raises(ValidationError, match="whole number"):
         call()
