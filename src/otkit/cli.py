@@ -40,9 +40,10 @@ from . import gaussian as gaussian_mod
 from . import semidiscrete, w1
 from .errors import ConvergenceError, OTError, ValidationError
 from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
-                       _trapezoid_cdf, build_cost_matrix, check_covariance,
-                       check_points, check_vector, load_measure_csv,
-                       measure_from_dict, product_coupling, read_json)
+                       _trapezoid_cdf, as_number, build_cost_matrix,
+                       check_covariance, check_points, check_vector,
+                       load_measure_csv, measure_from_dict, product_coupling,
+                       read_json)
 from .selftest import run_selftest
 
 
@@ -174,10 +175,7 @@ def _cost_spec(text) -> CostSpec:
     if text == "zeroone":
         return CostSpec.zero_one()
     if text.startswith("p:"):
-        try:
-            return CostSpec.p_power(float(text[2:]))
-        except ValueError as exc:
-            raise ValidationError(f"bad cost exponent in {text!r}") from exc
+        return CostSpec.p_power(text[2:])
     raise ValidationError(
         f"unknown cost {text!r}; expected sqeuclidean, euclidean, zeroone "
         "or p:<exponent>")
@@ -248,14 +246,7 @@ def _cmd_sinkhorn(args):
     alpha = _load_measure(args.a)
     beta = _load_measure(args.b)
     C = build_cost_matrix(alpha, beta, _cost_spec(args.cost))
-    schedule = None
-    if args.schedule:
-        try:
-            schedule = [float(tok) for tok in args.schedule.split(",")]
-        except ValueError as exc:
-            raise ValidationError(
-                f"bad --schedule {args.schedule!r}; expected comma-separated "
-                "floats") from exc
+    schedule = args.schedule.split(",") if args.schedule else None
     config = entropic.SinkhornConfig(
         epsilon=args.epsilon, max_iter=args.max_iter,
         marginal_tol=args.tol, epsilon_schedule=schedule,
@@ -357,22 +348,15 @@ def _cmd_divergence(args):
         return {"value": value, "divergence": args.phi}, None
     text = args.kernel
     if text.startswith("gaussian:"):
-        kernel = divergences.KernelSpec.gaussian(_parse_float(text[9:], text))
+        kernel = divergences.KernelSpec.gaussian(text[9:])
     elif text.startswith("energy:"):
-        kernel = divergences.KernelSpec.energy(_parse_float(text[7:], text))
+        kernel = divergences.KernelSpec.energy(text[7:])
     else:
         raise ValidationError(
             f"unknown kernel {text!r}; expected gaussian:<sigma> or "
             "energy:<p>")
     value = divergences.mmd_squared(alpha, beta, kernel)
     return {"value": value, "divergence": f"mmd2[{text}]"}, None
-
-
-def _parse_float(token, context):
-    try:
-        return float(token)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"bad number in {context!r}") from exc
 
 
 # -- flow configs -----------------------------------------------------------
@@ -409,9 +393,7 @@ def _kernel(gaussian, spec, sigma_name):
         def grad_k(x, y):
             return x - y
         return k, grad_k
-    sigma = _parse_float(spec.get("sigma", 1.0), sigma_name)
-    if sigma <= 0:
-        raise ValidationError(f"{sigma_name} must be positive")
+    sigma = as_number(spec.get("sigma", 1.0), sigma_name, low=0, open=True)
 
     def k(x, y):
         return -np.exp(-((x - y) ** 2).sum(axis=-1) / (2.0 * sigma ** 2))

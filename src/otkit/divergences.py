@@ -200,17 +200,13 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":
-        sigma = as_number(sigma, "sigma")
-        if not sigma > 0:
-            raise ValidationError("gaussian kernel needs sigma > 0")
-        return cls(kind="gaussian", sigma=sigma)
+        return cls(kind="gaussian",
+                   sigma=as_number(sigma, "sigma", low=0, open=True))
 
     @classmethod
     def energy(cls, p: float) -> "KernelSpec":
-        p = as_number(p, "p")
-        if not 0.0 < p < 2.0:
-            raise ValidationError("energy kernel needs exponent in (0, 2)")
-        return cls(kind="energy", exponent=p)
+        return cls(kind="energy",
+                   exponent=as_number(p, "p", low=0, high=2, open=True))
 
     @classmethod
     def custom_matrix(cls, matrix) -> "KernelSpec":

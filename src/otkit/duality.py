@@ -52,9 +52,8 @@ class DualPotentials:
     def __post_init__(self):
         object.__setattr__(self, "f", check_vector(self.f, "f"))
         object.__setattr__(self, "g", check_vector(self.g, "g"))
-        object.__setattr__(self, "epsilon", as_number(self.epsilon, "epsilon"))
-        if self.epsilon < 0.0:
-            raise ValidationError("epsilon must be nonnegative")
+        object.__setattr__(self, "epsilon",
+                           as_number(self.epsilon, "epsilon", low=0))
 
 
 def c_transform(g, C):

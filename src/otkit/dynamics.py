@@ -56,11 +56,8 @@ __all__ = [
 
 
 def _step_count(dt, horizon):
-    dt, horizon = as_number(dt, "dt"), as_number(horizon, "the time horizon")
-    if dt <= 0.0:
-        raise ValidationError("dt must be positive")
-    if horizon <= 0.0:
-        raise ValidationError("the time horizon must be positive")
+    dt = as_number(dt, "dt", low=0, open=True)
+    horizon = as_number(horizon, "the time horizon", low=0, open=True)
     steps = int(round(horizon / dt))
     if steps < 1 or abs(steps * dt - horizon) > 1e-8 * max(1.0, horizon):
         raise ValidationError(
@@ -229,11 +226,8 @@ class FunctionalSpec:
             raise ValidationError(
                 f"unknown functional kind {kind!r}; expected one of {_FUNCTIONAL_KINDS}"
             )
-        dim = as_integer(dim, "dim")
-        if dim < 1:
-            raise ValidationError("dim must be at least 1")
         self.kind = kind
-        self.dim = dim
+        self.dim = as_integer(dim, "dim", low=1)
         self.h = h
         self.grad_h = grad_h
         self.k = k
@@ -408,9 +402,7 @@ def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
         )
     X = functional._as_particles(x0)
     steps = _step_count(dt, T)
-    max_inner = as_integer(max_inner, "max_inner")
-    if max_inner < 0:
-        raise ValidationError("max_inner must be nonnegative")
+    max_inner = as_integer(max_inner, "max_inner", low=0)
     dt = float(dt)
 
     def step(s, X):
@@ -486,9 +478,7 @@ class GeneralizedEntropy:
     @classmethod
     def power(cls, q):
         """g(s) = s^q with q > 1: porous-medium flux gtilde(s) = (q-1) s^q."""
-        q = as_number(q, "q")
-        if q <= 1.0:
-            raise ValidationError("power entropy requires q > 1")
+        q = as_number(q, "q", low=1, open=True)
         return cls(
             f"power({q:g})",
             lambda s: (q - 1.0) * np.asarray(s, dtype=float) ** q,
@@ -512,7 +502,8 @@ class Density1DPath:
     def density_at(self, index) -> GridDensity1D:
         # Flux-form rounding can leave nodes a few ulp below zero; clamp
         # only those before the validating constructor sees them.
-        rho = self.densities[as_integer(index, "index")]
+        rho = self.densities[as_integer(index, "index", -self.n_times,
+                                        self.n_times - 1)]
         if np.any(rho < -1e-12):
             raise ValidationError("density snapshot has negative values")
         return GridDensity1D(self.grid, np.maximum(rho, 0.0))
@@ -585,13 +576,6 @@ def entropy_flow_1d(rho0: GridDensity1D, entropy: GeneralizedEntropy,
         out[s + 1] = rho
     times = np.arange(steps + 1) * dt
     return Density1DPath(times, grid, out)
-
-
-def _check_unit_time(t):
-    t = as_number(t, "interpolation time")
-    if t < 0.0 or t > 1.0:
-        raise ValidationError("interpolation time must lie in [0, 1]")
-    return t
 
 
 class CouplingPath:
@@ -690,7 +674,7 @@ class CouplingPath:
             One row per support pair of the coupling, in support order;
             the corresponding masses are `pair_weights`.
         """
-        t = _check_unit_time(t)
+        t = as_number(t, "interpolation time", 0, 1)
         if self._interp is None:
             pos = (1.0 - t) * self._xs + t * self._ys
             vel = self._ys - self._xs
@@ -717,14 +701,8 @@ def flow_match_velocity(path: CouplingPath, t, z, bandwidth) -> np.ndarray:
         If no atom position is within `bandwidth` of `z`.
     """
     z = check_vector(z, "query point", path.dim)
-    return _match_velocities(path, t, z[None], _check_bandwidth(bandwidth))[0]
-
-
-def _check_bandwidth(bandwidth):
-    bandwidth = as_number(bandwidth, "bandwidth")
-    if bandwidth < 0:
-        raise ValidationError("bandwidth must be finite and nonnegative")
-    return bandwidth
+    return _match_velocities(path, t, z[None],
+                             as_number(bandwidth, "bandwidth", low=0))[0]
 
 
 def _match_velocities(path, t, Z, bandwidth):
@@ -781,8 +759,9 @@ def flow_match_trajectory(path: CouplingPath, x0, dt,
         raise ValidationError(f"x0 must be points in R^{path.dim}")
     steps = _step_count(dt, 1.0)
     dt = float(dt)
-    bandwidth = _check_bandwidth(
-        path.default_bandwidth if bandwidth is None else bandwidth)
+    bandwidth = as_number(
+        path.default_bandwidth if bandwidth is None else bandwidth,
+        "bandwidth", low=0)
     return _trajectory(
         np.arange(steps + 1) * dt, Z,
         lambda s, Z: Z + dt * _match_velocities(path, s * dt, Z, bandwidth))
@@ -890,9 +869,7 @@ def transformer_flow(tokens, Q, K, V, depth) -> ParticleTrajectory:
     states identically, bit for bit.
     """
     X = check_points(tokens, "tokens")
-    depth = as_integer(depth, "depth")
-    if depth < 1:
-        raise ValidationError("depth must be at least 1")
+    depth = as_integer(depth, "depth", low=1)
     return _trajectory(
         np.arange(depth + 1) / depth, X,
         lambda s, X: X + attention_velocity(X, Q, K, V, X) / depth)
@@ -915,10 +892,8 @@ def mlp_flow(features, labels, n_neurons, dt, T, activation="identity",
         The risk along the trajectory, one value per time.
     """
     spec = FunctionalSpec.mlp_risk(features, labels, activation)
-    n = as_integer(n_neurons, "n_neurons")
-    if n < 1:
-        raise ValidationError("n_neurons must be at least 1")
-    rng = np.random.default_rng(seed)
+    n = as_integer(n_neurons, "n_neurons", low=1)
+    rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     d = spec.dim - 1
     theta0 = np.hstack([
         rng.standard_normal((n, d)) / np.sqrt(d),

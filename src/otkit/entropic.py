@@ -87,9 +87,7 @@ def gibbs_kernel(C, epsilon) -> np.ndarray:
     """Elementwise kernel K = exp(-C / epsilon); entries past the float
     range raise `ValidationError`, entries below it underflow to 0."""
     C = check_matrix(C, "cost matrix")
-    epsilon = as_number(epsilon, "epsilon")
-    if not epsilon > 0:
-        raise ValidationError("epsilon must be positive")
+    epsilon = as_number(epsilon, "epsilon", low=0, open=True)
     try:
         with np.errstate(over="raise", under="ignore"):
             return np.exp(-C / epsilon)
@@ -107,9 +105,9 @@ def softmin(values, weights, epsilon) -> float:
     """
     h = check_vector(values, "values")
     w = check_weights(weights, "weights", n=h.shape[0])
-    epsilon = as_number(epsilon, "epsilon")
-    if not (epsilon > 0 and np.any(w > 0)):
-        raise ValidationError("softmin needs epsilon > 0 and a positive weight")
+    epsilon = as_number(epsilon, "epsilon", low=0, open=True)
+    if not np.any(w > 0):
+        raise ValidationError("softmin needs a positive weight")
     h, w = h[w > 0], w[w > 0]
     m = float(np.min(h))
     return m - epsilon * float(np.log(np.sum(w * np.exp(-(h - m) / epsilon))))
@@ -246,16 +244,12 @@ class SinkhornConfig:
     overrelax: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilon", as_number(self.epsilon, "epsilon"))
-        object.__setattr__(self, "max_iter", as_integer(self.max_iter, "max_iter"))
-        object.__setattr__(self, "marginal_tol",
-                           as_number(self.marginal_tol, "marginal_tol"))
-        if not self.epsilon > 0:
-            raise ValidationError("epsilon must be positive and finite")
-        if self.max_iter < 1:
-            raise ValidationError("max_iter must be at least 1")
-        if not self.marginal_tol > 0:
-            raise ValidationError("marginal_tol must be positive")
+        object.__setattr__(self, "epsilon",
+                           as_number(self.epsilon, "epsilon", low=0, open=True))
+        object.__setattr__(self, "max_iter",
+                           as_integer(self.max_iter, "max_iter", low=1))
+        object.__setattr__(self, "marginal_tol", as_number(
+            self.marginal_tol, "marginal_tol", low=0, open=True))
         if self.epsilon_schedule is not None:
             sched = tuple(map(float, check_vector(self.epsilon_schedule,
                                                   "epsilon_schedule")))

@@ -160,9 +160,7 @@ def solve_1d_sorted(alpha, beta, p) -> TransportResult:
     p < 1 the cost is concave and the monotone plan is not optimal, so
     such exponents are rejected.
     """
-    p = as_number(p, "p")
-    if p < 1:
-        raise ValidationError("solve_1d_sorted requires p >= 1")
+    p = as_number(p, "p", low=1)
     for name, mu in (("alpha", alpha), ("beta", beta)):
         if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
             raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
@@ -266,10 +264,11 @@ def validate_metric(D):
     atol = EQUALITY_TOL * max(1.0, float(np.max(np.abs(D))))
     i, j = np.unravel_index(np.argmin(D), D.shape)
     if D[i, j] < -atol:
-        raise MetricAxiomError("nonnegativity", (int(i), int(j)), f"D={D[i, j]!r}")
+        raise MetricAxiomError("nonnegativity", (int(i), int(j)),
+                               f"D={float(D[i, j])!r}")
     k = int(np.argmax(np.abs(np.diag(D))))
     if abs(D[k, k]) > atol:
-        raise MetricAxiomError("zero_diagonal", (k, k), f"D={D[k, k]!r}")
+        raise MetricAxiomError("zero_diagonal", (k, k), f"D={float(D[k, k])!r}")
     asym = np.abs(D - D.T)
     i, j = np.unravel_index(np.argmax(asym), asym.shape)
     if asym[i, j] > atol:
@@ -281,7 +280,7 @@ def validate_metric(D):
             raise MetricAxiomError(
                 "triangle",
                 (int(i), k, int(j)),
-                f"D[i,j]-D[i,k]-D[k,j]={slack[i, j]!r}",
+                f"D[i,j]-D[i,k]-D[k,j]={float(slack[i, j])!r}",
             )
     return D
 
@@ -302,9 +301,7 @@ def wasserstein_p(a, b, dist_matrix, p) -> float:
     float
         ``W_p = (min <D^p, P>)^(1/p)``.
     """
-    p = as_number(p, "p")
-    if p < 1:
-        raise ValidationError("wasserstein_p requires p >= 1")
+    p = as_number(p, "p", low=1)
     D = validate_metric(dist_matrix)
     result = solve_kantorovich(a, b, D**p)
     return float(result.cost) ** (1.0 / p)

@@ -26,7 +26,11 @@ decides what a valid input is:
   when no shape is given).
 * `check_covariance`: a finite, symmetric, positive semidefinite matrix.
 * `as_number` and `as_integer`: one finite number, and one finite whole
-  number, for scalar settings and iteration budgets.
+  number, for scalar settings, sizes, iteration budgets and seeds.  Each
+  call declares the setting's valid range with ``low`` and ``high``
+  (inclusive, or strict at both ends with ``as_number(..., open=True)``),
+  and one message names the setting, the bound and the value given.
+  Seeds are whole numbers >= 0; integer-typed input is read exactly.
 
 All of these coerce through `as_float_array`, which reports input that is
 not a numeric array (strings, ragged nesting) as a `ValidationError`
@@ -88,25 +92,51 @@ def as_float_array(obj, name):
     """``np.asarray(obj, dtype=float)``, raising `ValidationError` on failure."""
     try:
         return np.asarray(obj, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a numeric array: {exc}") from exc
 
 
-def as_number(obj, name):
-    """``obj`` as one finite float, raising `ValidationError` otherwise."""
+def as_number(obj, name, low=None, high=None, open=False):
+    """``obj`` as one finite float, raising `ValidationError` otherwise.
+
+    ``low`` and ``high``, when given, bound it: strictly at both ends with
+    ``open``, inclusively without.
+    """
     x = as_float_array(obj, name)
     if x.ndim != 0 or not np.isfinite(x):
         raise ValidationError(f"{name} must be one finite number, got {obj!r}")
-    return float(x)
+    return _check_range(float(x), name, low, high, open)
 
 
-def as_integer(obj, name):
+def as_integer(obj, name, low=None, high=None):
     """``obj`` as an int, raising `ValidationError` unless it is one finite
-    whole number."""
-    x = as_number(obj, name)
-    if x != int(x):
-        raise ValidationError(f"{name} must be a whole number, got {obj!r}")
-    return int(x)
+    whole number in ``[low, high]`` (either bound may be None).
+
+    Integer-typed input is read exactly, so seeds past 2**53 keep every
+    bit; other input is read by `as_number`.
+    """
+    if isinstance(obj, (int, np.integer)):
+        n = int(obj)
+    else:
+        x = as_number(obj, name)
+        if x != int(x):
+            raise ValidationError(f"{name} must be a whole number, got {x!r}")
+        n = int(x)
+    return _check_range(n, name, low, high, False)
+
+
+def _check_range(x, name, low, high, open):
+    """``x``, or `ValidationError` naming the bound it breaks and ``x``."""
+    if ((low is None or (x > low if open else x >= low))
+            and (high is None or (x < high if open else x <= high))):
+        return x
+    if high is None:
+        rule = f"be {'>' if open else '>='} {low}"
+    elif low is None:
+        rule = f"be {'<' if open else '<='} {high}"
+    else:
+        rule = f"lie in {'(' if open else '['}{low}, {high}{')' if open else ']'}"
+    raise ValidationError(f"{name} must {rule}, got {x!r}")
 
 
 def check_vector(obj, name, n=None):
@@ -198,7 +228,7 @@ def check_covariance(obj, name="covariance", d=None):
     S = 0.5 * (S + S.T)
     w = np.linalg.eigvalsh(S)
     if w[0] < -1e-10 * scale:
-        raise ValidationError(f"{name} has negative eigenvalue {w[0]!r}")
+        raise ValidationError(f"{name} has negative eigenvalue {float(w[0])!r}")
     return S
 
 
@@ -356,9 +386,7 @@ class CostSpec:
                 f"unknown cost kind {self.kind!r}; expected one of {_COST_KINDS}"
             )
         if self.kind == "p_power":
-            object.__setattr__(self, "p", as_number(self.p, "p"))
-            if self.p < 1:
-                raise ValidationError("p_power cost requires finite p >= 1")
+            object.__setattr__(self, "p", as_number(self.p, "p", low=1))
         if self.kind == "explicit_matrix":
             if self.matrix is None:
                 raise ValidationError("explicit_matrix cost requires a matrix")
@@ -504,7 +532,7 @@ class Coupling:
             raise ValidationError("plan contains non-finite values")
         lowest = plan.min(initial=0.0)
         if lowest < -EQUALITY_TOL:
-            raise ValidationError(f"plan has negative entry {lowest!r}")
+            raise ValidationError(f"plan has negative entry {float(lowest)!r}")
         if lowest < 0.0:
             plan = np.maximum(plan, 0.0)
         row_defect = float(np.max(np.abs(plan.sum(axis=1) - row), initial=0.0))

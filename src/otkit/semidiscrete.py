@@ -37,16 +37,13 @@ class Sampler:
     """
 
     def __init__(self, name: str, dim: int, draw: Callable, mean=None):
-        dim = as_integer(dim, "dim")
-        if dim < 1:
-            raise ValidationError("sampler dimension must be >= 1")
         self.name = name
-        self.dim = dim
+        self.dim = as_integer(dim, "dim", low=1)
         self._draw = draw
         self.mean = None if mean is None else np.asarray(mean, dtype=float)
 
     def draw(self, rng, n: int) -> np.ndarray:
-        n = as_integer(n, "n")
+        n = as_integer(n, "n", low=0)
         pts = np.asarray(self._draw(rng, n), dtype=float)
         if pts.shape != (n, self.dim):
             raise ValidationError(
@@ -147,11 +144,9 @@ class LaguerreAssignment:
 def semi_discrete_energy_mc(problem: SemiDiscreteProblem, g,
                             n_samples: int, seed) -> Tuple[float, float]:
     """Monte Carlo estimate of the semi-dual energy with standard error."""
-    n_samples = as_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
+    n_samples = as_integer(n_samples, "n_samples", low=1)
     cells = LaguerreAssignment(problem, g)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     x = problem.sampler.draw(rng, n_samples)
     values = cells.scores(x).min(axis=1) + float(cells.g @ problem.target_weights)
     if n_samples == 1:
@@ -167,11 +162,9 @@ def semi_discrete_gradient_mc(problem: SemiDiscreteProblem, g,
     The components sum to zero because both the target weights and the
     empirical cell frequencies are probability vectors.
     """
-    n_samples = as_integer(n_samples, "n_samples")
-    if n_samples < 1:
-        raise ValidationError("need at least one sample")
+    n_samples = as_integer(n_samples, "n_samples", low=1)
     cells = LaguerreAssignment(problem, g)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     x = problem.sampler.draw(rng, n_samples)
     counts = np.bincount(cells.membership(x), minlength=problem.m)
     return problem.target_weights - counts / n_samples
@@ -189,14 +182,13 @@ class SGDConfig:
     heldout_samples: int = 2000
 
     def __post_init__(self):
-        for name in ("n_iter", "eval_every", "heldout_samples"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        for name in ("tau0", "ell0"):
-            object.__setattr__(self, name, as_number(getattr(self, name), name))
-        if self.n_iter < 1 or self.tau0 <= 0 or self.ell0 < 1:
-            raise ValidationError("need n_iter >= 1, tau0 > 0, ell0 >= 1")
-        if self.eval_every < 1 or self.heldout_samples < 1:
-            raise ValidationError("evaluation plan must be positive")
+        for name, low in (("n_iter", 1), ("seed", 0), ("eval_every", 1),
+                          ("heldout_samples", 1)):
+            object.__setattr__(self, name,
+                               as_integer(getattr(self, name), name, low))
+        object.__setattr__(self, "tau0",
+                           as_number(self.tau0, "tau0", low=0, open=True))
+        object.__setattr__(self, "ell0", as_number(self.ell0, "ell0", low=1))
 
 
 @dataclass(frozen=True)
@@ -365,10 +357,9 @@ class LloydConfig:
     n_samples: int = 20000
 
     def __post_init__(self):
-        for name in ("n_iter", "n_samples"):
-            object.__setattr__(self, name, as_integer(getattr(self, name), name))
-        if self.n_iter < 0 or self.n_samples < 1:
-            raise ValidationError("need n_iter >= 0 and n_samples >= 1")
+        for name, low in (("n_iter", 0), ("seed", 0), ("n_samples", 1)):
+            object.__setattr__(self, name,
+                               as_integer(getattr(self, name), name, low))
 
 
 def _kmeanspp_seed(samples, m, rng):
@@ -404,9 +395,7 @@ def lloyd_quantize(problem_or_sampler, m: int, config: LloydConfig):
             raise ValidationError(
                 "Lloyd recentering is specific to squared euclidean cost")
         sampler = sampler.sampler
-    m = as_integer(m, "m")
-    if m < 1:
-        raise ValidationError("need at least one centroid")
+    m = as_integer(m, "m", low=1)
     rng = np.random.default_rng(config.seed)
     samples = sampler.draw(rng, config.n_samples)
     centroids = _kmeanspp_seed(samples, m, rng)

@@ -119,13 +119,11 @@ class FlowGraph:
         s = check_vector(imbalance, "imbalance", n)
         clean = []
         for u, v, length in edges:
-            u = as_integer(u, "edge endpoint")
-            v = as_integer(v, "edge endpoint")
-            length = as_number(length, "edge length")
-            if not (0 <= u < n and 0 <= v < n) or u == v:
+            u = as_integer(u, "edge endpoint", 0, n - 1)
+            v = as_integer(v, "edge endpoint", 0, n - 1)
+            length = as_number(length, "edge length", low=0, open=True)
+            if u == v:
                 raise ValidationError(f"bad edge ({u}, {v})")
-            if length <= 0:
-                raise ValidationError("edge lengths must be positive")
             clean.append((u, v, length))
         if abs(s.sum()) > 1e-12 * max(1.0, np.abs(s).sum()):
             raise UnbalancedError("imbalances must sum to zero")

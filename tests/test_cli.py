@@ -209,6 +209,110 @@ class TestExitCodes:
         assert code == 2
         assert "seed" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("base, change", [
+        ("sinkhorn", {"--epsilon": "0"}),
+        ("sinkhorn", {"--tol": "0"}),
+        ("sinkhorn", {"--max-iter": "0"}),
+        ("sinkhorn", {"--schedule": "1,0,0.5"}),
+        ("sinkhorn", {"--schedule": "1,x,0.5"}),
+        ("exact", {"--cost": "p:0.5"}),
+        ("exact", {"--cost": "p:x"}),
+        ("semidiscrete", {"--iters": "0"}),
+        ("semidiscrete", {"--seed": "-1"}),
+        ("semidiscrete", {"--tau0": "0"}),
+        ("semidiscrete", {"--ell0": "0.5"}),
+        ("semidiscrete", {"--eval-every": "0"}),
+        ("semidiscrete", {"--heldout-samples": "0"}),
+        ("divergence", {"--kernel": "gaussian:0"}),
+        ("divergence", {"--kernel": "gaussian:x"}),
+        ("divergence", {"--kernel": "energy:2"}),
+        ("graph", {"edges": [["a", "b", 0.0]]}),
+        ("graph", {"edges": [["a", "b", -1.0]]}),
+        ("gradient", {"dt": 0}),
+        ("gradient", {"T": -0.2}),
+        ("gradient", {"kernel": {"name": "gaussian", "sigma": 0}}),
+        ("gradient", {"kind": "linear",
+                      "potential": {"name": "gaussian_well", "sigma": -1}}),
+        ("entropy1d", {"entropy": {"name": "power", "q": 1}}),
+        ("entropy1d", {"dt": -0.01}),
+        ("flowmatch", {"bandwidth": -1}),
+        ("flowmatch", {"dt": 0}),
+        ("transformer", {"depth": 0}),
+        ("mlp", {"n_neurons": 0}),
+        ("mlp", {"T": 0}),
+        ("mlp", {"seed": -1}),
+        ("mlp", {"seed": 2.5}),
+        ("mlp", {"seed": "x"}),
+    ], ids=["epsilon", "tol", "max-iter", "schedule-zero", "schedule-text",
+            "cost-p", "cost-p-text", "iters", "seed", "tau0", "ell0",
+            "eval-every", "heldout-samples", "kernel-sigma",
+            "kernel-sigma-text", "kernel-energy-p", "graph-length-zero",
+            "graph-length-negative", "gradient-dt", "gradient-T",
+            "gradient-kernel-sigma", "gradient-well-sigma", "entropy1d-q",
+            "entropy1d-dt", "flowmatch-bandwidth", "flowmatch-dt",
+            "transformer-depth", "mlp-n-neurons", "mlp-T",
+            "mlp-seed-negative", "mlp-seed-fractional", "mlp-seed-string"])
+    def test_out_of_range_setting_is_two(self, tmp_path, capsys, base,
+                                         change):
+        """Each run succeeds with its base settings and exits 2 with one
+        JSON error line once one flag or config field is out of range."""
+        argv, config = _range_sweep_base(tmp_path, base)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err
+        if config is None:
+            argv = argv + [tok for pair in change.items() for tok in pair]
+        else:
+            write_json(tmp_path, "config.json", dict(config, **change))
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["code"] == "validation"
+
+
+_EYE2 = [[1.0, 0.0], [0.0, 1.0]]
+_SWEEP_CONFIGS = {
+    "graph": {"nodes": ["a", "b"], "edges": [["a", "b", 1.0]],
+              "imbalance": {"a": 1.0, "b": -1.0}},
+    "gradient": {"kind": "interaction",
+                 "kernel": {"name": "gaussian", "sigma": 1.0},
+                 "x0": [[0.0, 0.0], [1.0, 0.0]], "dt": 0.1, "T": 0.2},
+    "entropy1d": {"grid": [-1.0, 0.0, 1.0], "density": [0.5, 1.0, 0.5],
+                  "entropy": {"name": "power", "q": 2.0}, "dt": 0.01,
+                  "T": 0.02},
+    "flowmatch": {"source": {"points": [[0.0], [1.0]], "weights": [0.5, 0.5]},
+                  "target": {"points": [[2.0], [3.0]], "weights": [0.5, 0.5]},
+                  "coupling": "monge", "dt": 0.5, "bandwidth": 1.0},
+    "transformer": {"tokens": [[0.0, 1.0], [1.0, 0.0]], "Q": _EYE2,
+                    "K": _EYE2, "V": _EYE2, "depth": 2},
+    "mlp": {"features": [[0.5], [1.0]], "labels": [0.0, 1.0],
+            "n_neurons": 2, "dt": 0.1, "T": 0.2, "seed": 0},
+}
+
+
+def _range_sweep_base(tmp_path, base):
+    """A tiny valid ``ot`` run, as (argv, JSON config or None).  Flags
+    are appended after the base argv, so a later one overrides it; a
+    config (a flow's or the w1 graph) is read from ``config.json``."""
+    if base in _SWEEP_CONFIGS:
+        config = _SWEEP_CONFIGS[base]
+        path = write_json(tmp_path, "config.json", config)
+        if base == "graph":
+            return ["w1", "graph", "--graph", path], config
+        return ["flow", base, "--config", path], config
+    if base == "semidiscrete":
+        return ["semidiscrete",
+                "--targets", write_json(tmp_path, "t.json", [[0.0], [1.0]]),
+                "--weights", write_json(tmp_path, "w.json", [0.5, 0.5]),
+                "--sampler", "uniform_box", "--iters", "10", "--seed", "0",
+                "--heldout-samples", "10"], None
+    measure = {"points": [[0.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]}
+    argv = [base, "--a", write_json(tmp_path, "a.json", measure),
+            "--b", write_json(tmp_path, "b.json", measure)]
+    extra = {"sinkhorn": ["--epsilon", "0.5"], "exact": [],
+             "divergence": ["--kernel", "energy:1"]}[base]
+    return argv + extra, None
+
 
 class TestCanonicalJson:
     def test_sorted_keys_and_compact(self):

@@ -297,7 +297,10 @@ class TestEntropyFlow1D:
         masses = path.densities @ widths
         assert float(np.max(np.abs(masses - masses[0]))) <= 1e-12 * masses[0]
         assert float(path.densities.min()) >= -1e-15
-        assert isinstance(path.density_at(path.n_times - 1), GridDensity1D)
+        last = path.density_at(path.n_times - 1)
+        assert isinstance(last, GridDensity1D)
+        # Negative indices count from the end, as for a Python sequence.
+        assert_array_equal(path.density_at(-1).density, last.density)
 
     def test_uniform_density_is_stationary(self):
         grid = np.linspace(0.0, 1.0, 41)

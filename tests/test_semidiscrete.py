@@ -1,5 +1,6 @@
 """Laguerre cells, semi-dual Monte Carlo energy, SGD, and Lloyd."""
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -302,6 +303,21 @@ class TestSGDAgainstPerStepReference:
                                       rng.random((16, 2)), np.full(16, 1 / 16))
         _same_as_reference(problem, SGDConfig(n_iter=15000, seed=5,
                                                tau0=tau0))
+
+    def test_seed_past_float_precision(self):
+        # 2**64 + 1 has no float; read through one it would become 2**64,
+        # another stream.  The reference gets the seed as given.
+        seed = 2**64 + 1
+        problem = SemiDiscreteProblem(Sampler.uniform_box([0, 0], [1, 1]),
+                                      [[0.2, 0.3], [0.7, 0.6], [0.5, 0.9]],
+                                      [0.25, 0.5, 0.25])
+        g, trace = sgd_solve(problem, SGDConfig(n_iter=600, seed=seed,
+                                                eval_every=200))
+        g_ref, trace_ref = sgd_reference.sgd_solve(problem, SimpleNamespace(
+            n_iter=600, seed=seed, tau0=1.0, ell0=100.0, eval_every=200,
+            heldout_samples=2000))
+        assert g.tobytes() == g_ref.tobytes()
+        assert trace == trace_ref
 
 
 class TestLloyd:

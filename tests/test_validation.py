@@ -57,6 +57,7 @@ from otkit.exact import (
     solve_1d_sorted,
     solve_assignment,
     solve_kantorovich,
+    validate_metric,
     wasserstein_p,
 )
 from otkit.gaussian import gaussian_monge_map, gaussian_w2_squared
@@ -65,6 +66,9 @@ from otkit.measures import (
     Coupling,
     DiscreteMeasure,
     GridDensity1D,
+    as_integer,
+    as_number,
+    check_covariance,
     product_coupling,
 )
 from otkit.semidiscrete import (
@@ -401,3 +405,61 @@ def test_non_numeric_setting_is_a_validation_error(call):
 def test_fractional_size_is_a_validation_error(call):
     with pytest.raises(ValidationError, match="whole number"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: _PROBLEM.sampler.draw(np.random.default_rng(0), -1),
+    lambda: Density1DPath([0.0, 1.0], [0.0, 1.0],
+                          [[1.0, 1.0], [1.0, 1.0]]).density_at(5),
+    lambda: Density1DPath([0.0, 1.0], [0.0, 1.0],
+                          [[1.0, 1.0], [1.0, 1.0]]).density_at(-3),
+    lambda: SGDConfig(n_iter=10, seed=-1),
+    lambda: LloydConfig(n_iter=1, seed=-1),
+    lambda: semi_discrete_gradient_mc(_PROBLEM, _G, 10, -1),
+    lambda: semi_discrete_energy_mc(_PROBLEM, _G, 10, -1),
+    lambda: mlp_flow([[0.5], [1.0]], [0.0, 1.0], 2, 0.1, 0.2, seed=-1),
+], ids=["sampler-draw-negative-n", "density-at-past-end",
+        "density-at-before-start", "sgd-seed", "lloyd-seed",
+        "gradient-mc-seed", "energy-mc-seed", "mlp-seed"])
+def test_out_of_range_size_or_seed_is_a_validation_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_number(np.float64(-1.0), "epsilon", low=0, open=True),
+     "epsilon must be > 0, got -1.0"),
+    (lambda: as_number(0.0, "epsilon", low=0, open=True),
+     "epsilon must be > 0, got 0.0"),
+    (lambda: as_integer(np.int64(0), "depth", low=1),
+     "depth must be >= 1, got 0"),
+    (lambda: as_number(2, "p", 0, 2, open=True),
+     "p must lie in (0, 2), got 2.0"),
+    (lambda: as_number("1.5", "interpolation time", 0, 1),
+     "interpolation time must lie in [0, 1], got 1.5"),
+    (lambda: as_integer(5, "index", -2, 1), "index must lie in [-2, 1], got 5"),
+    (lambda: check_covariance([[-1.0]]), "negative eigenvalue -1.0"),
+    (lambda: Coupling([[-0.5, 0.5]], [0.0], [0.0, 0.0]),
+     "negative entry -0.5"),
+    (lambda: validate_metric([[0.0, -1.0], [-1.0, 0.0]]), ": D=-1.0"),
+    (lambda: validate_metric([[0.0, 1.0], [1.0, 2.0]]), ": D=2.0"),
+    (lambda: validate_metric([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0],
+                              [5.0, 1.0, 0.0]]), "D[i,k]-D[k,j]=3.0"),
+], ids=["open-low", "open-low-at-bound", "integer-low", "open-interval",
+        "closed-interval", "index", "covariance", "coupling",
+        "metric-nonnegativity", "metric-zero-diagonal", "metric-triangle"])
+def test_error_text_prints_plain_numbers(call, message):
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert message in str(info.value)
+    assert "np." not in str(info.value)
+
+
+def test_bounds_are_inclusive_unless_open():
+    assert as_number(0, "x", low=0) == 0.0
+    assert as_number(2, "x", 0, 2) == 2.0
+    assert as_integer(-2, "x", -2, 1) == -2
+    # Integer-typed input is read exactly, with no float in between.
+    assert as_integer(2**64 + 1, "seed", low=0) == 2**64 + 1
+    assert type(as_integer(np.uint64(2**63 + 1), "seed")) is int
+    assert as_integer(np.uint64(2**63 + 1), "seed") == 2**63 + 1
