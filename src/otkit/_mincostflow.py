@@ -8,10 +8,11 @@ over the clamped reduced costs, the update ``pot += min(dist, D)``, D the
 largest finite label, which makes every arc of the search tree tight,
 then pushes to the reachable sinks in (distance, index) order along their
 tree paths while each path is intact: its root has excess left and each
-reversed arc on it still carries flow.  The nearest sink's path always
-is, so a phase that pushes nothing means a broken search and raises.
-The returned duals are the final potentials, and ``augmentations``
-counts pushes, several per phase.
+reversed arc on it still carries flow (a walk stops at the first one
+that does not).  The nearest sink's path always is, so a phase that
+pushes nothing means a broken search and raises.  The returned duals
+are the final potentials, and ``augmentations`` counts pushes, several
+per phase.
 
 One loop, one search: `solve_min_cost_flow`, on directed, uncapacitated
 arc lists, hands the loop one compiled `scipy.sparse.csgraph.dijkstra`
@@ -20,7 +21,11 @@ Beckmann) call it directly.  `solve_transportation`, behind the exact
 Kantorovich and assignment solvers, calls it on the complete bipartite
 graph of an n x m cost matrix, arcs numbered row-major, then cancels the
 cycles of the optimal support with `scipy.sparse.csgraph`, so the plan is
-a vertex of the transportation polytope.
+a vertex of the transportation polytope.  `solve_min_cost_flow`
+recognises that arc list and writes each phase's lengths into the
+search's matrix in place (`_bipartite_search`); any other arc list takes
+the general slot path (`_slot_search`), which sorts and gathers them.
+On the same graph both give the same bits.
 
 Arc costs must be nonnegative, so zero potentials start the loop.  The
 transportation LP is unchanged by ``C_ij -> C_ij - s_i`` with
@@ -94,13 +99,11 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies):
     reduced cost into the matrix and maps each tree edge back to the
     first arc that attains it, so a path keeps to the arc that was tight
     when the phase began (a parallel arc that is not tight never stands
-    in for it).  Where every slot holds one arc or one reverse, as on a
-    complete bipartite graph, the lengths go into the matrix as they are
-    and each slot maps to its one candidate.
+    in for it).  The complete bipartite graph of `solve_transportation`
+    has one arc or one reverse per slot, and the same matrix: there the
+    lengths are written into (n, m) blocks of it in place, and each tree
+    edge's arc is computed from its ends.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     costs = np.asarray(costs, dtype=float)
@@ -118,6 +121,38 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies):
                    heads.min() < 0 or tails.max() >= n_nodes):
         raise ValidationError("arc endpoints out of range")
 
+    n = _bipartite_rows(n_nodes, tails, heads)
+    if n:
+        search = _bipartite_search(n, n_nodes - n, costs)
+    else:
+        search = _slot_search(n_nodes, tails, heads, costs)
+    flows, pot, pushes, status = _successive_shortest_paths(
+        n_arcs, supplies, search, _push_budget(n_nodes, n_arcs))
+    total = float(np.dot(flows.astype(float), costs))
+    return MinCostFlowResult(flows, pot, total, pushes, status)
+
+
+def _bipartite_rows(n_nodes, tails, heads):
+    """n if the arcs are those of `solve_transportation`, else 0.
+
+    That is the complete bipartite graph from n rows to m = n_nodes - n
+    columns, arc ``i*m + j`` running from node i to node n + j.
+    """
+    n = int(tails[-1]) + 1 if tails.size else n_nodes
+    m = n_nodes - n
+    if (m < 1 or n * m != tails.size
+            or np.any(tails.reshape(n, m) != np.arange(n)[:, None])
+            or np.any(heads.reshape(n, m) != np.arange(n, n_nodes))):
+        return 0
+    return n
+
+
+def _slot_search(n_nodes, tails, heads, costs):
+    """The phase search of `_successive_shortest_paths` on any arc list;
+    see the Notes of `solve_min_cost_flow`."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     # Candidate k < n_arcs is arc k, candidate n_arcs + k its reverse.
     # Sorted by slot key, then by k: the order a heap Dijkstra scans them.
     key = np.concatenate([tails * n_nodes + heads, heads * n_nodes + tails])
@@ -126,24 +161,18 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies):
     indptr = np.searchsorted(keys, np.arange(n_nodes + 1) * n_nodes)
     G = csr_matrix((np.zeros(keys.size), (keys % n_nodes).astype(np.int32),
                     indptr.astype(np.int32)), shape=(n_nodes, n_nodes))
+    slot_of = np.repeat(np.arange(keys.size),
+                        np.diff(np.append(starts, key.size)))
 
-    if keys.size == key.size:
-        # One candidate per slot, as on a complete bipartite graph.
-        def slot_lengths(rc):
-            return rc, order
-    else:
-        slot_of = np.repeat(np.arange(keys.size),
-                            np.diff(np.append(starts, key.size)))
-
-        def slot_lengths(rc):
-            shortest = np.minimum.reduceat(rc, starts)
-            # The first candidate of each slot that attains its minimum.
-            first = np.flatnonzero(rc == shortest[slot_of])
-            return shortest, order[first[np.searchsorted(first, starts)]]
-
-    def search(fwd, back, sources):
-        lengths, arc_of_slot = slot_lengths(np.concatenate([fwd, back])[order])
-        G.data[:] = lengths
+    def search(pot, flow, sources):
+        red = costs + pot[tails] - pot[heads]
+        rc = np.concatenate([
+            np.maximum(red, 0.0),
+            np.where(flow > 0, np.maximum(-red, 0.0), np.inf)])[order]
+        G.data[:] = np.minimum.reduceat(rc, starts)
+        # The first candidate of each slot that attains its minimum.
+        first = np.flatnonzero(rc == G.data[slot_of])
+        arc_of_slot = order[first[np.searchsorted(first, starts)]]
         dist, pred, _ = dijkstra(G, indices=np.flatnonzero(sources),
                                  min_only=True, return_predecessors=True)
         tree = np.flatnonzero(pred >= 0)
@@ -152,29 +181,71 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies):
         via[tree] = arc_of_slot[slot]
         return dist, pred, via
 
-    flows, pot, pushes, status = _successive_shortest_paths(
-        tails, heads, costs, supplies, search, _push_budget(n_nodes, n_arcs))
-    total = float(np.dot(flows.astype(float), costs))
-    return MinCostFlowResult(flows, pot, total, pushes, status)
+    return search
 
 
-def _successive_shortest_paths(tails, heads, costs, supplies, search,
-                               max_pushes):
+def _bipartite_search(n, m, costs):
+    """The phase search of `_successive_shortest_paths` on the complete
+    bipartite graph of `_bipartite_rows`.
+
+    The CSR matrix holds the slots of `_slot_search`, one candidate each:
+    row i's arcs to the columns, then column j's reverses to the rows,
+    both in node order.  So its data is the (n, m) block of forward
+    lengths, written whole every phase, followed by the transposed (m, n)
+    block of reverse lengths, written on the flow's support and +inf
+    elsewhere.  A tree edge's arc follows from its ends.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    nm = n * m
+    rows, cols = np.arange(n), np.arange(m)
+    indptr = np.concatenate([rows * m, nm + np.arange(m + 1) * n])
+    nodes = np.arange(n + m, dtype=np.int32)
+    indices = np.concatenate([np.tile(nodes[n:], n), np.tile(nodes[:n], m)])
+    G = csr_matrix((np.full(2 * nm, np.inf), indices,
+                    indptr.astype(np.int32)), shape=(n + m, n + m))
+    fwd = G.data[:nm].reshape(n, m)
+    back = G.data[nm:].reshape(m, n).T
+    C = costs.reshape(n, m)
+    on = np.zeros(0, dtype=np.int64)
+    # Column j hangs on row p by arc p*m + j, and row i on column p by
+    # the reverse of arc i*m + p - n: via = pred * scale + offset.
+    scale = np.repeat([1, m], [n, m])
+    offset = np.concatenate([nm - n + rows * m, cols])
+
+    def search(pot, flow, sources):
+        nonlocal on
+        red = C + pot[:n, None] - pot[n:]
+        np.maximum(red, 0.0, out=fwd)
+        back.flat[on] = np.inf
+        on = flow.nonzero()[0]
+        back.flat[on] = np.maximum(-red.ravel()[on], 0.0)
+        dist, pred, _ = dijkstra(G, indices=np.flatnonzero(sources),
+                                 min_only=True, return_predecessors=True)
+        return dist, pred, pred * scale + offset
+
+    return search
+
+
+def _successive_shortest_paths(n_arcs, supplies, search, max_pushes):
     """The phase loop of `solve_min_cost_flow`; see the module docstring.
 
-    Arc k runs ``tails[k] -> heads[k]`` and k + n_arcs is its reverse.
-    ``search(fwd, back, sources)`` gets the clamped reduced costs of the
-    arcs and of their reverses (+inf for a reverse without flow) and the
-    mask of nodes with excess left.  It returns per node the label (+inf
-    if unreached), the tree predecessor (negative at a root or if
-    unreached) and the arc, k or k + n_arcs, that reaches the node.
+    Arc k < n_arcs has the reverse k + n_arcs.  ``search(pot, flow,
+    sources)`` gets the potentials, the flow per arc and the mask of nodes
+    with excess left.  It searches over the clamped reduced costs: with
+    ``red = cost + pot[tail] - pot[head]``, ``max(red, 0)`` on each arc
+    and ``max(-red, 0)`` on the reverse of each arc that carries flow;
+    other reverses are absent.  It returns per node the label (+inf if
+    unreached), the tree predecessor (negative at a root or if unreached)
+    and, where there is a predecessor, the arc, k or k + n_arcs, that
+    reaches the node.
 
     Returns the int64 flow per arc, the potentials, the number of pushes
     and "optimal" or "infeasible"; raises `ConvergenceError` rather than
     push more than ``max_pushes`` times or run a phase that reaches a
     sink and pushes nothing.
     """
-    n_arcs = tails.shape[0]
     flow = np.zeros(n_arcs, dtype=np.int64)
     excess = supplies.copy()
     pot = np.zeros(supplies.shape[0])
@@ -183,14 +254,12 @@ def _successive_shortest_paths(tails, heads, costs, supplies, search,
         sources = excess > 0
         if not sources.any():
             return flow, pot, pushes, "optimal"
-        red = costs + pot[tails] - pot[heads]
-        dist, pred, via = search(
-            np.maximum(red, 0.0),
-            np.where(flow > 0, np.maximum(-red, 0.0), np.inf), sources)
-        sinks = np.flatnonzero((excess < 0) & np.isfinite(dist))
+        dist, pred, via = search(pot, flow, sources)
+        reached = np.isfinite(dist)
+        sinks = np.flatnonzero((excess < 0) & reached)
         if sinks.size == 0:
             return flow, pot, pushes, "infeasible"
-        pot += np.minimum(dist, dist[np.isfinite(dist)].max())
+        pot += np.minimum(dist, dist[reached].max())
         pred, via = pred.tolist(), via.tolist()
         pushes_before = pushes
 
@@ -198,7 +267,7 @@ def _successive_shortest_paths(tails, heads, costs, supplies, search,
             bottleneck = -excess[t]
             path = []
             s = t
-            while pred[s] >= 0:
+            while pred[s] >= 0 and bottleneck > 0:
                 k = via[s]
                 if k >= n_arcs:
                     bottleneck = min(bottleneck, flow[k - n_arcs])
@@ -276,10 +345,14 @@ def solve_transportation(a_int, b_int, C):
 
     Runs `solve_min_cost_flow` on the complete bipartite graph of ``C``:
     arc ``i*m + j`` runs from row i to column n + j, so the flow is the
-    raveled plan.  Where the optimal plan is unique it is the one the
-    heap loop ``tests/mincostflow_reference.py`` finds; the duals are the
-    final potentials.  `_cancel_support_cycles` then makes an optimal
-    plan's support a forest (at most n + m - 1 positive entries).
+    raveled plan.  That arc list takes the search's dense layout, which
+    writes the phase's lengths into (n, m) blocks of the search matrix,
+    forward lengths in row-major order and reverse lengths in the
+    transposed block, on the flow's support only.  Where the optimal plan
+    is unique it is the one the heap loop ``tests/mincostflow_reference.py``
+    finds; the duals are the final potentials.  `_cancel_support_cycles`
+    then makes an optimal plan's support a forest (at most n + m - 1
+    positive entries).
 
     Costs may have any sign: row i is solved at ``C_ij - s_i``, with
     ``s_i = min(0, min_j C_ij)``, and ``s_i`` is added back to ``f_i``.

@@ -104,7 +104,8 @@ def as_number(obj, name, low=None, high=None, open=False):
     """
     x = as_float_array(obj, name)
     if x.ndim != 0 or not np.isfinite(x):
-        raise ValidationError(f"{name} must be one finite number, got {obj!r}")
+        got = float(x) if x.ndim == 0 else f"shape {x.shape}"
+        raise ValidationError(f"{name} must be one finite number, got {got}")
     return _check_range(float(x), name, low, high, open)
 
 

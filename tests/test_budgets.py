@@ -13,7 +13,7 @@ from otkit import _mincostflow
 from otkit.dynamics import FunctionalSpec, gradient_flow
 from otkit.entropic import SinkhornConfig, sinkhorn
 from otkit.errors import ConvergenceError, ValidationError
-from otkit.exact import solve_kantorovich
+from otkit.exact import solve_assignment, solve_kantorovich
 from otkit.semidiscrete import (LloydConfig, Sampler, SemiDiscreteProblem,
                                 SGDConfig, lloyd_quantize, sgd_solve)
 from otkit.w1 import FlowGraph, SignedDiscreteMeasure, flat_norm, w1_graph_beckmann
@@ -194,8 +194,8 @@ FLOW_DRAWS = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
 
 class TestPushBudgetSweep:
     """Below its push count a flow solve raises ConvergenceError; from it
-    up it returns the default-budget solve bit for bit.  About 0.5 s for
-    90 instances on a 2-CPU machine."""
+    up it returns the default-budget solve bit for bit.  About 0.7 s for
+    120 instances on a 2-CPU machine."""
 
     @FLOW_SWEEP
     @given(**FLOW_DRAWS)
@@ -206,6 +206,19 @@ class TestPushBudgetSweep:
             res = solve_kantorovich(a, b, C)
             return (res.coupling.plan.tobytes(), res.potentials.f.tobytes(),
                     res.potentials.g.tobytes(), res.iterations, res.cost)
+
+        sweep_push_budget(solve)
+
+    @FLOW_SWEEP
+    @given(**{key: FLOW_DRAWS[key]
+              for key in ("seed", "n", "duplicate", "log10_scale")})
+    def test_solve_assignment(self, seed, n, duplicate, log10_scale):
+        # Unit marginals: every row and column a source or sink of one.
+        _, _, _, C = flow_instance(seed, n, n, False, duplicate, log10_scale)
+
+        def solve():
+            res = solve_assignment(C)
+            return res.permutation.tobytes(), res.cost
 
         sweep_push_budget(solve)
 

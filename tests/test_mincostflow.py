@@ -97,6 +97,30 @@ def bipartite_graphs(draw):
             np.array(costs), supplies)
 
 
+@st.composite
+def transport_problems(draw):
+    """Integer marginals and an n x m cost matrix for `solve_transportation`.
+
+    Tied costs at a scale from 1e-8 to 1e8, some rows shifted below zero
+    and zero weights on either side; a single row or column occurs, but
+    never both, so the arcs have an order other than their own.
+    """
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(2 if n == 1 else 1, 6))
+    scale = 10.0 ** draw(st.integers(-8, 8))
+    costs = draw(st.lists(COSTS, min_size=n * m, max_size=n * m))
+    C = np.reshape(costs, (n, m)) * scale
+    negative = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    C[negative] -= 2.0 * scale
+    a = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    b = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m))
+    if sum(a) > sum(b):
+        b[0] += sum(a) - sum(b)
+    else:
+        a[0] += sum(b) - sum(a)
+    return np.array(a), np.array(b), C
+
+
 def one_candidate_per_slot(instance):
     """Whether no arc is a self-loop or joins the nodes of another arc."""
     _, tails, heads, _, _ = instance
@@ -216,14 +240,13 @@ class TestAgainstHeapReference:
         # A broken search: finite labels everywhere but no tree, so the
         # phase reaches the sink and finds no path to push along.  Every
         # phase would repeat the same search, so the loop must raise.
-        def search(fwd, back, sources):
+        def search(pot, flow, sources):
             k = sources.shape[0]
             return np.zeros(k), np.full(k, -1), np.full(k, -1)
 
         with pytest.raises(ConvergenceError, match="pushed nothing"):
             _successive_shortest_paths(
-                np.array([0]), np.array([1]), np.array([1.0]),
-                np.array([1, -1], dtype=np.int64), search, 100)
+                1, np.array([1, -1], dtype=np.int64), search, 100)
 
     def test_slot_keys_past_int32(self):
         # Slot keys are tail * n_nodes + head; with 50,000 nodes they pass
@@ -239,12 +262,13 @@ class TestAgainstHeapReference:
 
 
 class TestOneCandidateSlots:
-    """The search's one-candidate-per-slot shortcut against its general path.
+    """The search's dense layout against its general slot path.
 
-    A strictly costlier parallel copy of one arc puts two candidates in
-    that arc's slot and in the slot of its reverse, so the graph takes
-    the general path.  The copy is never tight and never carries flow,
-    so it must change nothing else.
+    The complete bipartite graph of `bipartite_graphs` takes the dense
+    layout.  A strictly costlier parallel copy of one arc puts two
+    candidates in that arc's slot and in the slot of its reverse, so the
+    graph takes the general path.  The copy is never tight and never
+    carries flow, so it must change nothing else.
     """
 
     @FUZZ
@@ -252,11 +276,13 @@ class TestOneCandidateSlots:
     def test_costlier_parallel_copy_changes_nothing(self, instance, data):
         n, tails, heads, costs, supplies = instance
         assert one_candidate_per_slot(instance)
+        assert _mincostflow._bipartite_rows(n, tails, heads) > 0
         k = data.draw(st.integers(0, tails.size - 1))
         extra = data.draw(st.sampled_from([0.5, 1.0, 4.0]))
         copied = (n, np.append(tails, tails[k]), np.append(heads, heads[k]),
                   np.append(costs, costs[k] + extra), supplies)
         assert not one_candidate_per_slot(copied)
+        assert _mincostflow._bipartite_rows(*copied[:3]) == 0
         plain = solve_min_cost_flow(*instance)
         general = solve_min_cost_flow(*copied)
         assert general.status == plain.status
@@ -269,10 +295,56 @@ class TestOneCandidateSlots:
     @pytest.mark.parametrize("strategy", [digraphs(), digraphs(negative=True),
                                           generic_digraphs()])
     def test_fuzzers_draw_both_slot_layouts(self, strategy):
-        # The random digraphs must reach both paths of the search: graphs
-        # whose slots hold one candidate each and graphs with parallel or
-        # antiparallel arcs.
+        # The random digraphs must reach both kinds of slot on the slot
+        # path: slots that hold one candidate each and slots shared by
+        # parallel or antiparallel arcs.
         once = settings(database=None, derandomize=True)
         for layout in (True, False):
             find(strategy, lambda g: one_candidate_per_slot(g) == layout
                  and g[1].size > 1, settings=once)
+
+
+class TestDenseLayout:
+    """`solve_transportation` on the dense layout against the general slot
+    path, which the same arcs take when listed in another order.  Flows,
+    potentials, push count and status must agree bit for bit, and so
+    must the plan and duals that `solve_transportation` returns."""
+
+    @FUZZ
+    @given(transport_problems(), st.integers(0, 2**32 - 1))
+    def test_matches_slot_path(self, problem, seed):
+        a, b, C = problem
+        n = C.shape[0]
+        solve = _mincostflow.solve_min_cost_flow
+        results = []
+
+        def in_order(n_nodes, tails, heads, costs, supplies):
+            assert _mincostflow._bipartite_rows(n_nodes, tails, heads) == n
+            results.append(solve(n_nodes, tails, heads, costs, supplies))
+            return results[-1]
+
+        def shuffled(n_nodes, tails, heads, costs, supplies):
+            order = np.random.default_rng(seed).permutation(tails.size)
+            if np.array_equal(order, np.arange(tails.size)):
+                order = order[::-1]
+            tails, heads = tails[order], heads[order]
+            assert _mincostflow._bipartite_rows(n_nodes, tails, heads) == 0
+            res = solve(n_nodes, tails, heads, costs[order], supplies)
+            flows = np.empty_like(res.flows)
+            flows[order] = res.flows
+            results.append(res._replace(flows=flows))
+            return results[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_mincostflow, "solve_min_cost_flow", in_order)
+            dense = _mincostflow.solve_transportation(a, b, C)
+            mp.setattr(_mincostflow, "solve_min_cost_flow", shuffled)
+            general = _mincostflow.solve_transportation(a, b, C)
+        got, ref = results
+        assert got.status == ref.status == "optimal"
+        assert got.flows.tobytes() == ref.flows.tobytes()
+        assert got.potentials.tobytes() == ref.potentials.tobytes()
+        assert got.augmentations == ref.augmentations
+        for x, y in zip(dense[:3], general[:3]):
+            assert x.tobytes() == y.tobytes()
+        assert dense[3:] == general[3:]

@@ -438,6 +438,16 @@ def test_out_of_range_size_or_seed_is_a_validation_error(call):
     (lambda: as_number("1.5", "interpolation time", 0, 1),
      "interpolation time must lie in [0, 1], got 1.5"),
     (lambda: as_integer(5, "index", -2, 1), "index must lie in [-2, 1], got 5"),
+    (lambda: SinkhornConfig(epsilon=np.float64("nan")),
+     "epsilon must be one finite number, got nan"),
+    (lambda: as_number(np.float64("-inf"), "dt"),
+     "dt must be one finite number, got -inf"),
+    (lambda: as_number(np.float32("inf"), "bandwidth"),
+     "bandwidth must be one finite number, got inf"),
+    (lambda: as_number(np.float32(-1.5), "dt", low=0, open=True),
+     "dt must be > 0, got -1.5"),
+    (lambda: as_number(np.array([np.nan, 1.0]), "epsilon"),
+     "epsilon must be one finite number, got shape (2,)"),
     (lambda: check_covariance([[-1.0]]), "negative eigenvalue -1.0"),
     (lambda: Coupling([[-0.5, 0.5]], [0.0], [0.0, 0.0]),
      "negative entry -0.5"),
@@ -446,7 +456,8 @@ def test_out_of_range_size_or_seed_is_a_validation_error(call):
     (lambda: validate_metric([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0],
                               [5.0, 1.0, 0.0]]), "D[i,k]-D[k,j]=3.0"),
 ], ids=["open-low", "open-low-at-bound", "integer-low", "open-interval",
-        "closed-interval", "index", "covariance", "coupling",
+        "closed-interval", "index", "float64-nan", "float64-inf",
+        "float32-inf", "float32-low", "array", "covariance", "coupling",
         "metric-nonnegativity", "metric-zero-diagonal", "metric-triangle"])
 def test_error_text_prints_plain_numbers(call, message):
     with pytest.raises(ValidationError) as info:

@@ -37,9 +37,11 @@ def solve_transportation(a_int, b_int, C):
         raise ValidationError("integer marginals are unbalanced")
     rows, cols = np.arange(n), np.arange(m)
 
-    def search(fwd, back, sources):
+    def search(pot, flow, sources):
+        red = C + pot[:n, None] - pot[n:]
+        back = np.where(flow.reshape(n, m) > 0, np.maximum(-red, 0.0), np.inf)
         dr, dc, pr, pc = _shortest_distances(
-            fwd.reshape(n, m), back.reshape(n, m), sources[:n])
+            np.maximum(red, 0.0), back, sources[:n])
         # Column j hangs on row pc[j] by arc pc[j]*m + j, and row i on
         # column pr[i] by the reverse of arc i*m + pr[i].
         pred = np.concatenate([np.where(pr >= 0, n + pr, -1), pc])
@@ -47,8 +49,8 @@ def solve_transportation(a_int, b_int, C):
         return np.concatenate([dr, dc]), pred, via
 
     flow, pot, pushes, status = _successive_shortest_paths(
-        np.repeat(rows, m), n + np.tile(cols, n), C.ravel(),
-        np.concatenate([a_int, -b_int]), search, _push_budget(n + m, n * m))
+        n * m, np.concatenate([a_int, -b_int]), search,
+        _push_budget(n + m, n * m))
     plan_int = flow.reshape(n, m)
     if status == "optimal":
         plan_int = _cancel_support_cycles(plan_int, C)
