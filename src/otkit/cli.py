@@ -80,10 +80,38 @@ def _pyify(obj):
     return obj
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           allow_nan=False).encode
+
+
 def canonical_json(payload) -> str:
     """Serialize with sorted keys and shortest round-trip floats."""
-    return json.dumps(_pyify(payload), sort_keys=True,
-                      separators=(",", ":"), allow_nan=False)
+    return _encode(_pyify(payload))
+
+
+def _value_json(value):
+    """``canonical_json(value)``, with plain floats and ints written
+    directly."""
+    kind = type(value)
+    if kind is float:
+        return repr(value) if math.isfinite(value) else f'"{value!r}"'
+    if kind is int:
+        return repr(value)
+    return _encode(_pyify(value))
+
+
+def _jsonl(columns) -> str:
+    """One line per row of `columns`, a dict of equally long sequences of
+    values, holding ``canonical_json`` of the row as a dict.
+
+    Each line is one format string filled with the values' JSON, so the
+    rows are never built as dicts.
+    """
+    keys = sorted(columns)
+    line = "{%s}\n" % ",".join(_encode(key).replace("%", "%%") + ":%s"
+                               for key in keys)
+    return "".join(line % row for row in
+                   zip(*(map(_value_json, columns[key]) for key in keys)))
 
 
 def _render(payload, fmt: str) -> str:
@@ -209,11 +237,10 @@ def _write_text(path, text):
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_trace(path, records):
-    if path is None:
-        return
-    text = "".join(canonical_json(rec) + "\n" for rec in records)
-    _write_text(path, text)
+def _write_trace(path, columns):
+    """Write the trace `columns` (see `_jsonl`) as JSON lines to `path`."""
+    if path is not None:
+        _write_text(path, _jsonl(columns))
 
 
 def _plan_triplets(plan: np.ndarray):
@@ -222,7 +249,7 @@ def _plan_triplets(plan: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers; each returns (payload, trace_records or None)
+# subcommand handlers; each returns (payload, trace columns or None)
 # ---------------------------------------------------------------------------
 
 def _cmd_exact(args):
@@ -255,10 +282,9 @@ def _cmd_sinkhorn(args):
     res = entropic.sinkhorn(alpha.weights, beta.weights, C, config)
     trace = None
     if args.trace is not None:
-        trace = [{"iter": rec.iteration, "viol_a": rec.viol_a,
-                  "viol_b": rec.viol_b, "dual": rec.dual,
-                  "hilbert_step": rec.hilbert_step}
-                 for rec in res.state.trace]
+        iters, _, viol_a, viol_b, dual, hilbert_step = zip(*res.state.trace)
+        trace = {"iter": iters, "viol_a": viol_a, "viol_b": viol_b,
+                 "dual": dual, "hilbert_step": hilbert_step}
     if res.state.status != "optimal":
         _write_trace(args.trace, trace)
         raise ConvergenceError(
@@ -304,16 +330,15 @@ def _cmd_semidiscrete(args):
     config = semidiscrete.SGDConfig(
         n_iter=args.iters, seed=args.seed, tau0=args.tau0, ell0=args.ell0,
         eval_every=args.eval_every, heldout_samples=args.heldout_samples)
-    g, trace_records = semidiscrete.sgd_solve(problem, config)
-    trace = [{"iter": rec.iteration, "step_size": rec.step_size,
-              "marginal_error": rec.marginal_error}
-             for rec in trace_records]
+    g, records = semidiscrete.sgd_solve(problem, config)
+    iters, step_size, marginal_error = zip(*records)
     payload = {
         "g": g,
         "iterations": args.iters,
-        "marginal_error": trace[-1]["marginal_error"],
+        "marginal_error": marginal_error[-1],
     }
-    return payload, trace
+    return payload, {"iter": iters, "step_size": step_size,
+                     "marginal_error": marginal_error}
 
 
 def _cmd_w1(args):
@@ -406,9 +431,8 @@ def _kernel(gaussian, spec, sigma_name):
 
 
 def _positions_trace(traj):
-    """The ``{"t", "positions"}`` records of a particle trajectory."""
-    return [{"t": float(t), "positions": state}
-            for t, state in zip(traj.times, traj.states)]
+    """The ``t`` and ``positions`` trace columns of a particle trajectory."""
+    return {"t": traj.times.tolist(), "positions": traj.states}
 
 
 def _flow_gradient(cfg, path):
@@ -456,9 +480,8 @@ def _flow_entropy1d(cfg, path):
                                      flow_path.densities[-1])[-1],
         "n_steps": flow_path.n_times - 1,
     }
-    trace = [{"t": float(t), "density": rho}
-             for t, rho in zip(flow_path.times, flow_path.densities)]
-    return payload, trace
+    return payload, {"t": flow_path.times.tolist(),
+                     "density": flow_path.densities}
 
 
 def _flow_flowmatch(cfg, path):
@@ -669,7 +692,7 @@ def run(argv=None) -> int:
         if getattr(args, needed) is None:
             raise ValidationError(f"w1 {args.mode} requires --{needed}")
     payload, trace = _HANDLERS[args.subcommand](args)
-    _write_trace(getattr(args, "trace", None), trace or [])
+    _write_trace(getattr(args, "trace", None), trace or {})
     _write_text(args.out, _finish(payload, args))
     return 0
 

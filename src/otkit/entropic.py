@@ -46,11 +46,18 @@ would lower D, by the gain eps sum_i a_i [omega t_i - e^(-t_i)
 so D never decreases.  Whatever omega, the stop test reads the marginals
 of the current iterates.
 
-When asked (``record_trace``), a trace records for every iteration the
-marginal violations, the Hilbert step of f and D.  Without a trace or
-``record_history`` an iteration updates only the scalings, and f and g are
-formed where they are read: at an absorption, a stop and the end of the
-budget.  Convergence diagnostics based on the Hilbert projective metric
+Unless ``record_history`` keeps every half-step, an iteration updates only
+the scalings, and f and g are formed where they are read: at an
+absorption, a stop and the end of the budget.  A trace (``record_trace``)
+records for every iteration the marginal violations, the Hilbert step of
+f and D without changing that loop: an iteration only keeps references to
+its scalings, absorbed potentials and row sums.  After every 64
+iterations, and at the end of the solve, f, g, the mass, D and the Hilbert
+step of those iterations are formed together, with the bits that forming
+them one iteration at a time would give, so the trace costs little per
+iteration and what it keeps beyond the records stays bounded.
+
+Convergence diagnostics based on the Hilbert projective metric
 (`hilbert_metric`, `contraction_eta_lambda`) bound the linear rate of the
 plain iteration.
 """
@@ -219,9 +226,11 @@ class SinkhornConfig:
         the initial pair.
     record_trace : bool
         Keep one `SinkhornTraceRecord` per iteration in
-        ``SinkhornState.trace``.  Off (default), an iteration computes
-        only what the stop test and the absorption need, and the trace
-        stays empty.
+        ``SinkhornState.trace``.  An iteration computes only what the stop
+        test and the absorption need, traced or not; with a trace it also
+        keeps references to its scalings, and the records of every 64
+        iterations, and of the last ones, are formed together after the
+        loop has run them.  Off (default), the trace stays empty.
     overrelax : bool
         Over-relax the scaling updates (default).  A stage starts with
         plain iterations and measures the rate r at which the violation
@@ -266,14 +275,74 @@ class SinkhornConfig:
             object.__setattr__(self, "epsilon_schedule", sched)
 
 
-@dataclass(frozen=True)
-class SinkhornTraceRecord:
+class SinkhornTraceRecord(NamedTuple):
+    """One iteration of a traced solve: its stage's eps, the L1 marginal
+    violations of its stop test, D(f, g) and the Hilbert step
+    max - min of (f - f_previous) / eps."""
+
     iteration: int
     epsilon: float
     viol_a: float
     viol_b: float
     dual: float
     hilbert_step: float
+
+
+# A traced solve forms its records every _TRACE_BLOCK iterations, so what
+# it keeps of the iterations not yet recorded stays bounded.
+_TRACE_BLOCK = 64
+
+
+def _rows(arrays):
+    """Equally long 1-D arrays as the rows of one array."""
+    return np.concatenate(arrays).reshape(len(arrays), -1)
+
+
+def _stacked(eps, absorbed, scalings, formed):
+    """The potentials ``absorbed + eps log(scaling)`` of a block's
+    iterations as rows, or the one the loop formed where there is one."""
+    rows = np.log(_rows(scalings))
+    rows *= eps
+    rows += _rows(absorbed)
+    for i, potential in enumerate(formed):
+        if potential is not None:
+            rows[i] = potential
+    return rows
+
+
+def _row_dots(rows, x):
+    """The 1-D dot ``row @ x`` of each row, with its bits: a matrix-vector
+    product adds the terms in another order.  `np.vecdot` (numpy >= 2)
+    takes the same dots in one call."""
+    if hasattr(np, "vecdot"):
+        return np.vecdot(rows, x)
+    return np.array([row @ x for row in rows])
+
+
+def _trace_block(block, f_prev, a, b, trace):
+    """Append the records of a block of iterations to `trace`, empty the
+    block and return its last f.
+
+    An entry of `block` holds what one iteration of `sinkhorn` had:
+    ``(eps, fh, u, f, gh, v, g, row, viol_a, viol_b)``, with f or g None
+    where the loop did not form it, and `f_prev` is the f before the
+    block.  Every value has the bits it would have if formed in the
+    iteration: the arithmetic is elementwise or a reduction along each
+    row, and ``f @ a`` and ``g @ b`` are 1-D dots (`_row_dots`).
+    """
+    eps, fh, u, f, gh, v, g, row, viol_a, viol_b = zip(*block)
+    eps_rows = np.array(eps)
+    F = _stacked(eps_rows[:, None], fh, u, f)
+    G = _stacked(eps_rows[:, None], gh, v, g)
+    steps = np.diff(F, axis=0, prepend=f_prev[None, :]) / eps_rows[:, None]
+    hilbert = steps.max(axis=1) - steps.min(axis=1)
+    dual = (_row_dots(F, a) + _row_dots(G, b)
+            - eps_rows * (_rows(row).sum(axis=1) - 1.0))
+    start = len(trace) + 1
+    trace.extend(map(SinkhornTraceRecord, range(start, start + len(block)),
+                     eps, viol_a, viol_b, dual.tolist(), hilbert.tolist()))
+    block.clear()
+    return F[-1]
 
 
 @dataclass
@@ -380,16 +449,20 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     # an iteration makes anyway.  With the safeguard on, the first f
     # half-step of each stage, and any half-step whose scaling is zero,
     # non-finite or outside [1/_ABSORB, _ABSORB], is taken plain in the log
-    # domain and K is rebuilt at the new potentials.  Unless a trace or
-    # the history records them every half-step, f and g are formed only
-    # where they are read: at an absorption, a stop test that passes and
-    # the last iteration of the budget (None marks one not formed).
+    # domain and K is rebuilt at the new potentials.  Unless the history
+    # records them every half-step, f and g are formed only where they
+    # are read: at an absorption, a stop test that passes and the last
+    # iteration of the budget (None marks one not formed).  A trace keeps
+    # what each iteration has in `block` and `_trace_block` forms its
+    # records every _TRACE_BLOCK iterations and at the end of the solve.
     # omega is 1 (plain steps) until a stage's plain iterations have
     # measured the rate that sets it; a relaxed half-step that would lower
     # the dual objective is taken plain (`_relaxed`).
     safeguard = config.log_domain
     record = config.record_trace
-    eager = record or history is not None
+    eager = history is not None
+    block = []
+    f_last = f
     iteration = 0
     status = "max_iter"
     eps = float(stages[0])
@@ -413,7 +486,6 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                 converged = False
                 while iteration < config.max_iter:
                     iteration += 1
-                    f_old = f
                     if K is not None:
                         u_plain = sub_a / Kv
                         u = (u_plain if omega == 1.0 else
@@ -452,19 +524,11 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                     viol_a = float(np.add.reduce(np.abs(row - sub_a)))
                     viol_b = float(np.add.reduce(np.abs(v * Ktu - sub_b)))
                     if record:
-                        mass = float(row.sum())
-                        dual = (float(f @ sub_a + g @ sub_b)
-                                - eps * (mass - 1.0))
-                        step = (f - f_old) / eps
-                        hilbert_step = float(step.max() - step.min())
-                        trace.append(SinkhornTraceRecord(
-                            iteration=iteration,
-                            epsilon=eps,
-                            viol_a=viol_a,
-                            viol_b=viol_b,
-                            dual=dual,
-                            hilbert_step=hilbert_step,
-                        ))
+                        block.append((eps, fh, u, f, gh, v, g, row,
+                                      viol_a, viol_b))
+                        if len(block) == _TRACE_BLOCK:
+                            f_last = _trace_block(block, f_last, sub_a,
+                                                  sub_b, trace)
                     stop = max(viol_a, viol_b) <= config.marginal_tol
                     if stop or iteration == config.max_iter:
                         if f is None:
@@ -494,6 +558,8 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                     break
                 if final_stage:
                     status = "optimal"
+            if block:
+                _trace_block(block, f_last, sub_a, sub_b, trace)
         except FloatingPointError as exc:
             raise ValidationError(
                 "scaling-domain Sinkhorn overflowed; use log_domain=True"

@@ -19,7 +19,7 @@ which makes its quantization cost exactly nonincreasing.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -191,8 +191,10 @@ class SGDConfig:
         object.__setattr__(self, "ell0", as_number(self.ell0, "ell0", low=1))
 
 
-@dataclass(frozen=True)
-class SGDTraceRecord:
+class SGDTraceRecord(NamedTuple):
+    """One evaluation of `sgd_solve`: the steps taken, the last step size
+    and the held-out l1 marginal error."""
+
     iteration: int
     step_size: float
     marginal_error: float

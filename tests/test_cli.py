@@ -23,9 +23,10 @@ from scipy.spatial.distance import cdist
 import serialize_reference
 from conftest import rational_simplex, random_points
 
-from otkit import cli, exact, w1
+from otkit import cli, dynamics, entropic, exact, semidiscrete, w1
 from otkit.cli import canonical_json, main
-from otkit.measures import CostSpec, DiscreteMeasure, build_cost_matrix
+from otkit.measures import (CostSpec, DiscreteMeasure, build_cost_matrix,
+                            measure_from_dict)
 
 
 def run_cli(argv, capsys):
@@ -406,6 +407,172 @@ class TestAgainstPerElementSerializer:
             '{"b":[true,false],"empty":[],"f":[[0.1,-2.5],[3.0,1e-300]],'
             '"i":[0,1,2],"nan":[1.0,"nan","-inf"],"o":[1,2.5,null],'
             '"s":0.10000000149011612,"z":"inf"}')
+
+
+# Floats with the edge cases of float formatting drawn often.
+TRACE_FLOATS = st.one_of(
+    FLOATS,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1e308, -1e308, 1.7976931348623157e308, np.inf, -np.inf,
+                     np.nan]))
+TRACE_VALUES = st.one_of(
+    TRACE_FLOATS, st.integers(), st.integers(2**53, 2**70).map(lambda i: -i),
+    st.integers(2**53, 2**70), st.booleans(), TRACE_FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                            min_side=0, max_side=3),
+               elements=TRACE_FLOATS),
+)
+
+
+@st.composite
+def trace_columns(draw):
+    """Equally long columns under distinct keys.  A column is a list of
+    values or, like ``positions``, one array holding a row per line."""
+    keys = draw(st.lists(st.text(max_size=4), min_size=1, max_size=4,
+                         unique=True))
+    lines = draw(st.integers(0, 5))
+    columns = {}
+    for key in keys:
+        if draw(st.booleans()):
+            columns[key] = draw(st.lists(TRACE_VALUES, min_size=lines,
+                                         max_size=lines))
+        else:
+            shape = draw(hnp.array_shapes(min_dims=0, max_dims=2,
+                                          min_side=0, max_side=3))
+            columns[key] = draw(hnp.arrays(np.float64, (lines,) + shape,
+                                           elements=TRACE_FLOATS))
+    return columns
+
+
+def canonical_lines(records):
+    """The lines of the reference trace file: `canonical_json` of each
+    record dict.  (Comparing lists of lines keeps a failure's diff fast.)"""
+    return [canonical_json(record) + "\n" for record in records]
+
+
+class TestTraceWriter:
+    """`cli._jsonl` writes each row as `canonical_json` writes it as a
+    dict, without building the dicts."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(trace_columns())
+    def test_same_bytes_as_canonical_json(self, columns):
+        rows = zip(*columns.values())
+        want = "".join(canonical_lines(dict(zip(columns, row))
+                                       for row in rows))
+        assert cli._jsonl(columns) == want
+
+    def test_edge_values(self):
+        columns = {"t": [0.5, -0.0], "n": [2**53 + 1, np.int64(-3)],
+                   "v": [np.nan, np.float64(-np.inf)],
+                   "positions": np.array([[[1e308, 5e-324]],
+                                          [[np.inf, -1.0]]])}
+        assert cli._jsonl(columns) == (
+            '{"n":9007199254740993,"positions":[[1e+308,5e-324]],'
+            '"t":0.5,"v":"nan"}\n'
+            '{"n":-3,"positions":[["inf",-1.0]],"t":-0.0,"v":"-inf"}\n')
+
+
+class TestTraceFilesMatchTheSolvers:
+    """Each ``--trace`` file holds the canonical JSON lines of the records
+    the solver returns, under the CLI's key names."""
+
+    @pytest.fixture
+    def measures(self, tmp_path):
+        rng = np.random.default_rng(11)
+        a = {"points": random_points(rng, 6, 2).tolist(),
+             "weights": rational_simplex(rng, 6).tolist()}
+        b = {"points": random_points(rng, 7, 2).tolist(),
+             "weights": rational_simplex(rng, 7).tolist()}
+        return a, b
+
+    # (extra argv, SinkhornConfig settings, epsilon, exit code)
+    SINKHORN_CASES = {
+        "schedule": (["--schedule", "0.4,0.2,0.1,0.05"],
+                     {"epsilon_schedule": (0.4, 0.2, 0.1, 0.05)}, 0.05, 0),
+        # At this eps the scalings leave [1e-50, 1e50] three times.
+        "absorptions": ([], {}, 0.01, 0),
+        "scaling_domain": (["--scaling-domain"], {"log_domain": False},
+                           0.05, 0),
+        "zero_weight": ([], {}, 0.02, 0),
+        "max_iter": (["--max-iter", "100"], {"max_iter": 100}, 0.05, 3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(SINKHORN_CASES))
+    def test_sinkhorn(self, tmp_path, capsys, monkeypatch, measures, case):
+        flags, config, epsilon, want_code = self.SINKHORN_CASES[case]
+        a, b = measures
+        if case == "zero_weight":
+            a["weights"][1] += a["weights"][0]
+            a["weights"][0] = 0.0
+        trace = tmp_path / "trace.jsonl"
+        code, _, _ = run_cli(
+            ["sinkhorn", "--a", write_json(tmp_path, "a.json", a),
+             "--b", write_json(tmp_path, "b.json", b),
+             "--epsilon", repr(epsilon), "--trace", str(trace), *flags],
+            capsys)
+        assert code == want_code
+
+        builds = []
+        gibbs_plan = entropic._gibbs_plan
+        monkeypatch.setattr(entropic, "_gibbs_plan",
+                            lambda *args: builds.append(1) or
+                            gibbs_plan(*args))
+        alpha, beta = measure_from_dict(a), measure_from_dict(b)
+        C = build_cost_matrix(alpha, beta, CostSpec.sq_euclidean())
+        state = entropic.sinkhorn(
+            alpha.weights, beta.weights, C,
+            entropic.SinkhornConfig(epsilon=epsilon, record_trace=True,
+                                    **config)).state
+        assert state.iteration > entropic._TRACE_BLOCK
+        if case == "absorptions":
+            # One kernel at the stage start and one for the returned plan.
+            assert len(builds) > 2
+        assert trace.read_text().splitlines(True) == canonical_lines(
+            {"iter": rec.iteration, "viol_a": rec.viol_a,
+             "viol_b": rec.viol_b, "dual": rec.dual,
+             "hilbert_step": rec.hilbert_step} for rec in state.trace)
+
+    def test_semidiscrete(self, tmp_path, capsys):
+        targets, weights = [[0.2, 0.1], [0.7, 0.4], [0.5, 0.9]], [0.5, 0.3, 0.2]
+        trace = tmp_path / "sd.jsonl"
+        code, _, _ = run_cli(
+            ["semidiscrete", "--targets", write_json(tmp_path, "t.json",
+                                                     targets),
+             "--weights", write_json(tmp_path, "w.json", weights),
+             "--sampler", "uniform_box", "--iters", "700", "--seed", "5",
+             "--eval-every", "200", "--heldout-samples", "300",
+             "--trace", str(trace)], capsys)
+        assert code == 0
+        problem = semidiscrete.SemiDiscreteProblem(
+            semidiscrete.Sampler.uniform_box(np.zeros(2), np.ones(2)),
+            np.array(targets), weights)
+        _, records = semidiscrete.sgd_solve(problem, semidiscrete.SGDConfig(
+            n_iter=700, seed=5, eval_every=200, heldout_samples=300))
+        assert len(records) == 4
+        assert trace.read_text().splitlines(True) == canonical_lines(
+            {"iter": rec.iteration, "step_size": rec.step_size,
+             "marginal_error": rec.marginal_error} for rec in records)
+
+    def test_flow_gradient(self, tmp_path, capsys):
+        x0 = [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.5], [0.25, 0.5]]
+        cfg = write_json(tmp_path, "flow.json", {
+            "kind": "interaction", "kernel": {"name": "gaussian",
+                                              "sigma": 0.7},
+            "x0": x0, "dt": 0.05, "T": 0.5})
+        trace = tmp_path / "traj.jsonl"
+        code, _, _ = run_cli(
+            ["flow", "gradient", "--config", cfg, "--trace", str(trace)],
+            capsys)
+        assert code == 0
+        spec = cli._interaction_preset({"name": "gaussian", "sigma": 0.7}, 2)
+        traj = dynamics.gradient_flow(spec, np.array(x0), dt=0.05, T=0.5)
+        assert traj.n_times == 11
+        assert trace.read_text().splitlines(True) == canonical_lines(
+            {"t": float(t), "positions": state}
+            for t, state in zip(traj.times, traj.states))
 
 
 class TestRoundTrip:

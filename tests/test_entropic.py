@@ -1,6 +1,8 @@
 """Sinkhorn solver: convergence, dual identities, Hilbert-metric bounds."""
 
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
 
+from otkit import entropic
 from otkit.entropic import (
     SinkhornConfig,
     contraction_eta_lambda,
@@ -20,7 +23,7 @@ from otkit.entropic import (
     sinkhorn_divergence,
     softmin,
 )
-from otkit.entropic import _relaxation, _relaxed
+from otkit.entropic import _TRACE_BLOCK, _relaxation, _relaxed, _row_dots
 from otkit.errors import ValidationError
 from otkit.exact import solve_kantorovich
 from otkit.measures import CostSpec, build_cost_matrix
@@ -454,6 +457,88 @@ class TestTraceOffPath:
         plain = solve_or_error(a, b, C, cfg)
         assert solve_or_error(a, b, C, replace(cfg, record_trace=True)) == plain
         assert solve_or_error(a, b, C, replace(cfg, record_history=True)) == plain
+
+
+class TestTraceBlocks:
+    """A traced solve forms its records in blocks after the loop."""
+
+    def test_row_dots_have_the_bits_of_1d_dots(self):
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 16, 31, 33, 100, 257):
+            rows = rng.standard_normal((65, n))
+            x = rng.exponential(size=n)
+            want = np.array([row @ x for row in rows])
+            assert _row_dots(rows, x).tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(**REFERENCE_LAW, log_domain=st.booleans(),
+           block=st.sampled_from([1, 7]))
+    def test_blocks_of_any_size_give_the_same_bits(self, log_domain, block,
+                                                   **draw):
+        # A block of one iteration forms each record alone, as an
+        # iteration would.
+        a, b, C, cfg = reference_law_instance(**draw)
+        cfg = replace(cfg, log_domain=log_domain)
+        want = solve_or_error(a, b, C, cfg)
+        if want[0] == "error":
+            return
+        trace = sinkhorn(a, b, C, cfg).state.trace
+        with mock.patch.object(entropic, "_TRACE_BLOCK", block):
+            assert solve_or_error(a, b, C, cfg) == want
+            assert list(map(repr, sinkhorn(a, b, C, cfg).state.trace)) == (
+                list(map(repr, trace)))
+
+    @pytest.mark.parametrize("log_domain", [True, False])
+    def test_hilbert_steps_have_the_bits_of_one_iteration_at_a_time(
+            self, log_domain):
+        # The history forms f at every half-step; iteration k's f is its
+        # entry 2k.  Past several blocks, with a schedule, a zero-weight
+        # atom and (in the log domain) absorptions.
+        rng, C = unit_square_instance(7, 9, 8)
+        a = rng.exponential(size=9) + 1e-3
+        a[3] = 0.0
+        b = rng.exponential(size=8) + 1e-3
+        a, b = a / a.sum(), b / b.sum()
+        eps = (3e-3 if log_domain else 0.02) * float(C.mean())
+        cfg = SinkhornConfig(epsilon=eps, epsilon_schedule=(4 * eps, eps),
+                             log_domain=log_domain, marginal_tol=1e-12)
+        trace = sinkhorn(a, b, C, replace(cfg, record_trace=True)).state.trace
+        history = sinkhorn(a, b, C, replace(cfg, record_history=True)
+                           ).state.history
+        assert len(trace) > 3 * _TRACE_BLOCK
+        for rec in trace:
+            k = rec.iteration
+            step = (history[2 * k][0] - history[2 * k - 2][0]) / rec.epsilon
+            assert repr(rec.hilbert_step) == repr(float(step.max()
+                                                        - step.min()))
+
+    def test_peak_memory_grows_only_by_the_records(self):
+        # What a solve keeps beyond its records is one block of references
+        # to the iterations not yet recorded and the arrays that form
+        # them, a few hundred KiB at 64 x 64, whatever the iteration count.
+        rng, C = unit_square_instance(3, 64, 64)
+        a = rng.exponential(size=64) + 1e-3
+        b = rng.exponential(size=64) + 1e-3
+        a, b = a / a.sum(), b / b.sum()
+
+        def peak_and_kept(max_iter):
+            cfg = SinkhornConfig(epsilon=0.1 * float(C.mean()),
+                                 max_iter=max_iter, marginal_tol=1e-300,
+                                 record_trace=True)
+            tracemalloc.start()
+            try:
+                res = sinkhorn(a, b, C, cfg)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(res.state.trace) == max_iter
+            return peak, kept
+
+        peak_short, kept_short = peak_and_kept(2000)
+        peak_long, kept_long = peak_and_kept(8000)
+        records = kept_long - kept_short
+        assert records > 0
+        assert peak_long - peak_short <= records + 512 * 1024
 
 
 class TestDualIncrements:

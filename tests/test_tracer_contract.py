@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from otkit import cli
+from otkit import cli, entropic
+from otkit.entropic import SinkhornConfig
+from otkit.measures import CostSpec, build_cost_matrix, measure_from_dict
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,7 +52,8 @@ def _argvs(tmp_path):
     return [
         ["exact", "--a", a, "--b", b, "--out", out],
         ["sinkhorn", "--a", a, "--b", b, "--epsilon", "0.5",
-         "--trace", str(tmp_path / "trace.jsonl"), "--out", out],
+         "--schedule", "2,1,0.5", "--trace", str(tmp_path / "trace.jsonl"),
+         "--out", out],
         ["w1", "graph", "--graph", graph, "--out", out],
         ["flow", "gradient", "--config", flow,
          "--trace", str(tmp_path / "traj.jsonl"), "--out", out],
@@ -96,7 +99,17 @@ def test_traced_ops_fill_the_counters(tracing, tmp_path):
                                            "w1.beckmann"}
     (sinkhorn,) = info("entropic.sinkhorn")
     assert sinkhorn["iterations"] > 0
-    assert 0 < sinkhorn["final_stage_iterations"] <= sinkhorn["iterations"]
+    assert 0 < sinkhorn["final_stage_iterations"] < sinkhorn["iterations"]
+    # The tracer counts the records at the final eps of the traced solve.
+    alpha, beta = (measure_from_dict(json.loads((tmp_path / name).read_text()))
+                   for name in ("a.json", "b.json"))
+    C = build_cost_matrix(alpha, beta, CostSpec.sq_euclidean())
+    trace = entropic.sinkhorn(alpha.weights, beta.weights, C, SinkhornConfig(
+        epsilon=0.5, epsilon_schedule=(2.0, 1.0, 0.5),
+        record_trace=True)).state.trace
+    assert len(trace) == sinkhorn["iterations"]
+    assert sinkhorn["final_stage_iterations"] == sum(
+        rec.epsilon == 0.5 for rec in trace)
     assert info("dynamics.velocity")
     rows = {name: value for name, value, _ in
             tracing.module_metrics(spans, 4, {0}, 0)}
