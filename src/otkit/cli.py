@@ -43,7 +43,7 @@ from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
                        _trapezoid_cdf, as_number, build_cost_matrix,
                        check_covariance, check_points, check_vector,
                        load_measure_csv, measure_from_dict, product_coupling,
-                       read_json)
+                       read_json, require_key, write_text)
 from .selftest import run_selftest
 
 
@@ -166,12 +166,6 @@ def _finish(payload: dict, args) -> str:
 # input loading
 # ---------------------------------------------------------------------------
 
-def _get(payload, key, path):
-    if not isinstance(payload, dict) or key not in payload:
-        raise ValidationError(f"{path} is missing required key {key!r}")
-    return payload[key]
-
-
 def _load_measure(path) -> DiscreteMeasure:
     if str(path).endswith(".csv"):
         return load_measure_csv(path)
@@ -180,17 +174,17 @@ def _load_measure(path) -> DiscreteMeasure:
 
 def _load_signed_measure(path) -> w1.SignedDiscreteMeasure:
     payload = read_json(path)
-    return w1.SignedDiscreteMeasure(_get(payload, "points", path),
-                                    _get(payload, "masses", path))
+    return w1.SignedDiscreteMeasure(require_key(payload, "points", path),
+                                    require_key(payload, "masses", path))
 
 
 def _load_gaussian(path):
     payload = read_json(path)
-    mean = check_points(_get(payload, "mean", path), f"{path}: mean")
+    mean = check_points(require_key(payload, "mean", path), f"{path}: mean")
     if mean.shape[1] != 1:
         raise ValidationError(f"{path}: mean must be a vector")
     d = mean.shape[0]
-    cov = check_covariance(_get(payload, "covariance", path),
+    cov = check_covariance(require_key(payload, "covariance", path),
                            f"{path}: covariance", d)
     return mean[:, 0], cov
 
@@ -218,29 +212,12 @@ def _sampler_spec(text, dim) -> semidiscrete.Sampler:
         path = text[len("mixture:"):]
         payload = read_json(path)
         return semidiscrete.Sampler.gaussian_mixture(
-            _get(payload, "weights", path),
-            _get(payload, "means", path),
-            _get(payload, "covariances", path))
+            require_key(payload, "weights", path),
+            require_key(payload, "means", path),
+            require_key(payload, "covariances", path))
     raise ValidationError(
         f"unknown sampler {text!r}; expected uniform_box, gaussian or "
         "mixture:<file>")
-
-
-def _write_text(path, text):
-    if path is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_trace(path, columns):
-    """Write the trace `columns` (see `_jsonl`) as JSON lines to `path`."""
-    if path is not None:
-        _write_text(path, _jsonl(columns))
 
 
 def _plan_triplets(plan: np.ndarray):
@@ -252,10 +229,15 @@ def _plan_triplets(plan: np.ndarray):
 # subcommand handlers; each returns (payload, trace columns or None)
 # ---------------------------------------------------------------------------
 
-def _cmd_exact(args):
+def _load_problem(args):
+    """The measures at ``--a`` and ``--b`` and their ``--cost`` matrix."""
     alpha = _load_measure(args.a)
     beta = _load_measure(args.b)
-    C = build_cost_matrix(alpha, beta, _cost_spec(args.cost))
+    return alpha, beta, build_cost_matrix(alpha, beta, _cost_spec(args.cost))
+
+
+def _cmd_exact(args):
+    alpha, beta, C = _load_problem(args)
     res = exact.solve_kantorovich(alpha.weights, beta.weights, C)
     payload = {
         "cost": res.cost,
@@ -270,9 +252,7 @@ def _cmd_exact(args):
 
 
 def _cmd_sinkhorn(args):
-    alpha = _load_measure(args.a)
-    beta = _load_measure(args.b)
-    C = build_cost_matrix(alpha, beta, _cost_spec(args.cost))
+    alpha, beta, C = _load_problem(args)
     schedule = args.schedule.split(",") if args.schedule else None
     config = entropic.SinkhornConfig(
         epsilon=args.epsilon, max_iter=args.max_iter,
@@ -286,7 +266,8 @@ def _cmd_sinkhorn(args):
         trace = {"iter": iters, "viol_a": viol_a, "viol_b": viol_b,
                  "dual": dual, "hilbert_step": hilbert_step}
     if res.state.status != "optimal":
-        _write_trace(args.trace, trace)
+        if trace is not None:
+            write_text(args.trace, _jsonl(trace))
         raise ConvergenceError(
             f"sinkhorn stopped at {res.state.iteration} iterations with "
             f"status {res.state.status!r}")
@@ -387,7 +368,7 @@ def _cmd_divergence(args):
 # -- flow configs -----------------------------------------------------------
 
 def _linear_preset(spec, dim):
-    name = _get(spec, "name", "potential")
+    name = require_key(spec, "name", "potential")
     center = check_vector(spec.get("center", np.zeros(dim)), "center", dim)
     if name not in ("quadratic", "gaussian_well"):
         raise ValidationError(
@@ -400,7 +381,7 @@ def _linear_preset(spec, dim):
 
 
 def _interaction_preset(spec, dim):
-    name = _get(spec, "name", "kernel")
+    name = require_key(spec, "name", "kernel")
     if name not in ("quadratic", "gaussian"):
         raise ValidationError(
             f"unknown kernel {name!r}; expected quadratic or gaussian")
@@ -436,17 +417,18 @@ def _positions_trace(traj):
 
 
 def _flow_gradient(cfg, path):
-    x0 = check_points(_get(cfg, "x0", path), "x0")
-    kind = _get(cfg, "kind", path)
+    x0 = check_points(require_key(cfg, "x0", path), "x0")
+    kind = require_key(cfg, "kind", path)
+    dim = x0.shape[1]
     if kind == "linear":
-        spec = _linear_preset(_get(cfg, "potential", path), x0.shape[1])
+        spec = _linear_preset(require_key(cfg, "potential", path), dim)
     elif kind == "interaction":
-        spec = _interaction_preset(_get(cfg, "kernel", path), x0.shape[1])
+        spec = _interaction_preset(require_key(cfg, "kernel", path), dim)
     else:
         raise ValidationError(
             f"unknown flow kind {kind!r}; expected linear or interaction")
-    traj = dynamics.gradient_flow(spec, x0, dt=_get(cfg, "dt", path),
-                                  T=_get(cfg, "T", path),
+    traj = dynamics.gradient_flow(spec, x0, dt=require_key(cfg, "dt", path),
+                                  T=require_key(cfg, "T", path),
                                   scheme=cfg.get("scheme", "explicit"))
     payload = {
         "final_state": traj.final_state,
@@ -458,19 +440,21 @@ def _flow_gradient(cfg, path):
 
 
 def _flow_entropy1d(cfg, path):
-    rho0 = GridDensity1D(_get(cfg, "grid", path), _get(cfg, "density", path))
+    rho0 = GridDensity1D(require_key(cfg, "grid", path),
+                         require_key(cfg, "density", path))
     spec = cfg.get("entropy", "shannon")
     if spec == "shannon":
         entropy = dynamics.GeneralizedEntropy.shannon()
     elif isinstance(spec, dict) and spec.get("name") == "power":
-        entropy = dynamics.GeneralizedEntropy.power(_get(spec, "q", path))
+        entropy = dynamics.GeneralizedEntropy.power(
+            require_key(spec, "q", path))
     else:
         raise ValidationError(
             f"unknown entropy {spec!r}; expected \"shannon\" or "
             "{\"name\": \"power\", \"q\": ...}")
     flow_path = dynamics.entropy_flow_1d(rho0, entropy,
-                                         dt=_get(cfg, "dt", path),
-                                         T=_get(cfg, "T", path))
+                                         dt=require_key(cfg, "dt", path),
+                                         T=require_key(cfg, "T", path))
     payload = {
         "grid": flow_path.grid,
         "final_density": flow_path.densities[-1],
@@ -485,8 +469,8 @@ def _flow_entropy1d(cfg, path):
 
 
 def _flow_flowmatch(cfg, path):
-    source = measure_from_dict(_get(cfg, "source", path))
-    target = measure_from_dict(_get(cfg, "target", path))
+    source = measure_from_dict(require_key(cfg, "source", path))
+    target = measure_from_dict(require_key(cfg, "target", path))
     mode = cfg.get("coupling", "monge")
     if mode == "monge":
         if source.n != target.n or np.max(
@@ -510,30 +494,30 @@ def _flow_flowmatch(cfg, path):
     if bandwidth is None:
         bandwidth = cpath.default_bandwidth
     traj = dynamics.flow_match_trajectory(
-        cpath, cfg.get("x0", source.points), _get(cfg, "dt", path), bandwidth)
+        cpath, cfg.get("x0", source.points), require_key(cfg, "dt", path),
+        bandwidth)
     payload = {"endpoint": traj.final_state, "n_steps": traj.n_times - 1,
                "bandwidth": float(bandwidth)}
     return payload, _positions_trace(traj)
 
 
 def _flow_transformer(cfg, path):
-    tokens = _get(cfg, "tokens", path)
-    traj = dynamics.transformer_flow(tokens, _get(cfg, "Q", path),
-                                     _get(cfg, "K", path),
-                                     _get(cfg, "V", path),
-                                     depth=_get(cfg, "depth", path))
+    tokens = require_key(cfg, "tokens", path)
+    traj = dynamics.transformer_flow(tokens, require_key(cfg, "Q", path),
+                                     require_key(cfg, "K", path),
+                                     require_key(cfg, "V", path),
+                                     depth=require_key(cfg, "depth", path))
     payload = {"final_tokens": traj.final_state, "n_steps": traj.n_times - 1}
     return payload, _positions_trace(traj)
 
 
 def _flow_mlp(cfg, path):
-    if "seed" not in cfg:
-        raise ValidationError(f"{path} must set an explicit \"seed\"")
     traj, risk = dynamics.mlp_flow(
-        _get(cfg, "features", path), _get(cfg, "labels", path),
-        n_neurons=_get(cfg, "n_neurons", path), dt=_get(cfg, "dt", path),
-        T=_get(cfg, "T", path), activation=cfg.get("activation", "identity"),
-        seed=cfg["seed"])
+        require_key(cfg, "features", path), require_key(cfg, "labels", path),
+        n_neurons=require_key(cfg, "n_neurons", path),
+        dt=require_key(cfg, "dt", path), T=require_key(cfg, "T", path),
+        activation=cfg.get("activation", "identity"),
+        seed=require_key(cfg, "seed", path))
     payload = {
         "final_params": traj.final_state,
         "risk": risk,
@@ -553,10 +537,7 @@ _FLOW_HANDLERS = {
 
 
 def _cmd_flow(args):
-    cfg = read_json(args.config)
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{args.config} must hold a JSON object")
-    return _FLOW_HANDLERS[args.mode](cfg, args.config)
+    return _FLOW_HANDLERS[args.mode](read_json(args.config), args.config)
 
 
 # ---------------------------------------------------------------------------
@@ -692,8 +673,13 @@ def run(argv=None) -> int:
         if getattr(args, needed) is None:
             raise ValidationError(f"w1 {args.mode} requires --{needed}")
     payload, trace = _HANDLERS[args.subcommand](args)
-    _write_trace(getattr(args, "trace", None), trace or {})
-    _write_text(args.out, _finish(payload, args))
+    if getattr(args, "trace", None) is not None:
+        write_text(args.trace, _jsonl(trace))
+    text = _finish(payload, args)
+    if args.out is None:
+        sys.stdout.write(text)
+    else:
+        write_text(args.out, text)
     return 0
 
 

@@ -137,6 +137,19 @@ def solve_assignment(C) -> AssignmentResult:
     return AssignmentResult(permutation, cost)
 
 
+def _sorted_1d(alpha, beta):
+    """``(order, x, w)`` for each of two 1-D probability `DiscreteMeasure`s:
+    the stable sort order of its atoms, and its points and weights in it."""
+    result = []
+    for name, mu in (("alpha", alpha), ("beta", beta)):
+        if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
+            raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
+        w = check_weights(mu, name, probability=True)
+        order = np.argsort(mu.points[:, 0], kind="stable")
+        result.append((order, mu.points[order, 0], w[order]))
+    return result
+
+
 def solve_1d_sorted(alpha, beta, p) -> TransportResult:
     """Optimal 1-D transport for the cost |x - y|^p via the monotone sweep.
 
@@ -161,18 +174,8 @@ def solve_1d_sorted(alpha, beta, p) -> TransportResult:
     such exponents are rejected.
     """
     p = as_number(p, "p", low=1)
-    for name, mu in (("alpha", alpha), ("beta", beta)):
-        if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
-            raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
-    aw = check_weights(alpha, "alpha", probability=True)
-    bw = check_weights(beta, "beta", probability=True)
+    (order_a, xa, wa), (order_b, xb, wb) = _sorted_1d(alpha, beta)
     n, m = alpha.n, beta.n
-    order_a = np.argsort(alpha.points[:, 0], kind="stable")
-    order_b = np.argsort(beta.points[:, 0], kind="stable")
-    xa = alpha.points[order_a, 0]
-    xb = beta.points[order_b, 0]
-    wa = aw[order_a]
-    wb = bw[order_b]
 
     plan = np.zeros((n, m))
     cost = 0.0
@@ -204,7 +207,7 @@ def solve_1d_sorted(alpha, beta, p) -> TransportResult:
             if ib < m:
                 rb = wb[ib]
 
-    coupling = Coupling(plan, aw, bw)
+    coupling = Coupling(plan, alpha.weights, beta.weights)
     return TransportResult(
         cost=float(cost),
         coupling=coupling,
@@ -214,23 +217,14 @@ def solve_1d_sorted(alpha, beta, p) -> TransportResult:
     )
 
 
-def _sorted_support(measure):
-    srt = measure.sorted_1d()
-    return srt.points[:, 0], np.cumsum(srt.weights)
-
-
 def w1_1d_cdf(alpha: DiscreteMeasure, beta: DiscreteMeasure) -> float:
     """W1 between 1-D probability measures as the area between their cdfs.
 
     Computes ``integral |F_alpha(x) - F_beta(x)| dx`` exactly on the
     union of atom positions; agrees with `solve_1d_sorted` at p = 1.
     """
-    for name, mu in (("alpha", alpha), ("beta", beta)):
-        if not isinstance(mu, DiscreteMeasure) or mu.dim != 1:
-            raise ValidationError(f"{name} must be a 1-D DiscreteMeasure")
-        check_weights(mu, name, probability=True)
-    xa, ca = _sorted_support(alpha)
-    xb, cb = _sorted_support(beta)
+    (_, xa, wa), (_, xb, wb) = _sorted_1d(alpha, beta)
+    ca, cb = np.cumsum(wa), np.cumsum(wb)
     xs = np.union1d(xa, xb)
     if xs.size < 2:
         return 0.0

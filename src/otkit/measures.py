@@ -50,14 +50,18 @@ File formats
 Point measures travel as JSON ``{"points": [[...], ...], "weights": [...]}``
 or as CSV with one row per atom and the weight in the last column.  Grid
 densities travel as JSON ``{"grid": [...], "density": [...]}``.  One
-reader, `read_json`, reads every JSON file: here, in `otkit.w1` and in the
-CLI.  Every loader raises `ValidationError` on a missing or malformed file.
+reader, `read_json`, reads every JSON file, one lookup, `require_key`,
+takes every required key, and one writer, `write_text`, writes every file
+in place, never emptying it first: here, in `otkit.w1` and in the CLI.
+Each raises `ValidationError` on a file or payload it cannot use.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,6 +81,8 @@ __all__ = [
     "glue",
     "align_supports",
     "read_json",
+    "require_key",
+    "write_text",
     "save_measure_json",
     "load_measure_json",
     "load_measure_csv",
@@ -789,20 +795,12 @@ def save_measure_json(measure: DiscreteMeasure, path):
         "points": measure.points.tolist(),
         "weights": measure.weights.tolist(),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def measure_from_dict(payload) -> DiscreteMeasure:
-    try:
-        points = payload["points"]
-        weights = payload["weights"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(
-            "measure JSON must contain 'points' and 'weights'"
-        ) from exc
-    return DiscreteMeasure(points, weights)
+    return DiscreteMeasure(require_key(payload, "points", "measure JSON"),
+                           require_key(payload, "weights", "measure JSON"))
 
 
 def read_json(path):
@@ -818,6 +816,30 @@ def read_json(path):
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ValidationError(f"{path} is nested too deeply to read") from exc
+
+
+def require_key(payload, key, where):
+    """``payload[key]``; `ValidationError` naming ``where`` when ``payload``
+    is not a JSON object or lacks ``key``."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValidationError(f"{where} is missing required key {key!r}")
+    return payload[key]
+
+
+def write_text(path, text):
+    """Write ``text`` as UTF-8 to ``path``, or raise `ValidationError`.
+
+    The file is opened without ``O_TRUNC`` and, if it is a regular file,
+    cut to the new length after the write: it is never empty in between,
+    it keeps its inode, and a device such as ``/dev/stdout`` is a stream.
+    """
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            fh.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def load_measure_json(path) -> DiscreteMeasure:
@@ -851,18 +873,12 @@ def load_measure_csv(path) -> DiscreteMeasure:
 
 def save_grid_json(density: GridDensity1D, path):
     payload = {"grid": density.grid.tolist(), "density": density.density.tolist()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def grid_from_dict(payload) -> GridDensity1D:
-    try:
-        grid = payload["grid"]
-        density = payload["density"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError("grid JSON must contain 'grid' and 'density'") from exc
-    return GridDensity1D(grid, density)
+    return GridDensity1D(require_key(payload, "grid", "grid JSON"),
+                         require_key(payload, "density", "grid JSON"))
 
 
 def load_grid_json(path) -> GridDensity1D:

@@ -141,17 +141,22 @@ class LaguerreAssignment:
         return np.argmin(self.scores(points), axis=1)
 
 
-def semi_discrete_energy_mc(problem: SemiDiscreteProblem, g,
-                            n_samples: int, seed) -> Tuple[float, float]:
-    """Monte Carlo estimate of the semi-dual energy with standard error."""
+def _mc_draw(problem: SemiDiscreteProblem, g, n_samples, seed):
+    """Laguerre cells of ``g`` and ``n_samples`` points drawn at ``seed``."""
     n_samples = as_integer(n_samples, "n_samples", low=1)
     cells = LaguerreAssignment(problem, g)
     rng = np.random.default_rng(as_integer(seed, "seed", low=0))
-    x = problem.sampler.draw(rng, n_samples)
+    return cells, problem.sampler.draw(rng, n_samples)
+
+
+def semi_discrete_energy_mc(problem: SemiDiscreteProblem, g,
+                            n_samples: int, seed) -> Tuple[float, float]:
+    """Monte Carlo estimate of the semi-dual energy with standard error."""
+    cells, x = _mc_draw(problem, g, n_samples, seed)
     values = cells.scores(x).min(axis=1) + float(cells.g @ problem.target_weights)
-    if n_samples == 1:
+    if len(x) == 1:
         return float(values[0]), np.inf
-    std_err = float(values.std(ddof=1) / np.sqrt(n_samples))
+    std_err = float(values.std(ddof=1) / np.sqrt(len(x)))
     return float(values.mean()), std_err
 
 
@@ -162,12 +167,9 @@ def semi_discrete_gradient_mc(problem: SemiDiscreteProblem, g,
     The components sum to zero because both the target weights and the
     empirical cell frequencies are probability vectors.
     """
-    n_samples = as_integer(n_samples, "n_samples", low=1)
-    cells = LaguerreAssignment(problem, g)
-    rng = np.random.default_rng(as_integer(seed, "seed", low=0))
-    x = problem.sampler.draw(rng, n_samples)
+    cells, x = _mc_draw(problem, g, n_samples, seed)
     counts = np.bincount(cells.membership(x), minlength=problem.m)
-    return problem.target_weights - counts / n_samples
+    return problem.target_weights - counts / len(x)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import UnbalancedError, ValidationError
 from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
 from .measures import (EQUALITY_TOL, as_integer, as_number,
                        check_cost_matrix, check_points, check_vector,
-                       read_json)
+                       read_json, require_key, write_text)
 
 
 class SignedDiscreteMeasure:
@@ -181,12 +181,13 @@ def flow_graph_from_dict(payload) -> FlowGraph:
     Nodes are referenced by name; imbalance entries default to zero for
     nodes not listed.
     """
-    try:
-        nodes = list(payload["nodes"])
-        edges_raw = list(payload["edges"])
-        imbalance_raw = dict(payload["imbalance"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed graph payload: {exc}") from exc
+    nodes, edges_raw, imbalance_raw = (
+        require_key(payload, key, "graph JSON")
+        for key in ("nodes", "edges", "imbalance"))
+    if not (isinstance(nodes, list) and isinstance(edges_raw, list)
+            and isinstance(imbalance_raw, dict)):
+        raise ValidationError("graph JSON must hold lists of nodes and "
+                              "edges and an imbalance object")
     names = [str(v) for v in nodes]
     if len(set(names)) != len(names):
         raise ValidationError("node names must be unique")
@@ -220,6 +221,4 @@ def save_flow_graph_json(path, graph: FlowGraph) -> None:
                       for i in range(graph.n_nodes)
                       if graph.imbalance[i] != 0.0},
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")

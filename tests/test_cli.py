@@ -5,6 +5,7 @@ files under tmp_path, asserting on exit codes, canonical JSON output,
 trace files, and the determinism / round-trip guarantees.
 """
 
+import builtins
 import csv
 import io
 import json
@@ -175,12 +176,24 @@ class TestExitCodes:
          {"source": {"points": [[0.0]], "weights": [1.0]},
           "target": {"points": [[1.0]], "weights": [1.0]},
           "coupling": "monge", "dt": 0.5, "bandwidth": "x"}),
+        (["exact", "--a", "BAD", "--b", "BAD"], [[0.0], [1.0]]),
+        (["exact", "--a", "BAD", "--b", "BAD"], {"points": [[0.0]]}),
+        (["w1", "graph", "--graph", "BAD"],
+         {"nodes": 5, "edges": [], "imbalance": {}}),
+        (["flow", "gradient", "--config", "BAD"],
+         {"kind": "linear", "potential": {"name": "quadratic"},
+          "x0": [[0.0, 1.0]], "T": 0.2}),
+        (["flow", "mlp", "--config", "BAD"], [["seed", 0]]),
+        (["flow", "transformer", "--config", "BAD"], 5),
     ], ids=["exact-string-point", "exact-ragged-points", "w1-kr-string-mass",
             "w1-graph-string-length", "gaussian-string-mean",
             "flow-string-x0", "flow-string-sigma", "transformer-string-q",
             "mlp-string-label", "transformer-string-depth",
             "mlp-string-n-neurons", "entropy1d-string-q",
-            "flowmatch-string-bandwidth"])
+            "flowmatch-string-bandwidth", "exact-measure-is-a-list",
+            "exact-measure-without-weights", "w1-graph-nodes-a-number",
+            "flow-without-dt", "mlp-config-is-a-list",
+            "transformer-config-is-a-number"])
     def test_malformed_payload_is_two(self, tmp_path, capsys, argv, payload):
         bad = write_json(tmp_path, "bad.json", payload)
         code, out, err = run_cli([bad if tok == "BAD" else tok
@@ -671,7 +684,8 @@ class TestTraceFiles:
         assert code == 0
         payload = json.loads(traced)
         assert payload["config"]["inputs"].pop("trace") == str(trace)
-        assert canonical_json(payload) + "\n" == plain
+        assert ((canonical_json(payload) + "\n").splitlines(keepends=True)
+                == plain.splitlines(keepends=True))
         iters = [json.loads(line)["iter"]
                  for line in trace.read_text().splitlines()]
         assert iters == list(range(1, payload["iterations"] + 1))
@@ -850,6 +864,90 @@ class TestOutputFormats:
         assert config["inputs"]["a"] == path_a
 
 
+@pytest.fixture
+def open_flags(monkeypatch):
+    """``(path, flags)`` of every file opened by name from here on.
+
+    `open` is given an opener that goes through the spied `os.open`, so
+    the flags its mode implies (``O_TRUNC`` for "w") are seen too.
+    """
+    calls = []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, mode=0o777, **kwargs):
+        calls.append((os.fspath(path), flags))
+        return real_os_open(path, flags, mode, **kwargs)
+
+    def spy_open(file, *args, **kwargs):
+        if not isinstance(file, int) and kwargs.get("opener") is None:
+            kwargs["opener"] = lambda path, flags: spy_os_open(path, flags,
+                                                                0o666)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    return calls
+
+
+class TestOutputFiles:
+    """``--out`` and ``--trace`` files are written in place: an existing
+    file is never emptied first, keeps its inode and ends up holding
+    exactly the new bytes."""
+
+    @pytest.fixture
+    def argv(self, measure_files):
+        path_a, path_b, _, _ = measure_files
+        return ["sinkhorn", "--a", path_a, "--b", path_b, "--epsilon", "0.5"]
+
+    def test_existing_files_are_not_opened_with_o_trunc(
+            self, tmp_path, argv, capsys, open_flags):
+        paths = [tmp_path / "out.json", tmp_path / "trace.jsonl"]
+        for path in paths:
+            path.write_bytes(b"x" * 100_000)
+        open_flags.clear()
+        code, _, _ = run_cli(argv + ["--out", str(paths[0]),
+                                     "--trace", str(paths[1])], capsys)
+        assert code == 0
+        for path in paths:
+            flags = [f for p, f in open_flags if p == str(path)]
+            assert flags, path
+            assert not any(f & os.O_TRUNC for f in flags), path
+
+    def test_rewrite_keeps_the_inode_and_holds_exactly_the_new_bytes(
+            self, tmp_path, argv, capsys):
+        paths = [tmp_path / "out.json", tmp_path / "trace.jsonl"]
+        argv = argv + ["--out", str(paths[0]), "--trace", str(paths[1])]
+        assert run_cli(argv, capsys)[0] == 0
+        fresh = [path.read_bytes().splitlines(keepends=True)
+                 for path in paths]
+        inodes = []
+        for path in paths:
+            # longer than the new text, so a write in place leaves a tail
+            # unless the file is cut to the new length
+            path.write_bytes(b"x" * 100_000)
+            os.link(path, path.with_suffix(".link"))
+            inodes.append(path.stat().st_ino)
+        assert run_cli(argv, capsys)[0] == 0
+        for path, inode, lines in zip(paths, inodes, fresh):
+            assert path.stat().st_ino == inode
+            assert path.read_bytes().splitlines(keepends=True) == lines
+            assert (path.with_suffix(".link").read_bytes()
+                    .splitlines(keepends=True)) == lines
+
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_file_is_two(self, tmp_path, argv, capsys, flag,
+                                    kind):
+        target = (tmp_path if kind == "directory"
+                  else tmp_path / "missing" / "out.json")
+        code, out, err = run_cli(argv + [flag, str(target)], capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation"
+        assert error["message"].startswith(f"cannot write {target}: ")
+
+
 class TestSelftestCommand:
     def test_exit_zero_and_byte_identical(self, capsys):
         code1, out1, _ = run_cli(["selftest"], capsys)
@@ -909,8 +1007,11 @@ class TestParserReuse:
                 for path in (out, trace):
                     path.unlink(missing_ok=True)
                 code, stdout, stderr = run_cli(argv, capsys)
-                seen.append((code, stdout, stderr,
-                             *(p.read_bytes() if p.exists() else None
+                # Lists of lines, so that a failure's report stays quick.
+                seen.append((code, stdout.splitlines(keepends=True),
+                             stderr.splitlines(keepends=True),
+                             *(p.read_bytes().splitlines(keepends=True)
+                               if p.exists() else None
                                for p in (out, trace))))
             return seen
 
@@ -918,7 +1019,7 @@ class TestParserReuse:
         reused = results(fresh=False)
         assert cli.build_parser.cache_info().misses == 1
         assert fresh[0][0] == 2
-        assert json.loads(fresh[0][2])["error"]["code"] == "usage"
+        assert json.loads("".join(fresh[0][2]))["error"]["code"] == "usage"
         assert [r[0] for r in fresh[1:]] == [0] * (len(argvs) - 1)
         assert fresh[2][1:] == fresh[-1][1:]
         for argv, a, b in zip(argvs, fresh, reused):

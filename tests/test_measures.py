@@ -1,6 +1,9 @@
 """Measures, costs, couplings: validation, cdf/quantile duality, gluing."""
 
+import ast
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +29,9 @@ from otkit.measures import (
     pushforward,
     save_grid_json,
     save_measure_json,
+    write_text,
 )
-from otkit.w1 import load_flow_graph_json
+from otkit.w1 import FlowGraph, load_flow_graph_json, save_flow_graph_json
 
 from conftest import random_simplex
 
@@ -387,3 +391,93 @@ class TestIO:
         path.write_text(json.dumps({"points": [[0.0]]}))
         with pytest.raises(ValidationError):
             load_measure_json(path)
+
+    @pytest.mark.parametrize("loader, payload", [
+        (load_measure_json, {"points": [[0.0]]}),
+        (load_measure_json, [[0.0], [1.0]]),
+        (load_grid_json, {"grid": [0.0, 1.0]}),
+        (load_grid_json, "grid"),
+        (load_flow_graph_json, {"nodes": ["x"], "edges": []}),
+        (load_flow_graph_json, {"nodes": 5, "edges": [], "imbalance": {}}),
+        (load_flow_graph_json, {"nodes": ["x"], "edges": [],
+                                "imbalance": [["x", 0.0]]}),
+    ], ids=["measure-without-weights", "measure-is-a-list",
+            "grid-without-density", "grid-is-a-string",
+            "graph-without-imbalance", "graph-nodes-a-number",
+            "graph-imbalance-a-list"])
+    def test_missing_key_or_wrong_container_is_a_validation_error(
+            self, tmp_path, loader, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="JSON"):
+            loader(path)
+
+    @pytest.mark.parametrize("save", [
+        lambda path: save_measure_json(DiscreteMeasure([[0.0]], [1.0]), path),
+        lambda path: save_grid_json(GridDensity1D([0.0, 1.0], [1.0, 1.0]),
+                                    path),
+        lambda path: save_flow_graph_json(
+            path, FlowGraph(2, [(0, 1, 1.0)], [0.5, -0.5])),
+    ], ids=["measure", "grid", "graph"])
+    @pytest.mark.parametrize("kind", ["missing-directory", "directory"])
+    def test_unwritable_path_is_a_validation_error(self, tmp_path, save,
+                                                   kind):
+        path = tmp_path / "missing" / "out.json"
+        if kind == "directory":
+            path = tmp_path
+        with pytest.raises(ValidationError, match="cannot write"):
+            save(path)
+
+    def test_write_text_does_not_truncate_a_device(self):
+        # A character device cannot be truncated; the write must not try.
+        write_text(os.devnull, "payload\n")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "otkit"
+# Calls that write a file whatever their arguments: `json.dump`, numpy's
+# savers and pathlib's writers.
+_WRITING_CALLS = {"dump", "save", "savez", "savetxt", "tofile",
+                  "write_bytes"}
+
+
+def _writes(call):
+    """Whether ``call`` opens a file for writing or writes one outright.
+
+    An ``open``, ``os.open`` or ``os.fdopen`` counts as a write unless its
+    mode is a string constant without "w", "a", "x" or "+".
+    """
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        name = func.attr
+        if name == "write_text":
+            return True
+    else:
+        name = getattr(func, "id", "")
+    if name in _WRITING_CALLS:
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    modes = call.args[1:2] + [kw.value for kw in call.keywords
+                              if kw.arg in ("mode", "flags")]
+    return any(not isinstance(mode, ast.Constant)
+               or set(str(mode.value)) & set("wax+") for mode in modes)
+
+
+def _file_writes(path):
+    """``(module, function)`` for each call in the module at ``path`` that
+    writes a file; ``function`` is the innermost enclosing def."""
+    found = set()
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _writes(child):
+                found.add((path.name, function))
+            visit(child, child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_write_text_writes_files():
+    writes = set().union(*map(_file_writes, sorted(SRC.glob("*.py"))))
+    assert writes == {("measures.py", "write_text")}
