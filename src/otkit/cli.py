@@ -22,6 +22,9 @@ check fails.
 
 The env var OT_THREADS caps internal (BLAS) parallelism; it is read
 before numpy is first imported.
+
+Each handler imports the solver modules it calls, so a fresh ``ot`` run
+loads only its own solver's modules beside ``otkit.measures``.
 """
 
 import argparse
@@ -35,16 +38,13 @@ import sys
 
 import numpy as np
 
-from . import __version__, divergences, dynamics, entropic, exact
-from . import gaussian as gaussian_mod
-from . import semidiscrete, w1
+from . import __version__
 from .errors import ConvergenceError, OTError, ValidationError
 from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
                        _trapezoid_cdf, as_number, build_cost_matrix,
                        check_covariance, check_points, check_vector,
                        load_measure_csv, measure_from_dict, product_coupling,
                        read_json, require_key, write_text)
-from .selftest import run_selftest
 
 
 # ---------------------------------------------------------------------------
@@ -172,12 +172,6 @@ def _load_measure(path) -> DiscreteMeasure:
     return measure_from_dict(read_json(path))
 
 
-def _load_signed_measure(path) -> w1.SignedDiscreteMeasure:
-    payload = read_json(path)
-    return w1.SignedDiscreteMeasure(require_key(payload, "points", path),
-                                    require_key(payload, "masses", path))
-
-
 def _load_gaussian(path):
     payload = read_json(path)
     mean = check_points(require_key(payload, "mean", path), f"{path}: mean")
@@ -203,15 +197,16 @@ def _cost_spec(text) -> CostSpec:
         "or p:<exponent>")
 
 
-def _sampler_spec(text, dim) -> semidiscrete.Sampler:
+def _sampler_spec(text, dim):
+    from .semidiscrete import Sampler
     if text == "uniform_box":
-        return semidiscrete.Sampler.uniform_box(np.zeros(dim), np.ones(dim))
+        return Sampler.uniform_box(np.zeros(dim), np.ones(dim))
     if text == "gaussian":
-        return semidiscrete.Sampler.gaussian(np.zeros(dim), np.eye(dim))
+        return Sampler.gaussian(np.zeros(dim), np.eye(dim))
     if text.startswith("mixture:"):
         path = text[len("mixture:"):]
         payload = read_json(path)
-        return semidiscrete.Sampler.gaussian_mixture(
+        return Sampler.gaussian_mixture(
             require_key(payload, "weights", path),
             require_key(payload, "means", path),
             require_key(payload, "covariances", path))
@@ -237,6 +232,7 @@ def _load_problem(args):
 
 
 def _cmd_exact(args):
+    from . import exact
     alpha, beta, C = _load_problem(args)
     res = exact.solve_kantorovich(alpha.weights, beta.weights, C)
     payload = {
@@ -252,6 +248,7 @@ def _cmd_exact(args):
 
 
 def _cmd_sinkhorn(args):
+    from . import entropic
     alpha, beta, C = _load_problem(args)
     schedule = args.schedule.split(",") if args.schedule else None
     config = entropic.SinkhornConfig(
@@ -286,14 +283,15 @@ def _cmd_sinkhorn(args):
 
 
 def _cmd_gaussian(args):
+    from . import gaussian
     mean_a, cov_a = _load_gaussian(args.a)
     mean_b, cov_b = _load_gaussian(args.b)
-    w2sq = gaussian_mod.gaussian_w2_squared(mean_a, cov_a, mean_b, cov_b)
-    mapping = gaussian_mod.gaussian_monge_map(mean_a, cov_a, mean_b, cov_b)
+    w2sq = gaussian.gaussian_w2_squared(mean_a, cov_a, mean_b, cov_b)
+    mapping = gaussian.gaussian_monge_map(mean_a, cov_a, mean_b, cov_b)
     payload = {
         "w2_squared": w2sq,
         "w2": float(np.sqrt(w2sq)),
-        "bures_squared": gaussian_mod.bures_squared(cov_a, cov_b),
+        "bures_squared": gaussian.bures_squared(cov_a, cov_b),
         "map": {
             "matrix": mapping.matrix,
             "source_mean": mapping.source_mean,
@@ -304,6 +302,7 @@ def _cmd_gaussian(args):
 
 
 def _cmd_semidiscrete(args):
+    from . import semidiscrete
     targets = check_points(read_json(args.targets), "targets")
     sampler = _sampler_spec(args.sampler, targets.shape[1])
     problem = semidiscrete.SemiDiscreteProblem(sampler, targets,
@@ -323,6 +322,7 @@ def _cmd_semidiscrete(args):
 
 
 def _cmd_w1(args):
+    from . import w1
     if args.mode == "graph":
         graph = w1.flow_graph_from_dict(read_json(args.graph))
         value, flows = w1.w1_graph_beckmann(graph)
@@ -333,7 +333,10 @@ def _cmd_w1(args):
                       for (u, v, length), flow in zip(graph.edges, flows)],
         }
         return payload, None
-    signed = _load_signed_measure(args.measure)
+    payload = read_json(args.measure)
+    signed = w1.SignedDiscreteMeasure(
+        require_key(payload, "points", args.measure),
+        require_key(payload, "masses", args.measure))
     pts = signed.points
     dist = build_cost_matrix(pts, pts, CostSpec.euclidean())
     if args.mode == "kr":
@@ -344,6 +347,7 @@ def _cmd_w1(args):
 
 
 def _cmd_divergence(args):
+    from . import divergences
     if (args.phi is None) == (args.kernel is None):
         raise ValidationError("choose exactly one of --phi or --kernel")
     alpha = _load_measure(args.a)
@@ -368,6 +372,7 @@ def _cmd_divergence(args):
 # -- flow configs -----------------------------------------------------------
 
 def _linear_preset(spec, dim):
+    from . import dynamics
     name = require_key(spec, "name", "potential")
     center = check_vector(spec.get("center", np.zeros(dim)), "center", dim)
     if name not in ("quadratic", "gaussian_well"):
@@ -381,6 +386,7 @@ def _linear_preset(spec, dim):
 
 
 def _interaction_preset(spec, dim):
+    from . import dynamics
     name = require_key(spec, "name", "kernel")
     if name not in ("quadratic", "gaussian"):
         raise ValidationError(
@@ -417,6 +423,7 @@ def _positions_trace(traj):
 
 
 def _flow_gradient(cfg, path):
+    from . import dynamics
     x0 = check_points(require_key(cfg, "x0", path), "x0")
     kind = require_key(cfg, "kind", path)
     dim = x0.shape[1]
@@ -440,6 +447,7 @@ def _flow_gradient(cfg, path):
 
 
 def _flow_entropy1d(cfg, path):
+    from . import dynamics
     rho0 = GridDensity1D(require_key(cfg, "grid", path),
                          require_key(cfg, "density", path))
     spec = cfg.get("entropy", "shannon")
@@ -469,6 +477,7 @@ def _flow_entropy1d(cfg, path):
 
 
 def _flow_flowmatch(cfg, path):
+    from . import dynamics
     source = measure_from_dict(require_key(cfg, "source", path))
     target = measure_from_dict(require_key(cfg, "target", path))
     mode = cfg.get("coupling", "monge")
@@ -483,6 +492,7 @@ def _flow_flowmatch(cfg, path):
         if mode == "product":
             coupling = product_coupling(source, target)
         else:
+            from . import exact
             C = build_cost_matrix(source, target, CostSpec.sq_euclidean())
             coupling = exact.solve_kantorovich(source.weights, target.weights,
                                                C).coupling
@@ -502,6 +512,7 @@ def _flow_flowmatch(cfg, path):
 
 
 def _flow_transformer(cfg, path):
+    from . import dynamics
     tokens = require_key(cfg, "tokens", path)
     traj = dynamics.transformer_flow(tokens, require_key(cfg, "Q", path),
                                      require_key(cfg, "K", path),
@@ -512,6 +523,7 @@ def _flow_transformer(cfg, path):
 
 
 def _flow_mlp(cfg, path):
+    from . import dynamics
     traj, risk = dynamics.mlp_flow(
         require_key(cfg, "features", path), require_key(cfg, "labels", path),
         n_neurons=require_key(cfg, "n_neurons", path),
@@ -665,6 +677,7 @@ def run(argv=None) -> int:
     """Parse argv, run one subcommand, and return the exit code."""
     args = build_parser().parse_args(argv)
     if args.subcommand == "selftest":
+        from .selftest import run_selftest
         report, ok = run_selftest()
         sys.stdout.write(report)
         return 0 if ok else 1

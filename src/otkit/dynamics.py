@@ -34,7 +34,7 @@ from .errors import (
 )
 from .measures import (Coupling, GridDensity1D, _check_increasing,
                        _trapezoid_cdf, as_float_array, as_integer, as_number,
-                       check_matrix, check_points, check_vector,
+                       check_matrix, check_points, check_size, check_vector,
                        check_weights)
 
 __all__ = [
@@ -870,6 +870,7 @@ def transformer_flow(tokens, Q, K, V, depth) -> ParticleTrajectory:
     """
     X = check_points(tokens, "tokens")
     depth = as_integer(depth, "depth", low=1)
+    check_size("depth", depth + 1, *X.shape)
     return _trajectory(
         np.arange(depth + 1) / depth, X,
         lambda s, X: X + attention_velocity(X, Q, K, V, X) / depth)
@@ -893,6 +894,7 @@ def mlp_flow(features, labels, n_neurons, dt, T, activation="identity",
     """
     spec = FunctionalSpec.mlp_risk(features, labels, activation)
     n = as_integer(n_neurons, "n_neurons", low=1)
+    check_size("n_neurons", n, spec.dim)
     rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     d = spec.dim - 1
     theta0 = np.hstack([

@@ -59,9 +59,12 @@ Each raises `ValidationError` on a file or payload it cannot use.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import os
 import stat
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,6 +83,7 @@ __all__ = [
     "product_coupling",
     "glue",
     "align_supports",
+    "read_text",
     "read_json",
     "require_key",
     "write_text",
@@ -92,6 +96,8 @@ __all__ = [
 
 MARGINAL_TOL = 1e-9
 EQUALITY_TOL = 1e-12
+# The most array elements one setting may ask for: 16 GiB of float64.
+MAX_ELEMENTS = 1 << 31
 
 
 def as_float_array(obj, name):
@@ -130,6 +136,16 @@ def as_integer(obj, name, low=None, high=None):
             raise ValidationError(f"{name} must be a whole number, got {x!r}")
         n = int(x)
     return _check_range(n, name, low, high, False)
+
+
+def check_size(name, *shape):
+    """`ValidationError` naming the setting ``name`` when an array of
+    ``shape`` would hold more than `MAX_ELEMENTS` elements."""
+    count = math.prod(shape)
+    if count > MAX_ELEMENTS:
+        raise ValidationError(
+            f"{name} asks for {count} array elements, more than the "
+            f"{MAX_ELEMENTS} allowed")
 
 
 def _check_range(x, name, low, high, open):
@@ -803,15 +819,25 @@ def measure_from_dict(payload) -> DiscreteMeasure:
                            require_key(payload, "weights", "measure JSON"))
 
 
-def read_json(path):
-    """The JSON value in the file at ``path``; a file that cannot be read,
-    is not valid JSON or nests deeper than the parser's recursion limit
-    raises `ValidationError` naming the path."""
+def read_text(path, newline=None):
+    """The text of the UTF-8 file at ``path``, read with ``newline`` as
+    `open` takes it; a file that cannot be read raises `ValidationError`
+    naming the path."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+
+
+def read_json(path):
+    """The JSON value in the `read_text` of ``path``; text that is not
+    valid JSON or nests deeper than the parser's recursion limit raises
+    `ValidationError` naming the path."""
+    try:
+        return json.loads(read_text(path))
+    except ValidationError:  # from read_text; it is also a ValueError
+        raise
     except ValueError as exc:
         raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:
@@ -831,9 +857,15 @@ def write_text(path, text):
 
     The file is opened without ``O_TRUNC`` and, if it is a regular file,
     cut to the new length after the write: it is never empty in between,
-    it keeps its inode, and a device such as ``/dev/stdout`` is a stream.
+    it keeps its inode, and a device such as ``/dev/null`` is a stream.
+    A path that names the file on this process's stdout, such as
+    ``/dev/stdout``, is written through `sys.stdout`, so a stdout opened
+    for appending keeps what it held.
     """
     try:
+        if _is_stdout(path):
+            sys.stdout.write(text)
+            return
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             fh.write(text.encode("utf-8"))
             if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
@@ -842,19 +874,23 @@ def write_text(path, text):
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
+def _is_stdout(path):
+    """Whether ``path`` names the same file as file descriptor 1."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 def load_measure_json(path) -> DiscreteMeasure:
     return measure_from_dict(read_json(path))
 
 
 def load_measure_csv(path) -> DiscreteMeasure:
     """Read atoms from CSV; each row is x_1, ..., x_d, weight."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            records = list(csv.reader(fh))
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path, newline="")
     rows = []
-    for record in records:
+    for record in csv.reader(io.StringIO(text, newline="")):
         if not record or all(not cell.strip() for cell in record):
             continue
         try:

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ValidationError
 from .measures import (CostSpec, as_float_array, as_integer, as_number,
                        build_cost_matrix, check_covariance, check_points,
-                       check_vector, check_weights)
+                       check_size, check_vector, check_weights)
 
 
 class Sampler:
@@ -44,6 +44,7 @@ class Sampler:
 
     def draw(self, rng, n: int) -> np.ndarray:
         n = as_integer(n, "n", low=0)
+        check_size("n", n, self.dim)
         pts = np.asarray(self._draw(rng, n), dtype=float)
         if pts.shape != (n, self.dim):
             raise ValidationError(
@@ -144,6 +145,7 @@ class LaguerreAssignment:
 def _mc_draw(problem: SemiDiscreteProblem, g, n_samples, seed):
     """Laguerre cells of ``g`` and ``n_samples`` points drawn at ``seed``."""
     n_samples = as_integer(n_samples, "n_samples", low=1)
+    check_size("n_samples", n_samples, problem.sampler.dim)
     cells = LaguerreAssignment(problem, g)
     rng = np.random.default_rng(as_integer(seed, "seed", low=0))
     return cells, problem.sampler.draw(rng, n_samples)

@@ -40,6 +40,14 @@ def run_cli(argv, capsys):
     return code, out, err
 
 
+def fresh_process_env():
+    """The environment for a fresh ``ot`` process that imports this tree's
+    package, with one BLAS thread."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return dict(os.environ, OT_THREADS="1", PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def write_json(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -257,6 +265,9 @@ class TestExitCodes:
         ("mlp", {"seed": -1}),
         ("mlp", {"seed": 2.5}),
         ("mlp", {"seed": "x"}),
+        ("transformer", {"depth": 1e20}),
+        ("mlp", {"n_neurons": 1e20}),
+        ("semidiscrete", {"--heldout-samples": str(10 ** 20)}),
     ], ids=["epsilon", "tol", "max-iter", "schedule-zero", "schedule-text",
             "cost-p", "cost-p-text", "iters", "seed", "tau0", "ell0",
             "eval-every", "heldout-samples", "kernel-sigma",
@@ -265,7 +276,9 @@ class TestExitCodes:
             "gradient-kernel-sigma", "gradient-well-sigma", "entropy1d-q",
             "entropy1d-dt", "flowmatch-bandwidth", "flowmatch-dt",
             "transformer-depth", "mlp-n-neurons", "mlp-T",
-            "mlp-seed-negative", "mlp-seed-fractional", "mlp-seed-string"])
+            "mlp-seed-negative", "mlp-seed-fractional", "mlp-seed-string",
+            "transformer-depth-past-ceiling", "mlp-n-neurons-past-ceiling",
+            "heldout-samples-past-ceiling"])
     def test_out_of_range_setting_is_two(self, tmp_path, capsys, base,
                                          change):
         """Each run succeeds with its base settings and exits 2 with one
@@ -947,6 +960,26 @@ class TestOutputFiles:
         assert error["code"] == "validation"
         assert error["message"].startswith(f"cannot write {target}: ")
 
+    def test_out_to_an_appended_stdout_keeps_what_it_held(
+            self, tmp_path, measure_files):
+        """``ot ... --out /dev/stdout >> log`` adds the payload after the
+        lines ``log`` already held."""
+        path_a, path_b, _, _ = measure_files
+        env = fresh_process_env()
+        command = [sys.executable, "-c",
+                   "import sys; from otkit.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))",
+                   "exact", "--a", path_a, "--b", path_b,
+                   "--out", "/dev/stdout"]
+        payload = subprocess.run(command, capture_output=True, env=env,
+                                 check=True).stdout
+        assert payload.startswith(b"{")
+        log = tmp_path / "log.txt"
+        log.write_bytes(b"earlier line\n")
+        with open(log, "ab") as fh:
+            subprocess.run(command, stdout=fh, env=env, check=True)
+        assert log.read_bytes() == b"earlier line\n" + payload
+
 
 class TestSelftestCommand:
     def test_exit_zero_and_byte_identical(self, capsys):
@@ -1027,28 +1060,31 @@ class TestParserReuse:
 
 
 class TestColdStart:
-    """What a fresh ``ot`` process imports: scipy only where a solver
-    calls it, so that a later top-level import cannot slow every run."""
+    """What a fresh ``ot`` process imports: each solver module only in the
+    subcommand that runs it, and scipy only where a solver calls it, so
+    that a later top-level import cannot slow every run."""
 
     SCRIPT = (
         "import json, sys\n"
         "from otkit.cli import main\n"
         "argv = json.loads(sys.argv[1])\n"
         "code = main(argv) if argv else 0\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules\n"
-        "                               if m.startswith('scipy'))]))\n"
+        "print(json.dumps([code, sorted(\n"
+        "    m for m in sys.modules if m.startswith(('scipy', 'otkit')))]))\n"
     )
+    BASE = ["otkit", "otkit.cli", "otkit.errors", "otkit.measures"]
 
-    def scipy_modules(self, argv):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = dict(os.environ, OT_THREADS="1", PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    def loaded_modules(self, argv):
         done = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, json.dumps(argv)],
-            capture_output=True, text=True, env=env, check=True)
+            capture_output=True, text=True, env=fresh_process_env(),
+            check=True)
         code, modules = json.loads(done.stdout.splitlines()[-1])
         assert code == 0, done.stderr
         return modules
+
+    def scipy_modules(self, argv):
+        return [m for m in self.loaded_modules(argv) if m.startswith("scipy")]
 
     def test_import_and_scipy_free_subcommands_load_no_scipy(
             self, tmp_path, measure_files):
@@ -1073,3 +1109,33 @@ class TestColdStart:
              "--out", str(tmp_path / "out.json")])
         assert "scipy.sparse.csgraph" in modules
         assert not [m for m in modules if m.startswith("scipy.spatial")]
+
+    @pytest.mark.parametrize("base, solvers", [
+        (None, []),
+        ("exact", ["_mincostflow", "duality", "exact"]),
+        ("sinkhorn", ["entropic"]),
+        ("graph", ["_mincostflow", "duality", "exact", "w1"]),
+        ("semidiscrete", ["semidiscrete"]),
+        ("gradient", ["dynamics"]),
+        ("gaussian", ["gaussian"]),
+        ("divergence", ["divergences"]),
+    ], ids=["import", "exact", "sinkhorn", "w1-graph", "semidiscrete",
+            "flow-gradient", "gaussian", "divergence"])
+    def test_each_subcommand_loads_only_its_own_solver(self, tmp_path, base,
+                                                       solvers):
+        """``import otkit.cli`` loads four modules; a run adds the modules
+        of its own solver and of nothing else."""
+        if base is None:
+            argv = []
+        elif base == "gaussian":
+            gauss = write_json(tmp_path, "g.json",
+                               {"mean": [0.0], "covariance": [[1.0]]})
+            argv = ["gaussian", "--a", gauss, "--b", gauss]
+        else:
+            argv = _range_sweep_base(tmp_path, base)[0]
+        if argv:
+            argv += ["--out", str(tmp_path / "out.json")]
+        modules = [m for m in self.loaded_modules(argv)
+                   if m.startswith("otkit")]
+        assert modules == sorted(self.BASE + [f"otkit.{name}"
+                                              for name in solvers])

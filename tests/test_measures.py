@@ -366,8 +366,10 @@ class TestIO:
         path = tmp_path / "input"
         if kind == "directory":
             path.mkdir()
-        with pytest.raises(ValidationError, match="cannot read"):
+        with pytest.raises(ValidationError) as error:
             loader(path)
+        # CSV and JSON files are read by one reader, with one message.
+        assert str(error.value).startswith(f"cannot read {path}: ")
 
     @pytest.mark.parametrize("loader", [load_measure_json, load_grid_json,
                                         load_flow_graph_json])
@@ -463,14 +465,21 @@ def _writes(call):
                or set(str(mode.value)) & set("wax+") for mode in modes)
 
 
-def _file_writes(path):
+def _opens(call):
+    """Whether ``call`` is an ``open``, ``os.open`` or ``os.fdopen``."""
+    func = call.func
+    return (func.attr if isinstance(func, ast.Attribute)
+            else getattr(func, "id", "")) in ("open", "fdopen")
+
+
+def _file_calls(path, matches=_writes):
     """``(module, function)`` for each call in the module at ``path`` that
-    writes a file; ``function`` is the innermost enclosing def."""
+    ``matches``; ``function`` is the innermost enclosing def."""
     found = set()
 
     def visit(node, function):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call) and _writes(child):
+            if isinstance(child, ast.Call) and matches(child):
                 found.add((path.name, function))
             visit(child, child.name if isinstance(
                 child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function)
@@ -479,5 +488,12 @@ def _file_writes(path):
 
 
 def test_only_write_text_writes_files():
-    writes = set().union(*map(_file_writes, sorted(SRC.glob("*.py"))))
+    writes = set().union(*map(_file_calls, sorted(SRC.glob("*.py"))))
     assert writes == {("measures.py", "write_text")}
+
+
+def test_only_read_text_and_write_text_open_files():
+    opens = set().union(*(_file_calls(path, _opens)
+                          for path in sorted(SRC.glob("*.py"))))
+    assert opens == {("measures.py", "read_text"),
+                     ("measures.py", "write_text")}

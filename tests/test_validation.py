@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from otkit import measures
 from otkit.divergences import (
     EntropyFunction,
     KernelSpec,
@@ -80,6 +81,7 @@ from otkit.semidiscrete import (
     lloyd_quantize,
     semi_discrete_energy_mc,
     semi_discrete_gradient_mc,
+    sgd_solve,
 )
 from otkit.w1 import FlowGraph, SignedDiscreteMeasure, flat_norm, w1_kr_lp
 
@@ -424,6 +426,44 @@ def test_fractional_size_is_a_validation_error(call):
 def test_out_of_range_size_or_seed_is_a_validation_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: transformer_flow([[0.0, 1.0]], _EYE, _EYE, _EYE, 10 ** 20),
+    lambda: transformer_flow([[0.0, 1.0]], _EYE, _EYE, _EYE, 1e20),
+    lambda: mlp_flow([[0.5], [1.0]], [0.0, 1.0], 10 ** 20, 0.1, 0.2),
+    lambda: semi_discrete_gradient_mc(_PROBLEM, _G, 10 ** 20, 0),
+    lambda: semi_discrete_energy_mc(_PROBLEM, _G, 10 ** 20, 0),
+    lambda: _PROBLEM.sampler.draw(np.random.default_rng(0), 10 ** 20),
+    lambda: sgd_solve(_PROBLEM, SGDConfig(n_iter=1, seed=0,
+                                          heldout_samples=10 ** 20)),
+    lambda: lloyd_quantize(_PROBLEM.sampler, 2,
+                           LloydConfig(n_iter=1, seed=0, n_samples=10 ** 20)),
+], ids=["transformer-depth", "transformer-depth-float", "mlp-n-neurons",
+        "gradient-mc-n-samples", "energy-mc-n-samples", "sampler-draw-n",
+        "sgd-heldout-samples", "lloyd-n-samples"])
+def test_size_past_the_ceiling_is_a_validation_error(call):
+    """Numpy would refuse these sizes with a plain ValueError, so the
+    ValidationError shows the guard ran before any allocation."""
+    with pytest.raises(ValidationError, match="array elements, more than"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: transformer_flow([[0.0, 1.0]], _EYE, _EYE, _EYE, n // 2 - 1),
+    lambda n: mlp_flow([[0.5], [1.0]], [0.0, 1.0], n // 2, 0.1, 0.2),
+    lambda n: semi_discrete_gradient_mc(_PROBLEM, _G, n, 0),
+    lambda n: _PROBLEM.sampler.draw(np.random.default_rng(0), n),
+], ids=["transformer-depth", "mlp-n-neurons", "gradient-mc-n-samples",
+        "sampler-draw-n"])
+def test_the_ceiling_counts_every_element(monkeypatch, call):
+    """With the ceiling lowered to 12 elements, the setting that asks for
+    exactly 12 (a 2-D token or neuron, or a 1-D sample) runs and the next
+    one up is refused."""
+    monkeypatch.setattr(measures, "MAX_ELEMENTS", 12)
+    call(12)
+    with pytest.raises(ValidationError, match="more than the 12 allowed"):
+        call(14)
 
 
 @pytest.mark.parametrize("call, message", [
