@@ -118,9 +118,8 @@ def _render(payload, fmt: str) -> str:
     if fmt == "json":
         return canonical_json(payload) + "\n"
     if fmt == "jsonl":
-        lines = [canonical_json({"key": k, "value": payload[k]})
-                 for k in sorted(payload)]
-        return "\n".join(lines) + "\n"
+        keys = sorted(payload)
+        return _jsonl({"key": keys, "value": [payload[k] for k in keys]})
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

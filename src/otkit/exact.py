@@ -53,7 +53,7 @@ class TransportResult:
     ``cost`` always equals ``coupling.cost(C)`` for the cost matrix the
     solver was given, by construction.  ``potentials`` is None for solvers
     that do not produce duals.  ``iterations`` is the number of flow pushes
-    for `solve_kantorovich` and the number of sweep steps for
+    for `solve_kantorovich` and of quantile breakpoints for
     `solve_1d_sorted`.  ``status`` is "optimal" for the exact solvers;
     iterative methods may report "max_iter".
     """
@@ -151,7 +151,7 @@ def _sorted_1d(alpha, beta):
 
 
 def solve_1d_sorted(alpha, beta, p) -> TransportResult:
-    """Optimal 1-D transport for the cost |x - y|^p via the monotone sweep.
+    """Optimal 1-D transport for the cost |x - y|^p via the quantile formula.
 
     Parameters
     ----------
@@ -169,50 +169,28 @@ def solve_1d_sorted(alpha, beta, p) -> TransportResult:
 
     Notes
     -----
-    Runs in O(n log n + m log m) for sorting plus a linear sweep.  For
+    ``W_p^p = integral_0^1 |F_alpha^-1(t) - F_beta^-1(t)|^p dt``.  Both
+    quantile functions are constant between the breakpoints, the union of
+    the two cumulative weights, so each interval is one plan entry.  For
     p < 1 the cost is concave and the monotone plan is not optimal, so
     such exponents are rejected.
     """
     p = as_number(p, "p", low=1)
     (order_a, xa, wa), (order_b, xb, wb) = _sorted_1d(alpha, beta)
-    n, m = alpha.n, beta.n
-
-    plan = np.zeros((n, m))
-    cost = 0.0
-    ia = ib = 0
-    ra = wa[0]
-    rb = wb[0]
-    steps = 0
-    while ia < n and ib < m:
-        steps += 1
-        take = min(ra, rb)
-        if take > 0.0:
-            plan[order_a[ia], order_b[ib]] += take
-            cost += take * abs(xa[ia] - xb[ib]) ** p
-        if ra < rb:
-            rb -= ra
-            ia += 1
-            if ia < n:
-                ra = wa[ia]
-        elif rb < ra:
-            ra -= rb
-            ib += 1
-            if ib < m:
-                rb = wb[ib]
-        else:
-            ia += 1
-            ib += 1
-            if ia < n:
-                ra = wa[ia]
-            if ib < m:
-                rb = wb[ib]
-
-    coupling = Coupling(plan, alpha.weights, beta.weights)
+    ca, cb = np.cumsum(wa), np.cumsum(wb)
+    # Rounding can leave one total above the other; the excess has no
+    # partner.
+    t = np.union1d(ca, cb)
+    t = t[(t > 0.0) & (t <= min(ca[-1], cb[-1]))]
+    mass = np.diff(t, prepend=0.0)
+    i, j = np.searchsorted(ca, t), np.searchsorted(cb, t)
+    plan = np.zeros((alpha.n, beta.n))
+    plan[order_a[i], order_b[j]] = mass
     return TransportResult(
-        cost=float(cost),
-        coupling=coupling,
+        cost=float(mass @ np.abs(xa[i] - xb[j]) ** p),
+        coupling=Coupling(plan, alpha.weights, beta.weights),
         potentials=None,
-        iterations=steps,
+        iterations=t.size,
         status="optimal",
     )
 

@@ -501,6 +501,7 @@ def _pairwise(x, y, metric):
     (n, d), m = x.shape, y.shape[0]
     if y.shape[1] != d:
         raise ValidationError(f"point dimensions differ: {d} vs {y.shape[1]}")
+    check_size("distance matrix", n, m)
     out = np.empty((n, m)) if d else np.zeros((n, m))
     rows = max(1, _BLOCK_CELLS // max(m, 1))
     tmp = np.empty((min(rows, n), m))
@@ -821,12 +822,12 @@ def measure_from_dict(payload) -> DiscreteMeasure:
 
 def read_text(path, newline=None):
     """The text of the UTF-8 file at ``path``, read with ``newline`` as
-    `open` takes it; a file that cannot be read raises `ValidationError`
-    naming the path."""
+    `open` takes it; a file that cannot be read or is not UTF-8 raises
+    `ValidationError` naming the path."""
     try:
         with open(path, "r", encoding="utf-8", newline=newline) as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
 
 

@@ -76,11 +76,11 @@ def check_one_dimensional_solvers_agree():
     beta = DiscreteMeasure(rng.standard_normal((6, 1)),
                            _rational_simplex(rng, 6))
     C1 = build_cost_matrix(alpha, beta, CostSpec.p_power(1.0))
-    sweep = exact.solve_1d_sorted(alpha, beta, 1.0).cost
+    mono = exact.solve_1d_sorted(alpha, beta, 1.0).cost
     lp = exact.solve_kantorovich(alpha.weights, beta.weights, C1).cost
     cdf = exact.w1_1d_cdf(alpha, beta)
-    _require(abs(sweep - lp) <= 1e-10, f"sweep {sweep!r} vs LP {lp!r}")
-    _require(abs(sweep - cdf) <= 1e-10, f"sweep {sweep!r} vs CDF {cdf!r}")
+    _require(abs(mono - lp) <= 1e-10, f"monotone {mono!r} vs LP {lp!r}")
+    _require(abs(mono - cdf) <= 1e-10, f"monotone {mono!r} vs CDF {cdf!r}")
 
 
 def check_wasserstein_triangle_inequality():

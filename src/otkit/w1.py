@@ -42,9 +42,15 @@ class SignedDiscreteMeasure:
         return float(self.masses.sum())
 
     def require_zero_sum(self) -> None:
-        if abs(self.total_mass) > EQUALITY_TOL:
+        if not _is_zero_sum(self.total_mass, self.masses):
             raise UnbalancedError(
                 f"masses sum to {self.total_mass:.3e}, expected 0")
+
+
+def _is_zero_sum(total, masses) -> bool:
+    """Whether ``total``, a sum of some of ``masses``, is zero up to
+    rounding: `EQUALITY_TOL` relative to their total variation, or to 1."""
+    return abs(total) <= EQUALITY_TOL * max(1.0, float(np.abs(masses).sum()))
 
 
 def _difference_parts(masses):
@@ -117,22 +123,27 @@ class FlowGraph:
     def __init__(self, n_nodes, edges, imbalance, node_names=None):
         n = as_integer(n_nodes, "n_nodes")
         s = check_vector(imbalance, "imbalance", n)
+        try:
+            triples = [(u, v, length) for u, v, length in edges]
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                "edges must be [u, v, length] triples") from exc
         clean = []
-        for u, v, length in edges:
+        for u, v, length in triples:
             u = as_integer(u, "edge endpoint", 0, n - 1)
             v = as_integer(v, "edge endpoint", 0, n - 1)
             length = as_number(length, "edge length", low=0, open=True)
             if u == v:
                 raise ValidationError(f"bad edge ({u}, {v})")
             clean.append((u, v, length))
-        if abs(s.sum()) > 1e-12 * max(1.0, np.abs(s).sum()):
+        if not _is_zero_sum(s.sum(), s):
             raise UnbalancedError("imbalances must sum to zero")
         ends = np.array([(u, v) for u, v, _ in clean],
                         dtype=np.int64).reshape(-1, 2)
         _, count, comp = components(n, ends[:, 0], ends[:, 1])
         for c in range(count):
             mass = s[comp == c].sum()
-            if abs(mass) > 1e-12 * max(1.0, np.abs(s).sum()):
+            if not _is_zero_sum(mass, s):
                 raise UnbalancedError(
                     f"component {c} carries net imbalance {mass:.3e}")
         names = list(node_names) if node_names else [str(i) for i in range(n)]

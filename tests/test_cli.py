@@ -102,6 +102,51 @@ class TestExitCodes:
         assert error["code"] == "validation"
         assert str(deep) in error["message"]
 
+    @pytest.mark.parametrize("name, data", [
+        ("bad.csv", b"a\xff,1\n"),
+        ("bad.json", b'{"points": [[0.0]], "weights": [1.0], "\xff": 0}'),
+    ], ids=["csv", "json"])
+    def test_file_that_is_not_utf8_is_two(self, tmp_path, measure_files,
+                                          capsys, name, data):
+        path_a, _, _, _ = measure_files
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        code, out, err = run_cli(["exact", "--a", str(bad), "--b", path_a],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation"
+        assert error["message"].startswith(f"cannot read {bad}: ")
+
+    @pytest.mark.parametrize("extra", [
+        ["exact"], ["sinkhorn", "--epsilon", "1"],
+        ["divergence", "--kernel", "energy:1"],
+    ], ids=["exact", "sinkhorn", "divergence"])
+    def test_cost_matrix_past_the_ceiling_is_two(self, tmp_path, capsys,
+                                                 monkeypatch, extra):
+        """Two 50,000-point inputs ask for 2.5e9 cost cells, past the
+        2**31 ceiling.  Allocations that large fail the test instead of
+        running, so a missing guard cannot exhaust memory."""
+        real = {name: getattr(np, name) for name in ("empty", "zeros")}
+        for name, alloc in real.items():
+            def guarded(shape, *args, _alloc=alloc, **kwargs):
+                assert np.prod(shape, dtype=float) <= 1e8, shape
+                return _alloc(shape, *args, **kwargs)
+            monkeypatch.setattr(np, name, guarded)
+        n = 50_000
+        measure = {"points": np.linspace(0.0, 1.0, n)[:, None].tolist(),
+                   "weights": [1.0 / n] * n}
+        path = write_json(tmp_path, "big.json", measure)
+        argv = extra[:1] + ["--a", path, "--b", path] + extra[1:]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        error = json.loads(err)["error"]
+        assert error["code"] == "validation"
+        assert "array elements, more than" in error["message"]
+
     def test_unknown_flag_is_two(self, measure_files, capsys):
         path_a, path_b, _, _ = measure_files
         code, _, err = run_cli(
@@ -810,6 +855,13 @@ class TestTraceFiles:
                                    rtol=0, atol=1e-6)
 
 
+def jsonl_lines(payload):
+    """``--format jsonl`` written key by key: one `canonical_json` line of
+    ``{"key", "value"}`` for each key of the payload, in sorted order."""
+    return "\n".join(canonical_json({"key": k, "value": payload[k]})
+                     for k in sorted(payload)) + "\n"
+
+
 class TestOutputFormats:
     def test_jsonl_lines_cover_the_payload(self, measure_files, capsys):
         path_a, path_b, _, _ = measure_files
@@ -823,6 +875,35 @@ class TestOutputFormats:
                    for line in lines.splitlines()}
         del payload["config"], records["config"]  # formats echo differently
         assert records == payload
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.dictionaries(st.text(max_size=3), PAYLOADS, min_size=1,
+                           max_size=4))
+    def test_jsonl_is_one_canonical_line_per_key(self, payload):
+        assert cli._render(payload, "jsonl") == jsonl_lines(payload)
+
+    @pytest.mark.parametrize("base", [
+        "exact", "sinkhorn", "divergence", "semidiscrete",
+        *sorted(_SWEEP_CONFIGS), "kr", "flat", "gaussian"])
+    def test_jsonl_of_every_subcommand(self, tmp_path, capsys, monkeypatch,
+                                       base):
+        if base in ("kr", "flat"):
+            signed = write_json(tmp_path, "m.json", {
+                "points": [[0.0], [1.0], [3.0]], "masses": [0.5, 0.25, -0.75]})
+            argv = ["w1", base, "--measure", signed]
+        elif base == "gaussian":
+            gauss = write_json(tmp_path, "g.json",
+                               {"mean": [0.0], "covariance": [[1.0]]})
+            argv = ["gaussian", "--a", gauss, "--b", gauss]
+        else:
+            argv = _range_sweep_base(tmp_path, base)[0]
+        payloads = []
+        render = cli._render
+        monkeypatch.setattr(cli, "_render", lambda payload, fmt: (
+            payloads.append(payload) or render(payload, fmt)))
+        code, out, err = run_cli(argv + ["--format", "jsonl"], capsys)
+        assert code == 0, err
+        assert out == jsonl_lines(payloads[0])
 
     def test_csv_rows_parse_back(self, measure_files, capsys):
         path_a, path_b, _, _ = measure_files

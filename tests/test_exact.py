@@ -19,10 +19,12 @@ from otkit.exact import (
     w1_1d_cdf,
     wasserstein_p,
 )
-from otkit.measures import CostSpec, DiscreteMeasure, build_cost_matrix, product_coupling
+from otkit.measures import (MARGINAL_TOL, CostSpec, DiscreteMeasure,
+                            build_cost_matrix, product_coupling)
 
 import forest_reference
 import mincostflow_reference
+import sweep_reference
 import transport_reference
 from conftest import random_points, random_simplex, rational_simplex
 from oracles import (
@@ -473,7 +475,56 @@ class TestCancelSupportCycles:
             _mincostflow._cancel_support_cycles(plan, np.zeros((2, 2)))
 
 
+@st.composite
+def line_measures(draw):
+    """A 1-D probability measure of 1 to 40 atoms.
+
+    Its weights are all 1/n, uniform draws, a Dirichlet draw, exact
+    multiples of 1e-9, or uniform draws with some atoms weighing nothing;
+    its points are normal draws or, to make ties, a few small integers.
+    """
+    n = draw(st.sampled_from([1, 1, 2, 3, 5, 8, 13, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["equal", "uniform", "dirichlet", "rational", "zeros"]))
+    if kind == "equal":
+        w = np.full(n, 1.0 / n)
+    elif kind == "dirichlet":
+        w = rng.dirichlet(np.ones(n))
+    elif kind == "rational":
+        w = rational_simplex(rng, n)
+    else:
+        w = rng.uniform(size=n)
+        if kind == "zeros":
+            w[rng.random(n) < 0.4] = 0.0
+            w[rng.integers(n)] = 1.0
+        w = w / w.sum()
+    if draw(st.booleans()):
+        x = rng.integers(0, 3, n).astype(float)
+    else:
+        x = rng.standard_normal(n)
+    return DiscreteMeasure(x, w)
+
+
 class TestMonotone1D:
+    @given(line_measures(), line_measures(), st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    def test_matches_sweep_reference(self, alpha, beta, p):
+        # Each entry is a difference of cumulative sums here and of
+        # running remainders in the sweep, each of up to n + m rounded
+        # terms: an entry may move by that much, and an entry of rounding
+        # size may appear in one plan only.
+        got = solve_1d_sorted(alpha, beta, p)
+        ref = sweep_reference.solve_1d_sorted(alpha, beta, p)
+        assert abs(got.cost - ref.cost) <= 1e-12 * max(1.0, ref.cost)
+        plan = got.coupling.plan
+        entry_tol = max(1e-15, (alpha.n + beta.n) * np.finfo(float).eps)
+        assert np.max(np.abs(plan - ref.coupling.plan)) <= entry_tol
+        assert_allclose(plan.sum(axis=1), alpha.weights, rtol=0, atol=MARGINAL_TOL)
+        assert_allclose(plan.sum(axis=0), beta.weights, rtol=0, atol=MARGINAL_TOL)
+        assert is_extremal_coupling(got.coupling)
+        assert got.iterations == np.count_nonzero(plan)
+
     def test_matches_lp_for_several_exponents(self, rng):
         for p in (1.0, 2.0, 3.0):
             for _ in range(5):

@@ -20,6 +20,7 @@ from otkit import measures
 from otkit.divergences import (
     EntropyFunction,
     KernelSpec,
+    kernel_matrix,
     mmd_squared,
     phi_divergence,
     phi_dual_gap,
@@ -452,14 +453,19 @@ def test_size_past_the_ceiling_is_a_validation_error(call):
 @pytest.mark.parametrize("call", [
     lambda n: transformer_flow([[0.0, 1.0]], _EYE, _EYE, _EYE, n // 2 - 1),
     lambda n: mlp_flow([[0.5], [1.0]], [0.0, 1.0], n // 2, 0.1, 0.2),
-    lambda n: semi_discrete_gradient_mc(_PROBLEM, _G, n, 0),
+    # One target, so the n x 1 cost matrix holds no more than the samples.
+    lambda n: semi_discrete_gradient_mc(SemiDiscreteProblem(
+        _PROBLEM.sampler, [[0.5]], [1.0]), [0.0], n, 0),
     lambda n: _PROBLEM.sampler.draw(np.random.default_rng(0), n),
+    lambda n: measures.build_cost_matrix([0.0], np.zeros(n),
+                                         CostSpec.euclidean()),
+    lambda n: kernel_matrix([0.0], np.zeros(n), KernelSpec.gaussian(1.0)),
 ], ids=["transformer-depth", "mlp-n-neurons", "gradient-mc-n-samples",
-        "sampler-draw-n"])
+        "sampler-draw-n", "cost-matrix", "kernel-matrix"])
 def test_the_ceiling_counts_every_element(monkeypatch, call):
     """With the ceiling lowered to 12 elements, the setting that asks for
-    exactly 12 (a 2-D token or neuron, or a 1-D sample) runs and the next
-    one up is refused."""
+    exactly 12 (a 2-D token or neuron, a 1-D sample, or a 1 x n matrix)
+    runs and the next one up is refused."""
     monkeypatch.setattr(measures, "MAX_ELEMENTS", 12)
     call(12)
     with pytest.raises(ValidationError, match="more than the 12 allowed"):
@@ -495,10 +501,15 @@ def test_the_ceiling_counts_every_element(monkeypatch, call):
     (lambda: validate_metric([[0.0, 1.0], [1.0, 2.0]]), ": D=2.0"),
     (lambda: validate_metric([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0],
                               [5.0, 1.0, 0.0]]), "D[i,k]-D[k,j]=3.0"),
+    (lambda: FlowGraph(3, [(0, 1)], [0.0, 0.0, 0.0]),
+     "edges must be [u, v, length] triples"),
+    (lambda: FlowGraph(3, 5, [0.0, 0.0, 0.0]),
+     "edges must be [u, v, length] triples"),
 ], ids=["open-low", "open-low-at-bound", "integer-low", "open-interval",
         "closed-interval", "index", "float64-nan", "float64-inf",
         "float32-inf", "float32-low", "array", "covariance", "coupling",
-        "metric-nonnegativity", "metric-zero-diagonal", "metric-triangle"])
+        "metric-nonnegativity", "metric-zero-diagonal", "metric-triangle",
+        "flow-graph-edge-pair", "flow-graph-edges-not-a-list"])
 def test_error_text_prints_plain_numbers(call, message):
     with pytest.raises(ValidationError) as info:
         call()

@@ -114,6 +114,16 @@ class TestKRNorm:
         with pytest.raises(UnbalancedError):
             w1_kr_lp(m, euclidean_dist(m.points))
 
+    def test_large_masses_balance_up_to_rounding(self):
+        # The float sum is -2.3e-11: zero relative to the 2e6 of mass
+        # moved, by the rule `FlowGraph` applies to the same imbalance.
+        masses = [1e6 + 0.1, -1e6, -0.1]
+        assert sum(masses) != 0.0
+        m = SignedDiscreteMeasure(np.array([[0.0], [1.0], [2.0]]), masses)
+        value, _ = w1_kr_lp(m, euclidean_dist(m.points))
+        assert_allclose(value, 1e6 + 0.2, rtol=1e-12, atol=0)
+        FlowGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], masses)
+
     def test_non_metric_rejected(self):
         m = SignedDiscreteMeasure(np.array([[0.0], [1.0]]), [1.0, -1.0])
         bad = np.array([[0.0, 5.0], [5.0, 0.1]])
