@@ -46,15 +46,17 @@ would lower D, by the gain eps sum_i a_i [omega t_i - e^(-t_i)
 so D never decreases.  Whatever omega, the stop test reads the marginals
 of the current iterates.
 
-Unless ``record_history`` keeps every half-step, an iteration updates only
-the scalings, and f and g are formed where they are read: at an
-absorption, a stop and the end of the budget.  A trace (``record_trace``)
-records for every iteration the marginal violations, the Hilbert step of
-f and D without changing that loop: an iteration only keeps references to
+An iteration updates only the scalings: the loop holds each potential as
+an absorbed potential and a scaling, and forms f = fh + eps log u and
+g = gh + eps log v only in an absorption, at a stop and at the end of the
+budget; the next stage starts from them with unit scalings.  A trace
+(``record_trace``) of the marginal violations, the Hilbert step of f and D
+at every iteration, and a history (``record_history``) of (f, g) at every
+half-step leave that loop as it is: an iteration only keeps references to
 its scalings, absorbed potentials and row sums.  After every 64
 iterations, and at the end of the solve, f, g, the mass, D and the Hilbert
 step of those iterations are formed together, with the bits that forming
-them one iteration at a time would give, so the trace costs little per
+them one iteration at a time would give, so a trace costs little per
 iteration and what it keeps beyond the records stays bounded.
 
 Convergence diagnostics based on the Hilbert projective metric
@@ -132,6 +134,13 @@ def _gibbs_plan(C, f, g, epsilon, log_ra, log_rb):
     """The plan r^a_i r^b_j exp((f_i + g_j - C_ij) / eps) of two potentials."""
     return np.exp(log_ra[:, None] + log_rb[None, :]
                   + (f[:, None] + g[None, :] - C) / epsilon)
+
+
+def _absorbed(C, h, s, log_r, shift, eps):
+    """The columns' potential h + eps log s with its scaling s absorbed,
+    and the rows' log-domain update min^eps_r(C_i. - that) + eps shift."""
+    h = h + eps * np.log(s)
+    return h, _softmin_update(C, h, log_r, eps) + eps * shift
 
 
 # Scalings are absorbed into the potentials once they leave
@@ -222,8 +231,9 @@ class SinkhornConfig:
         Positive reference weights replacing (a, b) in the plan
         parametrization; the converged plan is invariant to this choice.
     record_history : bool
-        Keep a snapshot of (f, g) after every half-update, starting with
-        the initial pair.
+        Keep the pair (f, g) after every half-update in
+        ``SinkhornState.history``, starting with the initial pair.  The
+        pairs are formed after the loop, as the trace records are.
     record_trace : bool
         Keep one `SinkhornTraceRecord` per iteration in
         ``SinkhornState.trace``.  An iteration computes only what the stop
@@ -288,8 +298,8 @@ class SinkhornTraceRecord(NamedTuple):
     hilbert_step: float
 
 
-# A traced solve forms its records every _TRACE_BLOCK iterations, so what
-# it keeps of the iterations not yet recorded stays bounded.
+# A trace or history is formed every _TRACE_BLOCK iterations, so what a
+# solve keeps of the iterations not yet formed stays bounded.
 _TRACE_BLOCK = 64
 
 
@@ -298,15 +308,12 @@ def _rows(arrays):
     return np.concatenate(arrays).reshape(len(arrays), -1)
 
 
-def _stacked(eps, absorbed, scalings, formed):
+def _stacked(eps, absorbed, scalings):
     """The potentials ``absorbed + eps log(scaling)`` of a block's
-    iterations as rows, or the one the loop formed where there is one."""
+    iterations as rows."""
     rows = np.log(_rows(scalings))
     rows *= eps
     rows += _rows(absorbed)
-    for i, potential in enumerate(formed):
-        if potential is not None:
-            rows[i] = potential
     return rows
 
 
@@ -319,30 +326,37 @@ def _row_dots(rows, x):
     return np.array([row @ x for row in rows])
 
 
-def _trace_block(block, f_prev, a, b, trace):
-    """Append the records of a block of iterations to `trace`, empty the
-    block and return its last f.
+def _trace_block(block, last, a, b, trace, history):
+    """Append the records of a block of iterations to `trace` and its
+    history pairs to `history` (either may be None), empty the block and
+    return its last (f, g).
 
     An entry of `block` holds what one iteration of `sinkhorn` had:
-    ``(eps, fh, u, f, gh, v, g, row, viol_a, viol_b)``, with f or g None
-    where the loop did not form it, and `f_prev` is the f before the
-    block.  Every value has the bits it would have if formed in the
-    iteration: the arithmetic is elementwise or a reduction along each
-    row, and ``f @ a`` and ``g @ b`` are 1-D dots (`_row_dots`).
+    ``(eps, fh, u, gh, v, row, viol_a, viol_b)``, and `last` is the (f, g)
+    before the block.  Every value has the bits it would have if formed
+    in the iteration: the arithmetic is elementwise or a reduction along
+    each row, and ``f @ a`` and ``g @ b`` are 1-D dots (`_row_dots`).  An
+    iteration's f half-step leaves the g of the iteration before.
     """
-    eps, fh, u, f, gh, v, g, row, viol_a, viol_b = zip(*block)
+    eps, fh, u, gh, v, row, viol_a, viol_b = zip(*block)
     eps_rows = np.array(eps)
-    F = _stacked(eps_rows[:, None], fh, u, f)
-    G = _stacked(eps_rows[:, None], gh, v, g)
-    steps = np.diff(F, axis=0, prepend=f_prev[None, :]) / eps_rows[:, None]
-    hilbert = steps.max(axis=1) - steps.min(axis=1)
-    dual = (_row_dots(F, a) + _row_dots(G, b)
-            - eps_rows * (_rows(row).sum(axis=1) - 1.0))
-    start = len(trace) + 1
-    trace.extend(map(SinkhornTraceRecord, range(start, start + len(block)),
-                     eps, viol_a, viol_b, dual.tolist(), hilbert.tolist()))
+    F = _stacked(eps_rows[:, None], fh, u)
+    G = _stacked(eps_rows[:, None], gh, v)
+    if trace is not None:
+        steps = (np.diff(F, axis=0, prepend=last[0][None, :])
+                 / eps_rows[:, None])
+        hilbert = steps.max(axis=1) - steps.min(axis=1)
+        dual = (_row_dots(F, a) + _row_dots(G, b)
+                - eps_rows * (_rows(row).sum(axis=1) - 1.0))
+        start = len(trace) + 1
+        trace.extend(map(SinkhornTraceRecord,
+                         range(start, start + len(block)), eps, viol_a,
+                         viol_b, dual.tolist(), hilbert.tolist()))
+    if history is not None:
+        for f, g_before, g in zip(F, (last[1], *G[:-1]), G):
+            history += [(f, g_before), (f, g)]
     block.clear()
-    return F[-1]
+    return F[-1], G[-1]
 
 
 @dataclass
@@ -352,7 +366,9 @@ class SinkhornState:
     ``viol_a`` and ``viol_b`` are the L1 marginal violations of the last
     stop test, taken on the iterates rather than on the returned plan.
     ``trace`` holds one record per iteration when the config asked for it
-    (``record_trace``) and is empty otherwise.
+    (``record_trace``) and is empty otherwise; ``history`` holds (f, g)
+    after every half-step (``record_history``) and is None otherwise.  Both
+    are formed after the loop, from the potentials and scalings it kept.
     """
 
     f: np.ndarray
@@ -419,13 +435,13 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     stages = config.epsilon_schedule or (config.epsilon,)
     f = np.zeros(sub_a.size)
     g = np.zeros(sub_b.size)
-    trace: list[SinkhornTraceRecord] = []
+    trace = [] if config.record_trace else None
     history = [(f, g)] if config.record_history else None
 
-    log_a = np.log(sub_a)
-    log_b = np.log(sub_b)
     log_ra = np.log(ref_a)
     log_rb = np.log(ref_b)
+    log_a_ra = np.log(sub_a) - log_ra
+    log_b_rb = np.log(sub_b) - log_rb
     ones_a = np.ones(sub_a.size)
     ones_b = np.ones(sub_b.size)
 
@@ -444,25 +460,26 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                 float(np.abs(plan.sum(axis=0) - bw).sum()))
 
     # The plan is diag(u) K diag(v) with K the plan of the absorbed
-    # potentials (fh, gh), so f = fh + eps log u and g = gh + eps log v.
-    # Row sums u * Kv and column sums v * K^T u come from the two mat-vecs
-    # an iteration makes anyway.  With the safeguard on, the first f
-    # half-step of each stage, and any half-step whose scaling is zero,
-    # non-finite or outside [1/_ABSORB, _ABSORB], is taken plain in the log
-    # domain and K is rebuilt at the new potentials.  Unless the history
-    # records them every half-step, f and g are formed only where they
-    # are read: at an absorption, a stop test that passes and the last
-    # iteration of the budget (None marks one not formed).  A trace keeps
-    # what each iteration has in `block` and `_trace_block` forms its
-    # records every _TRACE_BLOCK iterations and at the end of the solve.
+    # potentials (fh, gh); the loop holds only (fh, u) and (gh, v), and a
+    # stage starts from the last one's (f, g) with unit scalings.  Row sums
+    # u * Kv and column sums v * K^T u come from the two mat-vecs an
+    # iteration makes anyway.  With the safeguard on, the first f half-step
+    # of each stage, and any half-step whose scaling is zero, non-finite or
+    # outside [1/_ABSORB, _ABSORB], is taken plain in the log domain
+    # (`_absorbed`) and K is rebuilt.  f = fh + eps log u and
+    # g = gh + eps log v are formed only in an absorption, at a stop and at
+    # the end of the budget.  At unit scalings that is fh (gh) bit for bit:
+    # h + 0.0 = h unless h is -0.0, and no absorbed potential is, as each
+    # is +0.0 or ends in + eps (log a - log r).  A trace or a history keeps
+    # each iteration in `block`; `_trace_block` forms it every _TRACE_BLOCK
+    # iterations and at the end of the solve.
     # omega is 1 (plain steps) until a stage's plain iterations have
     # measured the rate that sets it; a relaxed half-step that would lower
     # the dual objective is taken plain (`_relaxed`).
     safeguard = config.log_domain
-    record = config.record_trace
-    eager = history is not None
+    keep = trace is not None or history is not None
     block = []
-    f_last = f
+    last = f, g
     iteration = 0
     status = "max_iter"
     eps = float(stages[0])
@@ -477,11 +494,10 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                 final_stage = stage_idx == len(stages) - 1
                 stage_start = iteration
                 omega = 1.0
+                fh, gh, u, v = f, g, ones_a, ones_b
                 K = None
                 if not safeguard:
-                    fh, gh = f, g
                     K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
-                    v = ones_b
                     Kv = K.sum(axis=1)
                 converged = False
                 while iteration < config.max_iter:
@@ -491,50 +507,33 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                         u = (u_plain if omega == 1.0 else
                              _relaxed(u, u_plain, row, sub_a, omega))
                     if K is None or (safeguard and not _bounded(u)):
-                        if g is None:
-                            g = gh + eps * np.log(v)
-                        f = (_softmin_update(sub_C, g, log_rb, eps)
-                             + eps * (log_a - log_ra))
-                        fh, gh = f, g
+                        gh, fh = _absorbed(sub_C, gh, v, log_rb, log_a_ra,
+                                           eps)
                         K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
                         u, v = ones_a, ones_b
-                    else:
-                        f = fh + eps * np.log(u) if eager else None
-                    if history is not None:
-                        history.append((f, g))
                     Ktu = K.T @ u
                     v_plain = sub_b / Ktu
                     v = (v_plain if omega == 1.0 else
                          _relaxed(v, v_plain, v * Ktu, sub_b, omega))
                     if safeguard and not _bounded(v):
-                        if f is None:
-                            f = fh + eps * np.log(u)
-                        g = (_softmin_update(sub_C.T, f, log_ra, eps)
-                             + eps * (log_b - log_rb))
-                        fh, gh = f, g
+                        fh, gh = _absorbed(sub_C.T, fh, u, log_ra,
+                                           log_b_rb, eps)
                         K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
                         u, v = ones_a, ones_b
                         Ktu = K.sum(axis=0)
-                    else:
-                        g = gh + eps * np.log(v) if eager else None
-                    if history is not None:
-                        history.append((f, g))
                     Kv = K @ v
                     row = u * Kv
                     viol_a = float(np.add.reduce(np.abs(row - sub_a)))
                     viol_b = float(np.add.reduce(np.abs(v * Ktu - sub_b)))
-                    if record:
-                        block.append((eps, fh, u, f, gh, v, g, row,
-                                      viol_a, viol_b))
+                    if keep:
+                        block.append((eps, fh, u, gh, v, row, viol_a, viol_b))
                         if len(block) == _TRACE_BLOCK:
-                            f_last = _trace_block(block, f_last, sub_a,
-                                                  sub_b, trace)
+                            last = _trace_block(block, last, sub_a, sub_b,
+                                                trace, history)
                     stop = max(viol_a, viol_b) <= config.marginal_tol
                     if stop or iteration == config.max_iter:
-                        if f is None:
-                            f = fh + eps * np.log(u)
-                        if g is None:
-                            g = gh + eps * np.log(v)
+                        f = fh + eps * np.log(u)
+                        g = gh + eps * np.log(v)
                     if stop:
                         # The final stage stops only once the plan it
                         # returns meets the tolerance too.
@@ -559,7 +558,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                 if final_stage:
                     status = "optimal"
             if block:
-                _trace_block(block, f_last, sub_a, sub_b, trace)
+                _trace_block(block, last, sub_a, sub_b, trace, history)
         except FloatingPointError as exc:
             raise ValidationError(
                 "scaling-domain Sinkhorn overflowed; use log_domain=True"
@@ -592,7 +591,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
         status=status,
         viol_a=viol_a,
         viol_b=viol_b,
-        trace=trace,
+        trace=trace if trace is not None else [],
         history=history,
     )
     atol = max(1.5 * max(plan_viol_a, plan_viol_b) + 1e-15, MARGINAL_TOL)

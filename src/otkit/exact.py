@@ -28,7 +28,7 @@ from .duality import DualPotentials
 from .errors import MetricAxiomError, UnbalancedError, ValidationError
 from .measures import (EQUALITY_TOL, MARGINAL_TOL, Coupling, DiscreteMeasure,
                        as_number, check_cost_matrix, check_matrix,
-                       check_weights)
+                       check_weights, distance_power)
 
 __all__ = [
     "TransportResult",
@@ -187,7 +187,7 @@ def solve_1d_sorted(alpha, beta, p) -> TransportResult:
     plan = np.zeros((alpha.n, beta.n))
     plan[order_a[i], order_b[j]] = mass
     return TransportResult(
-        cost=float(mass @ np.abs(xa[i] - xb[j]) ** p),
+        cost=float(mass @ distance_power(np.abs(xa[i] - xb[j]), p)),
         coupling=Coupling(plan, alpha.weights, beta.weights),
         potentials=None,
         iterations=t.size,
@@ -275,5 +275,5 @@ def wasserstein_p(a, b, dist_matrix, p) -> float:
     """
     p = as_number(p, "p", low=1)
     D = validate_metric(dist_matrix)
-    result = solve_kantorovich(a, b, D**p)
+    result = solve_kantorovich(a, b, distance_power(D, p))
     return float(result.cost) ** (1.0 / p)

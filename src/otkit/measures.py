@@ -236,6 +236,18 @@ def check_cost_matrix(obj, shape=None, name="cost matrix"):
     return C
 
 
+def distance_power(distances, p):
+    """``distances ** p`` for nonnegative distances; a power past the float
+    range raises `ValidationError` naming p instead of becoming inf."""
+    try:
+        with np.errstate(over="raise"):
+            return distances ** p
+    except FloatingPointError as exc:
+        raise ValidationError(
+            f"distance ** p overflows at p {p!r}, distance "
+            f"{float(np.max(distances))!r}") from exc
+
+
 def check_covariance(obj, name="covariance", d=None):
     """``obj`` as a covariance matrix: finite, symmetric up to rounding
     (1e-8 of its largest entry), and positive semidefinite up to rounding
@@ -476,7 +488,7 @@ def build_cost_matrix(alpha, beta, spec: CostSpec) -> np.ndarray:
     if spec.kind == "euclidean":
         return _pairwise(x, y, "euclidean")
     if spec.kind == "p_power":
-        return _pairwise(x, y, "euclidean") ** spec.p
+        return distance_power(_pairwise(x, y, "euclidean"), spec.p)
     # zero_one: points are "equal" when they coincide in sup norm within
     # EQUALITY_TOL.
     return (_pairwise(x, y, "chebyshev") > EQUALITY_TOL).astype(float)

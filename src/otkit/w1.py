@@ -70,10 +70,10 @@ def w1_kr_lp(m: SignedDiscreteMeasure, dist) -> Tuple[float, np.ndarray]:
         raise ValidationError("distance matrix does not match the support")
     m.require_zero_sum()
     a, b = _difference_parts(m.masses)
-    total = float(a.sum())
-    if total <= 1e-12:
+    total, total_b = float(a.sum()), float(b.sum())
+    if total == 0.0 or total_b == 0.0:
         return 0.0, np.zeros(m.n)
-    result = solve_kantorovich(a / total, b / float(b.sum()), D)
+    result = solve_kantorovich(a / total, b / total_b, D)
     g = result.potentials.g
     # Anchor a fresh potential on the negative side; the minimum over
     # 1-Lipschitz cones keeps it 1-Lipschitz everywhere while preserving

@@ -66,6 +66,26 @@ def measure_files(tmp_path):
 
 
 class TestExitCodes:
+    def test_cost_power_past_the_float_range_is_two(self, tmp_path):
+        """|x - y|^p past the float range exits 2 naming p, and a fresh
+        process writes nothing to stderr but the JSON error line (no numpy
+        overflow warning)."""
+        path_a = write_json(tmp_path, "a.json",
+                            {"points": [[0.0]], "weights": [1.0]})
+        path_b = write_json(tmp_path, "b.json",
+                            {"points": [[10.0]], "weights": [1.0]})
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys; from otkit.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "exact", "--a", path_a,
+             "--b", path_b, "--cost", "p:400"],
+            capture_output=True, text=True, env=fresh_process_env())
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.count("\n") == 1
+        error = json.loads(done.stderr)["error"]
+        assert error["code"] == "validation"
+        assert "at p 400.0" in error["message"]
+
     def test_success_is_zero(self, measure_files, capsys):
         path_a, path_b, _, _ = measure_files
         code, out, err = run_cli(["exact", "--a", path_a, "--b", path_b],

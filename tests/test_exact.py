@@ -563,6 +563,12 @@ class TestMonotone1D:
         with pytest.raises(ValidationError):
             solve_1d_sorted(alpha, alpha, 0.5)
 
+    def test_cost_past_the_float_range_names_p(self):
+        alpha = DiscreteMeasure([0.0], [1.0])
+        beta = DiscreteMeasure([10.0], [1.0])
+        with pytest.raises(ValidationError, match="at p 400.0"):
+            solve_1d_sorted(alpha, beta, 400)
+
 
 class TestW1Cdf:
     def test_agrees_with_sweep_at_p1(self, rng):
@@ -673,3 +679,8 @@ class TestWassersteinP:
         b = np.array([0.0, 1.0])
         for p in (1.0, 2.0, 3.0):
             assert_allclose(wasserstein_p(a, b, D, p), d, rtol=0, atol=1e-12)
+
+    def test_power_past_the_float_range_names_p(self):
+        D = np.array([[0.0, 10.0], [10.0, 0.0]])
+        with pytest.raises(ValidationError, match="at p 400.0"):
+            wasserstein_p([0.5, 0.5], [0.5, 0.5], D, 400)

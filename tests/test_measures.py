@@ -123,6 +123,12 @@ class TestCostMatrix:
         with pytest.raises(ValidationError):
             CostSpec.p_power(0.5)
 
+    def test_p_power_past_the_float_range_names_p(self):
+        # 10^400 overflows; the suite turns numpy's overflow warning into
+        # an error, so this passes only if none is raised.
+        with pytest.raises(ValidationError, match="at p 400.0"):
+            build_cost_matrix([[0.0]], [[10.0]], CostSpec.p_power(400))
+
     def test_zero_one_cost(self):
         x = np.array([[0.0], [1.0], [2.0]])
         C = build_cost_matrix(x, x, CostSpec.zero_one())

@@ -98,6 +98,19 @@ class TestKRNorm:
         v2, _ = w1_kr_lp(scaled, D)
         assert_allclose(v2, 2.5 * v1, rtol=1e-8)
 
+    @pytest.mark.parametrize("c", [1e-13, 1.0, 1e8])
+    def test_homogeneous_down_to_tiny_masses(self, c):
+        # A positive part of 1e-13 is still moved at its distance.
+        pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0], [2.0, 2.0]])
+        masses = np.array([0.3, 0.2, -0.4, -0.1])
+        D = euclidean_dist(pts)
+        base, _ = w1_kr_lp(SignedDiscreteMeasure(pts, masses), D)
+        scaled, _ = w1_kr_lp(SignedDiscreteMeasure(pts, c * masses), D)
+        assert_allclose(scaled, c * base, rtol=1e-12, atol=0)
+        pair = SignedDiscreteMeasure([[0.0], [1.0]], [c, -c])
+        assert_allclose(w1_kr_lp(pair, [[0.0, 1.0], [1.0, 0.0]])[0], c,
+                        rtol=1e-12, atol=0)
+
     def test_triangle_inequality(self, rng):
         pts = random_points(rng, 6, 2)
         D = euclidean_dist(pts)
