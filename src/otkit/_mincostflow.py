@@ -81,8 +81,8 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies):
     MinCostFlowResult
         ``flows`` per arc (int64), node ``potentials`` such that
         ``cost + pot[tail] - pot[head] >= 0`` with equality on arcs
-        carrying flow, total ``cost``, the number of pushes, and status
-        "optimal" or "infeasible".
+        carrying flow, total ``cost`` (inf past the float range), the
+        number of pushes, and status "optimal" or "infeasible".
 
     Raises
     ------
@@ -128,7 +128,9 @@ def solve_min_cost_flow(n_nodes, tails, heads, costs, supplies):
         search = _slot_search(n_nodes, tails, heads, costs)
     flows, pot, pushes, status = _successive_shortest_paths(
         n_arcs, supplies, search, _push_budget(n_nodes, n_arcs))
-    total = float(np.dot(flows.astype(float), costs))
+    # A total past the float range is inf; the exact LP does not read it.
+    with np.errstate(over="ignore"):
+        total = float(np.dot(flows.astype(float), costs))
     return MinCostFlowResult(flows, pot, total, pushes, status)
 
 

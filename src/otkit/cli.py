@@ -697,12 +697,21 @@ def run(argv=None) -> int:
 
 def main(argv=None) -> int:
     try:
-        return run(argv)
+        # A float overflow, an invalid operation or a division by zero that
+        # the code meeting it does not allow with its own np.errstate comes
+        # from input past what the run can compute: it exits 2, where numpy
+        # would print a warning and carry an inf or a NaN on, and Python's
+        # float arithmetic would end in a traceback.
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            return run(argv)
+    except (FloatingPointError, OverflowError) as exc:
+        error = ValidationError(
+            f"the input takes a computation past the float range: {exc}")
     except OTError as exc:
-        sys.stderr.write(canonical_json(
-            {"error": {"code": _error_code(exc), "message": str(exc)}})
-            + "\n")
-        return 3 if isinstance(exc, ConvergenceError) else 2
+        error = exc
+    sys.stderr.write(canonical_json(
+        {"error": {"code": _error_code(error), "message": str(error)}}) + "\n")
+    return 3 if isinstance(error, ConvergenceError) else 2
 
 
 if __name__ == "__main__":

@@ -55,15 +55,20 @@ __all__ = [
 ]
 
 
-def _step_count(dt, horizon):
+def _time_grid(dt, horizon, shape):
+    """The checked step ``dt`` and the times 0, dt, ..., ``horizon`` of a
+    flow whose state has ``shape``; the states at those times must pass
+    `check_size`, which runs before the times are built."""
     dt = as_number(dt, "dt", low=0, open=True)
     horizon = as_number(horizon, "the time horizon", low=0, open=True)
-    steps = int(round(horizon / dt))
+    steps = horizon / dt
+    # A quotient past the float range is no whole number of steps.
+    steps = round(steps) if math.isfinite(steps) else steps
     if steps < 1 or abs(steps * dt - horizon) > 1e-8 * max(1.0, horizon):
         raise ValidationError(
-            f"horizon {horizon:g} must be an integer multiple of dt={dt:g}"
-        )
-    return steps
+            f"horizon {horizon:g} must be an integer multiple of dt={dt:g}")
+    check_size("dt", steps + 1, *shape)
+    return dt, np.arange(steps + 1) * dt
 
 
 class ParticleTrajectory:
@@ -118,15 +123,19 @@ class ParticleTrajectory:
         )
 
 
-def _trajectory(times, X, step):
-    """The uniform-weight `ParticleTrajectory` at ``times`` that starts at
-    ``X`` and moves to ``step(s, X)`` at step s = 0, 1, ..."""
-    states = np.empty((times.shape[0],) + X.shape)
-    states[0] = X
+def _run(times, state, step):
+    """The states at ``times`` from ``state`` by ``step(s, state)``."""
+    states = np.empty(times.shape + state.shape)
+    states[0] = state
     for s in range(times.shape[0] - 1):
-        X = step(s, X)
-        states[s + 1] = X
-    return ParticleTrajectory(times, states,
+        state = step(s, state)
+        states[s + 1] = state
+    return states
+
+
+def _trajectory(times, X, step):
+    """The uniform-weight `ParticleTrajectory` of `_run` from ``X``."""
+    return ParticleTrajectory(times, _run(times, X, step),
                               np.full(X.shape[0], 1.0 / X.shape[0]))
 
 
@@ -401,15 +410,14 @@ def gradient_flow(functional: FunctionalSpec, x0, dt, T, scheme="explicit",
             f"unknown scheme {scheme!r}; expected one of {_SCHEMES}"
         )
     X = functional._as_particles(x0)
-    steps = _step_count(dt, T)
+    dt, times = _time_grid(dt, T, X.shape)
     max_inner = as_integer(max_inner, "max_inner", low=0)
-    dt = float(dt)
 
     def step(s, X):
         if scheme == "explicit":
             return X + dt * functional.velocity(X)
         return _proximal_step(functional, X, dt, max_inner)
-    return _trajectory(np.arange(steps + 1) * dt, X, step)
+    return _trajectory(times, X, step)
 
 
 # Max-norm gradient at which an implicit step's inner solve stops.
@@ -541,20 +549,16 @@ def entropy_flow_1d(rho0: GridDensity1D, entropy: GeneralizedEntropy,
         raise ValidationError("rho0 must be a GridDensity1D")
     if not isinstance(entropy, GeneralizedEntropy):
         raise ValidationError("entropy must be a GeneralizedEntropy")
-    steps = _step_count(dt, T)
-    dt = float(dt)
     grid = rho0.grid
+    dt, times = _time_grid(dt, T, grid.shape)
     spacings = np.diff(grid)
     h = float(spacings[0])
     if float(np.max(np.abs(spacings - h))) > 1e-9 * h:
         raise ValidationError("entropy_flow_1d requires a uniform grid")
-    n = grid.shape[0]
-    widths = np.full(n, h)
+    widths = np.full_like(grid, h)
     widths[0] = widths[-1] = 0.5 * h
-    rho = rho0.density.copy()
-    out = np.empty((steps + 1, n))
-    out[0] = rho
-    for s in range(steps):
+
+    def step(s, rho):
         gp = np.asarray(entropy.gtilde_prime(rho), dtype=float)
         if not np.all(np.isfinite(gp)) or np.any(gp < 0):
             raise ValidationError(
@@ -566,16 +570,13 @@ def entropy_flow_1d(rho0: GridDensity1D, entropy: GeneralizedEntropy,
             if dt > limit * (1.0 + 1e-12):
                 raise CFLViolationError(
                     f"dt={dt:g} violates the stability bound "
-                    f"h^2/(2 max gtilde') = {limit:g} at step {s}"
-                )
+                    f"h^2/(2 max gtilde') = {limit:g} at step {s}")
         flux = np.diff(np.asarray(entropy.gtilde(rho), dtype=float)) / h
-        div = np.zeros(n)
+        div = np.zeros_like(rho)
         div[:-1] += flux
         div[1:] -= flux
-        rho = rho + dt * div / widths
-        out[s + 1] = rho
-    times = np.arange(steps + 1) * dt
-    return Density1DPath(times, grid, out)
+        return rho + dt * div / widths
+    return Density1DPath(times, grid, _run(times, rho0.density, step))
 
 
 class CouplingPath:
@@ -757,14 +758,12 @@ def flow_match_trajectory(path: CouplingPath, x0, dt,
     Z = check_points(x0, "x0")
     if Z.shape[1] != path.dim:
         raise ValidationError(f"x0 must be points in R^{path.dim}")
-    steps = _step_count(dt, 1.0)
-    dt = float(dt)
+    dt, times = _time_grid(dt, 1.0, Z.shape)
     bandwidth = as_number(
         path.default_bandwidth if bandwidth is None else bandwidth,
         "bandwidth", low=0)
-    return _trajectory(
-        np.arange(steps + 1) * dt, Z,
-        lambda s, Z: Z + dt * _match_velocities(path, s * dt, Z, bandwidth))
+    return _trajectory(times, Z, lambda s, Z: Z + dt * _match_velocities(
+        path, s * dt, Z, bandwidth))
 
 
 def integrate_flow_match(path: CouplingPath, x0, dt, bandwidth=None) -> np.ndarray:

@@ -60,6 +60,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -101,11 +102,35 @@ MAX_ELEMENTS = 1 << 31
 
 
 def as_float_array(obj, name):
-    """``np.asarray(obj, dtype=float)``, raising `ValidationError` on failure."""
+    """``np.asarray(obj, dtype=float)``, raising `ValidationError` on failure
+    and on a boolean anywhere in ``obj``, which numpy would read as 0 or 1."""
     try:
-        return np.asarray(obj, dtype=float)
+        x = np.asarray(obj, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a numeric array: {exc}") from exc
+    if isinstance(obj, np.ndarray):
+        scan = obj.dtype.kind in "bO"
+    else:  # only an entry read as 0 or 1 can have been a boolean
+        scan = x.ndim == 0 or np.any((x == 0.0) | (x == 1.0))
+    if scan and _holds_bool(obj):
+        raise ValidationError(f"{name} must be numeric, got a boolean")
+    return x
+
+
+def _holds_bool(obj):
+    """Whether ``obj``, a scalar or nested lists, tuples and arrays, holds a
+    boolean."""
+    if isinstance(obj, np.ndarray):
+        return obj.dtype == bool or (obj.dtype == object
+                                     and _holds_bool(obj.tolist()))
+    if not isinstance(obj, (list, tuple)):
+        return isinstance(obj, (bool, np.bool_))
+    # A list of plain numbers is settled by its types, and a list of lists
+    # is read as one list of their entries.
+    kinds = set(map(type, obj))
+    if kinds <= {list, tuple}:
+        return _holds_bool(list(itertools.chain.from_iterable(obj)))
+    return not kinds <= {float, int} and any(map(_holds_bool, obj))
 
 
 def as_number(obj, name, low=None, high=None, open=False):
@@ -126,9 +151,9 @@ def as_integer(obj, name, low=None, high=None):
     whole number in ``[low, high]`` (either bound may be None).
 
     Integer-typed input is read exactly, so seeds past 2**53 keep every
-    bit; other input is read by `as_number`.
+    bit; other input, a boolean included, is read by `as_number`.
     """
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
         n = int(obj)
     else:
         x = as_number(obj, name)
@@ -316,13 +341,6 @@ class DiscreteMeasure:
         if total <= 0.0:
             raise ValidationError("cannot normalize a measure with zero total mass")
         return DiscreteMeasure(self.points, self.weights / total)
-
-    def sorted_1d(self) -> "DiscreteMeasure":
-        """Return a copy with atoms sorted by position (1-D only)."""
-        if self.dim != 1:
-            raise ValidationError("sorted_1d requires 1-D support")
-        order = np.argsort(self.points[:, 0], kind="stable")
-        return DiscreteMeasure(self.points[order], self.weights[order])
 
     def __repr__(self):
         return (

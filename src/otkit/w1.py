@@ -110,7 +110,17 @@ def flat_norm(m: SignedDiscreteMeasure, dist) -> float:
     costs = np.hstack([D[ii, jj].reshape(n, n - 1), unit, unit])
     res = solve_min_cost_flow(n + 1, tails.ravel(), heads.ravel(),
                               costs.ravel(), supplies)
-    return res.cost / scale
+    return _unscaled_cost(res.cost, scale)
+
+
+def _unscaled_cost(cost, scale):
+    """``cost / scale`` for the total cost of a flow of masses scaled by
+    ``scale``, or `ValidationError` when that total overflowed to inf."""
+    if cost == np.inf:
+        raise ValidationError(
+            f"the flow cost overflows: lengths times masses scaled by "
+            f"{scale} pass the float range")
+    return cost / scale
 
 
 class FlowGraph:
@@ -183,7 +193,7 @@ def w1_graph_beckmann(graph: FlowGraph) -> Tuple[float, np.ndarray]:
     res = solve_min_cost_flow(n, ends.ravel(), ends[:, ::-1].ravel(),
                               np.repeat(lengths, 2), supplies)
     net = res.flows[0::2] - res.flows[1::2]
-    return res.cost / scale, net / scale
+    return _unscaled_cost(res.cost, scale), net / scale
 
 
 def flow_graph_from_dict(payload) -> FlowGraph:

@@ -12,7 +12,7 @@ drive both versions.  They are slow and not used by the package;
 
 import numpy as np
 
-from otkit.dynamics import ParticleTrajectory, _step_count
+from otkit.dynamics import ParticleTrajectory
 from otkit.errors import NoSupportError, ValidationError
 from otkit.measures import as_number, check_points
 
@@ -123,8 +123,8 @@ def flow_match_trajectory(path, x0, dt,
     Z = check_points(x0, "x0").copy()
     if Z.shape[1] != path.dim:
         raise ValidationError(f"x0 must be points in R^{path.dim}")
-    steps = _step_count(dt, 1.0)
     dt = float(dt)
+    steps = int(round(1.0 / dt))
     if bandwidth is None:
         bandwidth = path.default_bandwidth
     states = np.empty((steps + 1,) + Z.shape)

@@ -24,7 +24,7 @@ from scipy.spatial.distance import cdist
 import serialize_reference
 from conftest import rational_simplex, random_points
 
-from otkit import cli, dynamics, entropic, exact, semidiscrete, w1
+from otkit import cli, dynamics, entropic, exact, measures, semidiscrete, w1
 from otkit.cli import canonical_json, main
 from otkit.measures import (CostSpec, DiscreteMeasure, build_cost_matrix,
                             measure_from_dict)
@@ -287,6 +287,55 @@ class TestExitCodes:
             assert code == 0
             finals.append(json.loads(out)["final_state"])
         assert finals[0] == finals[1]
+
+    @pytest.mark.parametrize("base, change, name", [
+        ("exact", {"weights": [True, False]}, "weights"),
+        ("exact", {"weights": [0.5, True]}, "weights"),
+        ("exact", {"points": [[0.0, False], [1.0, 0.0]]}, "points"),
+        ("gradient", {"dt": True}, "dt"),
+        ("gradient", {"T": False}, "the time horizon"),
+        ("transformer", {"depth": True}, "depth"),
+        ("mlp", {"n_neurons": True}, "n_neurons"),
+        ("mlp", {"seed": False}, "seed"),
+        ("graph", {"edges": [["a", "b", True]]}, "edge length"),
+    ], ids=["weights", "mixed-weights", "points", "dt", "T", "depth",
+            "n-neurons", "seed", "edge-length"])
+    def test_boolean_for_a_number_is_two(self, tmp_path, capsys, base,
+                                         change, name):
+        """JSON true and false are refused where a number is read, also
+        inside a list that numpy would upcast to floats."""
+        argv, config = _range_sweep_base(tmp_path, base)
+        if config is None:
+            measure = {"points": [[0.0, 0.0], [1.0, 0.0]],
+                       "weights": [0.5, 0.5]}
+            argv[argv.index("--a") + 1] = write_json(
+                tmp_path, "bool.json", dict(measure, **change))
+        else:
+            write_json(tmp_path, "config.json", dict(config, **change))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"]["message"] == (
+            f"{name} must be numeric, got a boolean")
+
+    @pytest.mark.parametrize("base, change", [
+        ("gradient", {"dt": 1e-15, "T": 1}),
+        ("entropy1d", {"dt": 1e-15, "T": 1}),
+        ("flowmatch", {"dt": 1e-15}),
+        ("mlp", {"dt": 1e-15, "T": 1}),
+    ], ids=["gradient", "entropy1d", "flowmatch", "mlp"])
+    def test_tiny_step_is_two(self, tmp_path, capsys, monkeypatch, base,
+                              change):
+        """A step that would need 10^15 time slices is refused by the time
+        grid before the grid or any state exists; the ceiling is lowered
+        so that a missing check fails on a small allocation, not a huge
+        one."""
+        monkeypatch.setattr(measures, "MAX_ELEMENTS", 4096)
+        argv, config = _range_sweep_base(tmp_path, base)
+        write_json(tmp_path, "config.json", dict(config, **change))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"]["message"].startswith(
+            "dt asks for ")
 
     def test_mlp_flow_requires_seed(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "mlp.json", {

@@ -684,3 +684,12 @@ class TestWassersteinP:
         D = np.array([[0.0, 10.0], [10.0, 0.0]])
         with pytest.raises(ValidationError, match="at p 400.0"):
             wasserstein_p([0.5, 0.5], [0.5, 0.5], D, 400)
+
+    def test_costs_near_the_float_range_solve_without_a_warning(self):
+        """The flow engine's total over flows scaled by 1e9 overflows here;
+        the exact LP does not read it, so it must not warn (the suite
+        turns a RuntimeWarning into an error)."""
+        C = [[0.0, 1e300], [1e300, 0.0]]
+        assert solve_kantorovich([1, 0], [0, 1], C).cost == 1e300
+        D = np.array([[0.0, 10.0], [10.0, 0.0]])
+        assert wasserstein_p([1, 0], [0, 1], D, 300) == 10.000000000000002

@@ -68,6 +68,7 @@ from otkit.measures import (
     Coupling,
     DiscreteMeasure,
     GridDensity1D,
+    as_float_array,
     as_integer,
     as_number,
     check_covariance,
@@ -452,7 +453,8 @@ def test_size_past_the_ceiling_is_a_validation_error(call):
 
 @pytest.mark.parametrize("call", [
     lambda n: transformer_flow([[0.0, 1.0]], _EYE, _EYE, _EYE, n // 2 - 1),
-    lambda n: mlp_flow([[0.5], [1.0]], [0.0, 1.0], n // 2, 0.1, 0.2),
+    # One step: the trajectory holds two slices of n // 2 - 3 2-D neurons.
+    lambda n: mlp_flow([[0.5], [1.0]], [0.0, 1.0], n // 2 - 3, 0.1, 0.1),
     # One target, so the n x 1 cost matrix holds no more than the samples.
     lambda n: semi_discrete_gradient_mc(SemiDiscreteProblem(
         _PROBLEM.sampler, [[0.5]], [1.0]), [0.0], n, 0),
@@ -464,8 +466,8 @@ def test_size_past_the_ceiling_is_a_validation_error(call):
         "sampler-draw-n", "cost-matrix", "kernel-matrix"])
 def test_the_ceiling_counts_every_element(monkeypatch, call):
     """With the ceiling lowered to 12 elements, the setting that asks for
-    exactly 12 (a 2-D token or neuron, a 1-D sample, or a 1 x n matrix)
-    runs and the next one up is refused."""
+    exactly 12 (a trajectory of 2-D tokens or neurons, a 1-D sample, or a
+    1 x n matrix) runs and the next one up is refused."""
     monkeypatch.setattr(measures, "MAX_ELEMENTS", 12)
     call(12)
     with pytest.raises(ValidationError, match="more than the 12 allowed"):
@@ -515,6 +517,32 @@ def test_error_text_prints_plain_numbers(call, message):
         call()
     assert message in str(info.value)
     assert "np." not in str(info.value)
+
+
+@pytest.mark.parametrize("value", [
+    True, np.False_, [1.0, True], [[0.0, 1.0], [1.0, False]], (1, True),
+    np.array([True, False]), np.array([1.0, True], dtype=object),
+    [np.array([1.0]), np.array([True])],
+], ids=["bool", "numpy-bool", "mixed-list", "nested", "tuple", "bool-array",
+        "object-array", "list-of-arrays"])
+def test_a_boolean_is_not_a_number(value):
+    """numpy reads True as 1.0 and upcasts a mixed list to floats without a
+    word, so the shared layer refuses a boolean anywhere in a number."""
+    with pytest.raises(ValidationError, match="weights must be numeric, "
+                                              "got a boolean"):
+        as_float_array(value, "weights")
+    if np.ndim(value) == 0:
+        with pytest.raises(ValidationError, match="got a boolean"):
+            as_integer(value, "seed")
+
+
+@pytest.mark.parametrize("value, expected", [
+    ([0.0, 1.0], [0.0, 1.0]), ([[1, 0]], [[1.0, 0.0]]), ("0.5", 0.5),
+    (["1", "0"], [1.0, 0.0]), (np.array([0, 1]), [0.0, 1.0]),
+    (np.array([1.0, None], dtype=object), [1.0, np.nan]),
+])
+def test_numbers_read_as_zero_and_one_are_kept(value, expected):
+    np.testing.assert_array_equal(as_float_array(value, "x"), expected)
 
 
 def test_bounds_are_inclusive_unless_open():

@@ -296,6 +296,16 @@ class TestBeckmann:
             div[v] -= flows[e]
         assert np.abs(div - s).max() <= 1e-9
 
+    def test_cost_past_the_float_range_is_a_validation_error(self):
+        """A unit of mass is routed as 1e9 integer units, so an edge of
+        length 1e300 puts the total past the float range: that is an
+        error naming the overflow, not a warning and a value of inf."""
+        g = FlowGraph(2, [(0, 1, 1e299)], [1.0, -1.0])
+        assert w1_graph_beckmann(g)[0] == 1e299
+        g = FlowGraph(2, [(0, 1, 1e300)], [1.0, -1.0])
+        with pytest.raises(ValidationError, match="flow cost overflows"):
+            w1_graph_beckmann(g)
+
     def test_unbalanced_rejected(self):
         with pytest.raises(UnbalancedError):
             FlowGraph(2, [(0, 1, 1.0)], [1.0, -0.5])
