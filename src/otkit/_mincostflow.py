@@ -50,6 +50,7 @@ __all__ = [
     "solve_min_cost_flow",
     "quantize_simplex",
     "quantize_balanced",
+    "scaled_integers",
     "solve_transportation",
 ]
 
@@ -325,19 +326,44 @@ def quantize_simplex(weights, scale):
     return base
 
 
+# The largest total of either sign that scaled masses may have: below
+# 2**63 by more than the rounding of a float sum and of `np.rint`, so that
+# every supply, every flow and every int64 sum of them is exact.
+_INT_TOTAL = 2.0 ** 63 * (1.0 - 2.0 ** -20)
+
+
+def scaled_integers(masses, scale):
+    """``masses * scale`` rounded to the nearest int64.
+
+    Raises `ValidationError` naming the largest mass when the scaled
+    masses of either sign sum past the int64 range.
+    """
+    m = np.asarray(masses, dtype=float)
+    with np.errstate(over="ignore"):
+        t = m * scale
+        total = np.maximum(np.maximum(t, 0.0).sum(),
+                           np.maximum(-t, 0.0).sum())
+    if not total < _INT_TOTAL:
+        largest = float(m[np.argmax(np.abs(m))])
+        raise ValidationError(
+            f"mass {largest!r} scaled by {scale} takes the flow past the "
+            "int64 range")
+    return np.rint(t).astype(np.int64)
+
+
 def quantize_balanced(masses, scale):
     """Round signed masses to integers that sum exactly to zero.
 
-    Nearest-integer rounding followed by +/-1 corrections applied to the
-    entries of largest magnitude (stable order).  Input must be close to
-    zero-sum; corrections never exceed one unit per entry beyond rounding.
+    Nearest-integer rounding (`scaled_integers`) followed by +/-1
+    corrections applied to the entries of largest magnitude (stable order).
+    Input must be close to zero-sum; corrections never exceed one unit per
+    entry beyond rounding.
     """
     m = np.asarray(masses, dtype=float)
-    t = m * scale
-    base = np.rint(t).astype(np.int64)
+    base = scaled_integers(m, scale)
     residual = int(base.sum())
     if residual != 0:
-        order = np.argsort(-np.abs(t), kind="stable")
+        order = np.argsort(-np.abs(m * scale), kind="stable")
         base[order[: abs(residual)]] += -1 if residual > 0 else 1
     return base
 

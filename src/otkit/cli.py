@@ -182,6 +182,16 @@ def _load_gaussian(path):
     return mean[:, 0], cov
 
 
+def _number(text, name):
+    """A number given as command-line text, read as argparse reads a
+    ``type=float`` option; the shared layer takes no strings."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(
+            f"{name} must be a number, got {text!r}") from None
+
+
 def _cost_spec(text) -> CostSpec:
     if text == "sqeuclidean":
         return CostSpec.sq_euclidean()
@@ -190,7 +200,7 @@ def _cost_spec(text) -> CostSpec:
     if text == "zeroone":
         return CostSpec.zero_one()
     if text.startswith("p:"):
-        return CostSpec.p_power(text[2:])
+        return CostSpec.p_power(_number(text[2:], "p"))
     raise ValidationError(
         f"unknown cost {text!r}; expected sqeuclidean, euclidean, zeroone "
         "or p:<exponent>")
@@ -249,7 +259,8 @@ def _cmd_exact(args):
 def _cmd_sinkhorn(args):
     from . import entropic
     alpha, beta, C = _load_problem(args)
-    schedule = args.schedule.split(",") if args.schedule else None
+    schedule = ([_number(e, "epsilon_schedule")
+                 for e in args.schedule.split(",")] if args.schedule else None)
     config = entropic.SinkhornConfig(
         epsilon=args.epsilon, max_iter=args.max_iter,
         marginal_tol=args.tol, epsilon_schedule=schedule,
@@ -357,9 +368,9 @@ def _cmd_divergence(args):
         return {"value": value, "divergence": args.phi}, None
     text = args.kernel
     if text.startswith("gaussian:"):
-        kernel = divergences.KernelSpec.gaussian(text[9:])
+        kernel = divergences.KernelSpec.gaussian(_number(text[9:], "sigma"))
     elif text.startswith("energy:"):
-        kernel = divergences.KernelSpec.energy(text[7:])
+        kernel = divergences.KernelSpec.energy(_number(text[7:], "p"))
     else:
         raise ValidationError(
             f"unknown kernel {text!r}; expected gaussian:<sigma> or "

@@ -2,13 +2,12 @@
 
 The regularized problem is parametrized by potentials (f, g) through
 
-    P_ij = r^a_i r^b_j exp((f_i + g_j - C_ij) / eps),
+    P_ij = a_i b_j exp((f_i + g_j - C_ij) / eps).
 
-with reference weights (r^a, r^b) defaulting to the marginals (a, b).  One
-full iteration updates f (making row sums equal a) and then g (making
+One full iteration updates f (making row sums equal a) and then g (making
 column sums equal b).  In the log domain the update is the soft minimum
 
-    f_i  <-  min^eps_{r^b}(C_i. - g) + eps log(a_i / r^a_i),
+    f_i  <-  min^eps_b(C_i. - g),
     min^eps_w(h) = -eps log sum_j w_j exp(-h_j / eps),
 
 evaluated with max subtraction so overflow cannot occur, but it costs
@@ -122,25 +121,26 @@ def softmin(values, weights, epsilon) -> float:
     return m - epsilon * float(np.log(np.sum(w * np.exp(-(h - m) / epsilon))))
 
 
-def _softmin_update(C, h, log_rh, epsilon):
-    """The log-domain update min^eps_{r}(C_i. - h) of each row's potential."""
-    M = C - h[None, :] - epsilon * log_rh[None, :]
+def _softmin_update(C, h, log_w, epsilon):
+    """The log-domain update min^eps_w(C_i. - h) of each row's potential."""
+    M = C - h[None, :] - epsilon * log_w[None, :]
     m = M.min(axis=1)
     return m - epsilon * np.log(np.sum(np.exp(-(M - m[:, None]) / epsilon),
                                        axis=1))
 
 
-def _gibbs_plan(C, f, g, epsilon, log_ra, log_rb):
-    """The plan r^a_i r^b_j exp((f_i + g_j - C_ij) / eps) of two potentials."""
-    return np.exp(log_ra[:, None] + log_rb[None, :]
+def _gibbs_plan(C, f, g, epsilon, log_a, log_b):
+    """The plan a_i b_j exp((f_i + g_j - C_ij) / eps) of two potentials."""
+    return np.exp(log_a[:, None] + log_b[None, :]
                   + (f[:, None] + g[None, :] - C) / epsilon)
 
 
-def _absorbed(C, h, s, log_r, shift, eps):
+def _absorbed(C, h, s, log_w, eps):
     """The columns' potential h + eps log s with its scaling s absorbed,
-    and the rows' log-domain update min^eps_r(C_i. - that) + eps shift."""
+    and the rows' log-domain update min^eps_w(C_i. - that) + 0.0, which
+    is never -0.0."""
     h = h + eps * np.log(s)
-    return h, _softmin_update(C, h, log_r, eps) + eps * shift
+    return h, _softmin_update(C, h, log_w, eps) + 0.0
 
 
 # Scalings are absorbed into the potentials once they leave
@@ -206,7 +206,8 @@ def _relaxed(x, x_plain, marginal, target, omega):
 
 @dataclass(frozen=True)
 class SinkhornConfig:
-    """Solver settings.
+    """Solver settings.  The plan is a_i b_j exp((f_i + g_j - C_ij) / eps)
+    for the potentials (f, g) that `sinkhorn` returns.
 
     Attributes
     ----------
@@ -227,9 +228,6 @@ class SinkhornConfig:
     epsilon_schedule : sequence of float or None
         Strictly decreasing epsilons ending exactly at ``epsilon``; each
         stage runs to tolerance and warm-starts the next.
-    reference_weights : (array, array) or None
-        Positive reference weights replacing (a, b) in the plan
-        parametrization; the converged plan is invariant to this choice.
     record_history : bool
         Keep the pair (f, g) after every half-update in
         ``SinkhornState.history``, starting with the initial pair.  The
@@ -257,7 +255,6 @@ class SinkhornConfig:
     marginal_tol: float = 1e-8
     log_domain: bool = True
     epsilon_schedule: Sequence[float] | None = None
-    reference_weights: tuple | None = None
     record_history: bool = False
     record_trace: bool = False
     overrelax: bool = True
@@ -421,27 +418,14 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     full = active_a.size == aw.size and active_b.size == bw.size
     sub_C = np.ascontiguousarray(C) if full else C[np.ix_(active_a, active_b)]
 
-    if config.reference_weights is None:
-        ref_a, ref_b = sub_a, sub_b
-    else:
-        ra = check_weights(config.reference_weights[0], "reference a", n=aw.size)
-        rb = check_weights(config.reference_weights[1], "reference b", n=bw.size)
-        if np.any(ra[active_a] <= 0) or np.any(rb[active_b] <= 0):
-            raise ValidationError(
-                "reference weights must be positive on the support"
-            )
-        ref_a, ref_b = ra[active_a], rb[active_b]
-
     stages = config.epsilon_schedule or (config.epsilon,)
     f = np.zeros(sub_a.size)
     g = np.zeros(sub_b.size)
     trace = [] if config.record_trace else None
     history = [(f, g)] if config.record_history else None
 
-    log_ra = np.log(ref_a)
-    log_rb = np.log(ref_b)
-    log_a_ra = np.log(sub_a) - log_ra
-    log_b_rb = np.log(sub_b) - log_rb
+    log_a = np.log(sub_a)
+    log_b = np.log(sub_b)
     ones_a = np.ones(sub_a.size)
     ones_b = np.ones(sub_b.size)
 
@@ -451,7 +435,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
         violations."""
         shift = 0.5 * (float(f @ sub_a) - float(g @ sub_b))
         f, g = f - shift, g + shift
-        plan = _gibbs_plan(sub_C, f, g, eps, log_ra, log_rb)
+        plan = _gibbs_plan(sub_C, f, g, eps, log_a, log_b)
         if not full:
             sub_plan, plan = plan, np.zeros_like(C)
             plan[np.ix_(active_a, active_b)] = sub_plan
@@ -469,10 +453,14 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     # (`_absorbed`) and K is rebuilt.  f = fh + eps log u and
     # g = gh + eps log v are formed only in an absorption, at a stop and at
     # the end of the budget.  At unit scalings that is fh (gh) bit for bit:
-    # h + 0.0 = h unless h is -0.0, and no absorbed potential is, as each
-    # is +0.0 or ends in + eps (log a - log r).  A trace or a history keeps
-    # each iteration in `block`; `_trace_block` forms it every _TRACE_BLOCK
-    # iterations and at the end of the solve.
+    # h + 0.0 = h unless h is -0.0, and no absorbed potential is: a sum is
+    # -0.0 only if both terms are, and each one starts as +0.0 zeros or
+    # ends in `_absorbed`'s + 0.0.  That + 0.0 is needed: a soft minimum is
+    # -0.0 where a column of weight 1 holds its row's minimum -0.0, and f
+    # would keep that sign where eps log u underflows to -0.0 (u just below
+    # 1 at eps below 1e-307).
+    # A trace or a history keeps each iteration in `block`; `_trace_block`
+    # forms it every _TRACE_BLOCK iterations and at the end of the solve.
     # omega is 1 (plain steps) until a stage's plain iterations have
     # measured the rate that sets it; a relaxed half-step that would lower
     # the dual objective is taken plain (`_relaxed`).
@@ -497,7 +485,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                 fh, gh, u, v = f, g, ones_a, ones_b
                 K = None
                 if not safeguard:
-                    K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
+                    K = _gibbs_plan(sub_C, fh, gh, eps, log_a, log_b)
                     Kv = K.sum(axis=1)
                 converged = False
                 while iteration < config.max_iter:
@@ -507,18 +495,16 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                         u = (u_plain if omega == 1.0 else
                              _relaxed(u, u_plain, row, sub_a, omega))
                     if K is None or (safeguard and not _bounded(u)):
-                        gh, fh = _absorbed(sub_C, gh, v, log_rb, log_a_ra,
-                                           eps)
-                        K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
+                        gh, fh = _absorbed(sub_C, gh, v, log_b, eps)
+                        K = _gibbs_plan(sub_C, fh, gh, eps, log_a, log_b)
                         u, v = ones_a, ones_b
                     Ktu = K.T @ u
                     v_plain = sub_b / Ktu
                     v = (v_plain if omega == 1.0 else
                          _relaxed(v, v_plain, v * Ktu, sub_b, omega))
                     if safeguard and not _bounded(v):
-                        fh, gh = _absorbed(sub_C.T, fh, u, log_ra,
-                                           log_b_rb, eps)
-                        K = _gibbs_plan(sub_C, fh, gh, eps, log_ra, log_rb)
+                        fh, gh = _absorbed(sub_C.T, fh, u, log_a, eps)
+                        K = _gibbs_plan(sub_C, fh, gh, eps, log_a, log_b)
                         u, v = ones_a, ones_b
                         Ktu = K.sum(axis=0)
                     Kv = K @ v
@@ -578,10 +564,10 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     dropped_b = np.flatnonzero(bw == 0)
     if dropped_a.size:
         f_full[dropped_a] = _softmin_update(C[np.ix_(dropped_a, active_b)],
-                                            g, log_rb, eps)
+                                            g, log_b, eps)
     if dropped_b.size:
         g_full[dropped_b] = _softmin_update(C[np.ix_(active_a, dropped_b)].T,
-                                            f, log_ra, eps)
+                                            f, log_a, eps)
 
     state = SinkhornState(
         f=f_full,

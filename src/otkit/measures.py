@@ -33,8 +33,8 @@ decides what a valid input is:
   Seeds are whole numbers >= 0; integer-typed input is read exactly.
 
 All of these coerce through `as_float_array`, which reports input that is
-not a numeric array (strings, ragged nesting) as a `ValidationError`
-naming the argument.
+not a numeric array (strings, booleans, ragged nesting) as a
+`ValidationError` naming the argument.
 
 The package's checks share two thresholds:
 
@@ -103,11 +103,23 @@ MAX_ELEMENTS = 1 << 31
 
 def as_float_array(obj, name):
     """``np.asarray(obj, dtype=float)``, raising `ValidationError` on failure
-    and on a boolean anywhere in ``obj``, which numpy would read as 0 or 1."""
+    and on a string or a boolean anywhere in ``obj``, which numpy would
+    parse as a number or read as 0 or 1."""
     try:
-        x = np.asarray(obj, dtype=float)
+        # Numbers are converted from the array numpy reads them into, whose
+        # dtype also tells strings apart without a scan; anything else is
+        # converted as numpy reads it with dtype=float.
+        raw = np.asarray(obj)
+        text = raw.dtype.kind in "US" or (
+            raw.dtype.kind == "O" and any(isinstance(v, (str, bytes))
+                                          for v in raw.flat))
+        if not text:
+            x = np.asarray(raw if raw.dtype.kind in "biuf" else obj,
+                           dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not a numeric array: {exc}") from exc
+    if text:
+        raise ValidationError(f"{name} must be numeric, got a string")
     if isinstance(obj, np.ndarray):
         scan = obj.dtype.kind in "bO"
     else:  # only an entry read as 0 or 1 can have been a boolean

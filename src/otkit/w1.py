@@ -18,7 +18,8 @@ from typing import Tuple
 
 import numpy as np
 
-from ._mincostflow import components, quantize_balanced, solve_min_cost_flow
+from ._mincostflow import (components, quantize_balanced, scaled_integers,
+                           solve_min_cost_flow)
 from .errors import UnbalancedError, ValidationError
 from .exact import WEIGHT_DENOMINATOR, solve_kantorovich, validate_metric
 from .measures import (EQUALITY_TOL, as_integer, as_number,
@@ -97,7 +98,7 @@ def flat_norm(m: SignedDiscreteMeasure, dist) -> float:
         raise ValidationError("distance matrix must be symmetric")
     n = m.n
     scale = WEIGHT_DENOMINATOR
-    q = np.rint(m.masses * scale).astype(np.int64)
+    q = scaled_integers(m.masses, scale)
     supplies = np.concatenate([q, [-q.sum()]])
     # Row i lists the arcs i -> j for j != i, then the arcs to and from
     # the virtual absorbing node n; the rows are laid out one after another.

@@ -54,21 +54,19 @@ def full_iterates(state, count):
 
 
 def f_update_gap(b, C, f, g, eps):
-    """How far one more f update from g moves f (reference weights (a, b))."""
+    """How far one more f update from g moves f."""
     f_next = -eps * logsumexp((g[None, :] - C) / eps, b=b[None, :], axis=1)
     return float(np.abs(f_next - f).max())
 
 
-def potential_plan(a, b, C, f, g, eps, reference=None):
-    """The plan r^a_i r^b_j exp((f_i + g_j - C_ij) / eps) of reported
-    Sinkhorn potentials, zero off the support of (a, b), with reference
-    weights (r^a, r^b) defaulting to (a, b).  Plain numpy, so that it checks
-    the solver rather than repeats it."""
-    ra, rb = (a, b) if reference is None else reference
+def potential_plan(a, b, C, f, g, eps):
+    """The plan a_i b_j exp((f_i + g_j - C_ij) / eps) of reported Sinkhorn
+    potentials, zero off the support of (a, b).  Plain numpy, so that it
+    checks the solver rather than repeats it."""
     support = (a > 0)[:, None] & (b > 0)[None, :]
     with np.errstate(over="ignore", under="ignore"):
-        P = ra[:, None] * rb[None, :] * np.exp((f[:, None] + g[None, :] - C)
-                                               / eps)
+        P = a[:, None] * b[None, :] * np.exp((f[:, None] + g[None, :] - C)
+                                             / eps)
     return np.where(support, P, 0.0)
 
 

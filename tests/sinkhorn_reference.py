@@ -11,7 +11,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from otkit.entropic import SinkhornResult, SinkhornState, SinkhornTraceRecord
-from otkit.errors import ValidationError
 from otkit.measures import (MARGINAL_TOL, Coupling, check_cost_matrix,
                             check_weights)
 
@@ -35,17 +34,6 @@ def sinkhorn_log_domain(a, b, C, config):
     sub_b = bw[active_b]
     sub_C = C[np.ix_(active_a, active_b)]
 
-    if config.reference_weights is None:
-        ref_a, ref_b = sub_a, sub_b
-    else:
-        ra = check_weights(config.reference_weights[0], "reference a", n=aw.size)
-        rb = check_weights(config.reference_weights[1], "reference b", n=bw.size)
-        if np.any(ra[active_a] <= 0) or np.any(rb[active_b] <= 0):
-            raise ValidationError(
-                "reference weights must be positive on the support"
-            )
-        ref_a, ref_b = ra[active_a], rb[active_b]
-
     stages = config.epsilon_schedule or (config.epsilon,)
     f = np.zeros(sub_a.size)
     g = np.zeros(sub_b.size)
@@ -54,8 +42,6 @@ def sinkhorn_log_domain(a, b, C, config):
 
     log_a = np.log(sub_a)
     log_b = np.log(sub_b)
-    log_ra = np.log(ref_a)
-    log_rb = np.log(ref_b)
 
     iteration = 0
     status = "max_iter"
@@ -67,17 +53,15 @@ def sinkhorn_log_domain(a, b, C, config):
         while iteration < config.max_iter:
             iteration += 1
             f_old = f
-            f = (_softmin_rows(sub_C - g[None, :] - eps * log_rb[None, :],
-                               np.ones_like(sub_b), eps)
-                 + eps * (log_a - log_ra))
+            f = _softmin_rows(sub_C - g[None, :] - eps * log_b[None, :],
+                              np.ones_like(sub_b), eps)
             if history is not None:
                 history.append((f.copy(), g.copy()))
-            g = (_softmin_rows(sub_C.T - f[None, :] - eps * log_ra[None, :],
-                               np.ones_like(sub_a), eps)
-                 + eps * (log_b - log_rb))
+            g = _softmin_rows(sub_C.T - f[None, :] - eps * log_a[None, :],
+                              np.ones_like(sub_a), eps)
             if history is not None:
                 history.append((f.copy(), g.copy()))
-            logP = (log_ra[:, None] + log_rb[None, :]
+            logP = (log_a[:, None] + log_b[None, :]
                     + (f[:, None] + g[None, :] - sub_C) / eps)
             row = np.exp(logsumexp(logP, axis=1))
             col = np.exp(logsumexp(logP, axis=0))
@@ -111,7 +95,7 @@ def sinkhorn_log_domain(a, b, C, config):
     f = f - shift
     g = g + shift
 
-    logP = (log_ra[:, None] + log_rb[None, :]
+    logP = (log_a[:, None] + log_b[None, :]
             + (f[:, None] + g[None, :] - sub_C) / eps)
     sub_plan = np.exp(logP)
 
@@ -132,11 +116,11 @@ def sinkhorn_log_domain(a, b, C, config):
     dropped_b = np.flatnonzero(bw == 0)
     if dropped_a.size:
         M = (C[np.ix_(dropped_a, active_b)] - g[None, :]
-             - eps * log_rb[None, :])
+             - eps * log_b[None, :])
         f_full[dropped_a] = _softmin_rows(M, np.ones_like(sub_b), eps)
     if dropped_b.size:
         M = (C[np.ix_(active_a, dropped_b)].T - f[None, :]
-             - eps * log_ra[None, :])
+             - eps * log_a[None, :])
         g_full[dropped_b] = _softmin_rows(M, np.ones_like(sub_a), eps)
 
     state = SinkhornState(

@@ -4,20 +4,28 @@ This is `otkit.exact.solve_1d_sorted` as it was before the plan was read
 off the quantile breakpoints: it walks the two sorted measures one atom
 at a time, carrying the unmatched remainder of the current atom of each.
 It is not used by the package; ``tests/test_exact.py`` fuzzes the
-package's solver against it.
+package's solver against it.  It sorts the atoms itself, so a fault in the
+package's sort shows as a difference.
 """
 
 import numpy as np
 
-from otkit.exact import TransportResult, _sorted_1d
+from otkit.exact import TransportResult
 from otkit.measures import Coupling, as_number
+
+
+def _sorted(mu):
+    """The stable sort order of a 1-D measure's atoms, and its points and
+    weights in that order."""
+    order = np.argsort(mu.points[:, 0], kind="stable")
+    return order, mu.points[order, 0], mu.weights[order]
 
 
 def solve_1d_sorted(alpha, beta, p) -> TransportResult:
     """The monotone (northwest-corner) plan and its cost ``W_p^p``;
     ``iterations`` counts the sweep's steps, one per atom it leaves."""
     p = as_number(p, "p", low=1)
-    (order_a, xa, wa), (order_b, xb, wb) = _sorted_1d(alpha, beta)
+    (order_a, xa, wa), (order_b, xb, wb) = _sorted(alpha), _sorted(beta)
     n, m = alpha.n, beta.n
 
     plan = np.zeros((n, m))

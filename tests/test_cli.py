@@ -275,18 +275,81 @@ class TestExitCodes:
         assert out == ""
         assert json.loads(err)["error"]["code"] == "validation"
 
-    def test_flow_dt_given_as_a_string_is_read_as_a_number(self, tmp_path,
-                                                           capsys):
-        finals = []
-        for dt in (0.1, "0.1"):
-            cfg = write_json(tmp_path, "flow.json", {
-                "kind": "linear", "potential": {"name": "quadratic"},
-                "x0": [[1.0, 0.0], [0.0, 2.0]], "dt": dt, "T": 0.3})
-            code, out, _ = run_cli(["flow", "gradient", "--config", cfg],
+    def test_flow_dt_given_as_a_string_is_two(self, tmp_path, capsys):
+        """numpy would parse "0.1" as a number; a JSON string is refused
+        where a number is read, naming the setting."""
+        cfg = write_json(tmp_path, "flow.json", {
+            "kind": "linear", "potential": {"name": "quadratic"},
+            "x0": [[1.0, 0.0], [0.0, 2.0]], "dt": "0.1", "T": 0.3})
+        code, out, err = run_cli(["flow", "gradient", "--config", cfg],
+                                 capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"]["message"] == (
+            "dt must be numeric, got a string")
+
+    @pytest.mark.parametrize("base, change, name", [
+        ("exact", {"weights": ["0.5", "0.5"]}, "weights"),
+        ("exact", {"weights": [0.5, "0.5"]}, "weights"),
+        ("exact", {"points": [[0.0, "0"], [1.0, 0.0]]}, "points"),
+        ("gradient", {"T": "0.2"}, "the time horizon"),
+        ("transformer", {"depth": "2"}, "depth"),
+        ("mlp", {"seed": "0"}, "seed"),
+        ("graph", {"edges": [["a", "b", "1.0"]]}, "edge length"),
+    ], ids=["weights", "mixed-weights", "points", "T", "depth", "seed",
+            "edge-length"])
+    def test_string_for_a_number_is_two(self, tmp_path, capsys, base,
+                                        change, name):
+        argv, config = _range_sweep_base(tmp_path, base)
+        if config is None:
+            measure = {"points": [[0.0, 0.0], [1.0, 0.0]],
+                       "weights": [0.5, 0.5]}
+            argv[argv.index("--a") + 1] = write_json(
+                tmp_path, "text.json", dict(measure, **change))
+        else:
+            write_json(tmp_path, "config.json", dict(config, **change))
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"]["message"] == (
+            f"{name} must be numeric, got a string")
+
+    def test_text_settings_are_read_as_numbers(self, measure_files,
+                                               capsys):
+        """--schedule, --cost p:<x> and --kernel gaussian:<s> or energy:<p>
+        are text on the command line; the CLI reads them as numbers, so
+        the payloads are those of the solvers given the floats."""
+        path_a, path_b, a, b = measure_files
+        alpha, beta = measure_from_dict(a), measure_from_dict(b)
+        ab = ["--a", path_a, "--b", path_b]
+
+        code, out, _ = run_cli(["exact", *ab, "--cost", "p:3"], capsys)
+        C = build_cost_matrix(alpha, beta, CostSpec.p_power(3.0))
+        assert code == 0
+        assert json.loads(out)["cost"] == exact.solve_kantorovich(
+            alpha.weights, beta.weights, C).cost
+
+        code, out, _ = run_cli(["sinkhorn", *ab, "--epsilon", "0.5",
+                                "--schedule", "2,1,0.5"], capsys)
+        C = build_cost_matrix(alpha, beta, CostSpec.sq_euclidean())
+        res = entropic.sinkhorn(alpha.weights, beta.weights, C,
+                                entropic.SinkhornConfig(
+                                    epsilon=0.5,
+                                    epsilon_schedule=(2.0, 1.0, 0.5)))
+        payload = json.loads(out)
+        assert code == 0
+        assert (payload["f"], payload["g"], payload["cost_reg"]) == (
+            res.state.f.tolist(), res.state.g.tolist(), res.cost_reg)
+
+        from otkit import divergences
+        for text, kernel in (("gaussian:0.5",
+                              divergences.KernelSpec.gaussian(0.5)),
+                             ("energy:1.5",
+                              divergences.KernelSpec.energy(1.5))):
+            code, out, _ = run_cli(["divergence", *ab, "--kernel", text],
                                    capsys)
+            payload = json.loads(out)
             assert code == 0
-            finals.append(json.loads(out)["final_state"])
-        assert finals[0] == finals[1]
+            assert (payload["divergence"], payload["value"]) == (
+                f"mmd2[{text}]", divergences.mmd_squared(alpha, beta, kernel))
 
     @pytest.mark.parametrize("base, change, name", [
         ("exact", {"weights": [True, False]}, "weights"),

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import logsumexp
@@ -51,7 +51,7 @@ def make_instance(rng, n, m, d=2):
 
 
 def plan_from_potentials(a, b, C, f, g, eps):
-    """The plan parametrized by potentials with reference weights (a, b)."""
+    """The plan a_i b_j exp((f_i + g_j - C_ij) / eps) of two potentials."""
     return (np.outer(a, b)
             * np.exp((f[:, None] + g[None, :] - C) / eps))
 
@@ -252,16 +252,24 @@ def assert_matches_reference(a, b, C, cfg):
 
 
 # One draw of the instance law that the absorbed-kernel loop is fuzzed on.
+# With ``single_atom`` set, that side is one atom of weight 1 (log b_j = 0)
+# and about half the costs are -0.0: the instances on which a soft minimum
+# comes out -0.0.
 REFERENCE_LAW = dict(
     seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
     m=st.integers(1, 12), zero_a=st.booleans(), zero_b=st.booleans(),
     log10_scale=st.floats(-8.0, 8.0), eps_share=st.floats(3e-3, 1e3),
-    with_reference=st.booleans(), stages=st.integers(1, 4))
+    single_atom=st.sampled_from([None, "a", "b"]), stages=st.integers(1, 4))
+# A draw of the law with a single atom on the b side and -0.0 costs.
+SINGLE_ATOM_DRAW = dict(seed=5, n=4, m=1, zero_a=False, zero_b=False,
+                        log10_scale=0.0, eps_share=0.1, single_atom="b",
+                        stages=1)
 
 
 def reference_law_instance(seed, n, m, zero_a, zero_b, log10_scale,
-                           eps_share, with_reference, stages):
+                           eps_share, single_atom, stages):
     """(a, b, C, config) of one draw of `REFERENCE_LAW`, with a trace."""
+    n, m = (1 if single_atom == "a" else n), (1 if single_atom == "b" else m)
     rng, C = unit_square_instance(seed, n, m)
     C = C * 10.0 ** log10_scale
     a = rng.exponential(size=n) + 1e-3
@@ -272,12 +280,11 @@ def reference_law_instance(seed, n, m, zero_a, zero_b, log10_scale,
         b[rng.integers(m)] = 0.0
     a, b = a / a.sum(), b / b.sum()
     eps = eps_share * float(C.mean())
-    reference = ((rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m))
-                 if with_reference else None)
+    if single_atom:
+        C[rng.random(C.shape) < 0.5] = -0.0
     schedule = tuple(eps * 2.0 ** k for k in range(stages - 1, -1, -1))
     return a, b, C, SinkhornConfig(epsilon=eps, max_iter=5000,
                                    marginal_tol=1e-9,
-                                   reference_weights=reference,
                                    epsilon_schedule=schedule,
                                    record_trace=True)
 
@@ -287,6 +294,7 @@ class TestAgainstLogDomainReference:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(**REFERENCE_LAW)
+    @example(**SINGLE_ATOM_DRAW)
     def test_fuzz(self, **draw):
         a, b, C, cfg = reference_law_instance(**draw)
         assert_matches_reference(a, b, C, replace(cfg, overrelax=False))
@@ -325,8 +333,7 @@ class TestOverrelaxedAgainstPlain:
         for res in (relaxed, plain):
             if res.state.status == "optimal":
                 f, g = res.state.f, res.state.g
-                P = potential_plan(a, b, C, f, g, cfg.epsilon,
-                                   cfg.reference_weights)
+                P = potential_plan(a, b, C, f, g, cfg.epsilon)
                 rounding = exponent_rounding(a, b, C, f, g, cfg.epsilon)
                 assert max(l1_violations(P, a, b)) <= tol + rounding
         if plain.state.status == "optimal":
@@ -433,12 +440,11 @@ class TestTraceOffPath:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
            m=st.integers(1, 12), zero_a=st.booleans(), zero_b=st.booleans(),
            log10_scale=st.floats(-8.0, 8.0),
-           eps_decade=st.integers(-6, 2),
-           with_reference=st.booleans(), stages=st.integers(1, 4),
+           eps_decade=st.integers(-6, 2), stages=st.integers(1, 4),
            log_domain=st.booleans(), max_iter=st.sampled_from([1, 7, 5000]),
            negative_zero=st.booleans())
     def test_fuzz(self, seed, n, m, zero_a, zero_b, log10_scale,
-                  eps_decade, with_reference, stages, log_domain, max_iter,
+                  eps_decade, stages, log_domain, max_iter,
                   negative_zero):
         rng, C = unit_square_instance(seed, n, m)
         C = C * 10.0 ** log10_scale
@@ -452,19 +458,64 @@ class TestTraceOffPath:
         # In the lowest decades the scalings leave [1e-50, 1e50] and are
         # absorbed (or the scaling-domain kernel underflows).
         eps = 10.0 ** (eps_decade + rng.random()) * float(C.mean())
-        reference = ((rng.uniform(0.1, 2.0, n), rng.uniform(0.1, 2.0, m))
-                     if with_reference else None)
         schedule = tuple(eps * 2.0 ** k for k in range(stages - 1, -1, -1))
         if negative_zero:
             C[rng.random(C.shape) < 0.5] = -0.0
         cfg = SinkhornConfig(epsilon=eps, max_iter=max_iter,
                              marginal_tol=1e-9, log_domain=log_domain,
-                             reference_weights=reference,
                              epsilon_schedule=schedule)
         plain = solve_or_error(a, b, C, cfg)
         for kept in ({"record_trace": True}, {"record_history": True},
                      {"record_trace": True, "record_history": True}):
             assert solve_or_error(a, b, C, replace(cfg, **kept)) == plain
+
+
+def solve_bits(a, b, C, cfg):
+    """f, g, plan, trace records and history pairs of a solve as bytes, or
+    its error.  At the smallest epsilons the returned plan overflows, which
+    numpy would report as a warning."""
+    try:
+        with np.errstate(over="ignore"):
+            state, coupling, _, _ = sinkhorn(a, b, C, cfg)
+    except ValidationError as exc:
+        return ("error", str(exc))
+    return (state.f.tobytes(), state.g.tobytes(), coupling.plan.tobytes(),
+            repr(state.trace),
+            [f.tobytes() + g.tobytes() for f, g in state.history])
+
+
+class TestNegativeZeroCosts:
+    """A soft minimum over a column of weight 1 that holds the row's
+    minimum -0.0 is -0.0.  That sign must not reach what `sinkhorn`
+    returns: -0.0 costs give the bits of +0.0 costs in f, g, the plan, the
+    trace records and the history pairs, down to epsilons at which
+    eps log u underflows to -0.0."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6),
+           single=st.sampled_from(["a", "b"]),
+           eps=st.sampled_from([5e-324, 1e-310, 1e-300, 0.1]),
+           zero_share=st.sampled_from([0.5, 1.0]), log_domain=st.booleans(),
+           overrelax=st.booleans(), max_iter=st.sampled_from([1, 7, 50]),
+           tol=st.sampled_from([1e-12, 1e-300]))
+    @example(seed=0, n=4, single="b", eps=1e-310, zero_share=1.0,
+             log_domain=True, overrelax=False, max_iter=50, tol=1e-300)
+    def test_fuzz(self, seed, n, single, eps, zero_share, log_domain,
+                  overrelax, max_iter, tol):
+        rng, C = unit_square_instance(seed, *((1, n) if single == "a"
+                                              else (n, 1)))
+        w = rng.exponential(size=n) + 1e-3
+        w = w / w.sum()
+        a, b = (np.ones(1), w) if single == "a" else (w, np.ones(1))
+        zero = rng.random(C.shape) < zero_share
+        negative, positive = C.copy(), C.copy()
+        negative[zero], positive[zero] = -0.0, 0.0
+        cfg = SinkhornConfig(epsilon=eps, max_iter=max_iter,
+                             marginal_tol=tol, log_domain=log_domain,
+                             overrelax=overrelax, record_trace=True,
+                             record_history=True)
+        assert (solve_bits(a, b, negative, cfg)
+                == solve_bits(a, b, positive, cfg))
 
 
 class TestTraceBlocks:
@@ -756,20 +807,6 @@ class TestZeroWeights:
         keep = np.arange(6) != 2
         sub = sinkhorn(a[keep] / a[keep].sum(), b, C[keep], cfg)
         assert_allclose(cost_reg, sub.cost_reg, rtol=1e-10, atol=1e-12)
-
-
-class TestReferenceInvariance:
-    def test_plan_invariant_to_reference_weights(self, rng):
-        a, b, C = make_instance(rng, 5, 6)
-        eps = 0.5 * float(C.mean())
-        base = SinkhornConfig(epsilon=eps, marginal_tol=1e-13, max_iter=50000)
-        uniform_ref = SinkhornConfig(
-            epsilon=eps, marginal_tol=1e-13, max_iter=50000,
-            reference_weights=(np.full(5, 0.2), np.full(6, 1.0 / 6.0)),
-        )
-        res0 = sinkhorn(a, b, C, base)
-        res1 = sinkhorn(a, b, C, uniform_ref)
-        assert np.max(np.abs(res0.coupling.plan - res1.coupling.plan)) <= 1e-10
 
 
 class TestSinkhornDivergence:

@@ -483,7 +483,7 @@ def test_the_ceiling_counts_every_element(monkeypatch, call):
      "depth must be >= 1, got 0"),
     (lambda: as_number(2, "p", 0, 2, open=True),
      "p must lie in (0, 2), got 2.0"),
-    (lambda: as_number("1.5", "interpolation time", 0, 1),
+    (lambda: as_number(1.5, "interpolation time", 0, 1),
      "interpolation time must lie in [0, 1], got 1.5"),
     (lambda: as_integer(5, "index", -2, 1), "index must lie in [-2, 1], got 5"),
     (lambda: SinkhornConfig(epsilon=np.float64("nan")),
@@ -537,12 +537,31 @@ def test_a_boolean_is_not_a_number(value):
 
 
 @pytest.mark.parametrize("value, expected", [
-    ([0.0, 1.0], [0.0, 1.0]), ([[1, 0]], [[1.0, 0.0]]), ("0.5", 0.5),
-    (["1", "0"], [1.0, 0.0]), (np.array([0, 1]), [0.0, 1.0]),
+    ([0.0, 1.0], [0.0, 1.0]), ([[1, 0]], [[1.0, 0.0]]),
+    (np.float64(1.0), 1.0), ([1, 0.0], [1.0, 0.0]),
+    (np.array([0, 1]), [0.0, 1.0]),
     (np.array([1.0, None], dtype=object), [1.0, np.nan]),
 ])
 def test_numbers_read_as_zero_and_one_are_kept(value, expected):
     np.testing.assert_array_equal(as_float_array(value, "x"), expected)
+
+
+@pytest.mark.parametrize("value", [
+    "0.5", ["0.5", "0.5"], [1.0, "0.5"], [[0.0, 1.0], [1.0, "0"]],
+    np.array(["1", "0"]), b"1", np.array([1.0, "1"], dtype=object),
+    [None, "0.5"],
+], ids=["str", "list", "mixed-list", "nested", "str-array", "bytes",
+        "object-array", "object-list"])
+def test_a_string_is_not_a_number(value):
+    """numpy parses a string as a number, and a number next to a string
+    into a string, so the shared layer refuses a string anywhere in a
+    number; the array's dtype tells, without a scan of plain numbers."""
+    with pytest.raises(ValidationError, match="weights must be numeric, "
+                                              "got a string"):
+        as_float_array(value, "weights")
+    if np.ndim(value) == 0:
+        with pytest.raises(ValidationError, match="got a string"):
+            as_integer(value, "seed")
 
 
 def test_bounds_are_inclusive_unless_open():

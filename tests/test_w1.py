@@ -1,5 +1,7 @@
 """Kantorovich-Rubinstein norm, flat norm, and graph Beckmann flows."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -305,6 +307,25 @@ class TestBeckmann:
         g = FlowGraph(2, [(0, 1, 1e300)], [1.0, -1.0])
         with pytest.raises(ValidationError, match="flow cost overflows"):
             w1_graph_beckmann(g)
+
+    @pytest.mark.parametrize("mass", [1e12, -1e12, 1e300])
+    def test_masses_past_int64_are_a_validation_error(self, mass):
+        """Masses are routed as 1e9 integer units each; past the int64
+        range the cast would wrap (the flows came out 0), so both W1 flows
+        name the largest mass instead."""
+        message = re.escape(f"mass {mass!r} scaled by 1000000000 takes the "
+                            "flow past the int64 range")
+        with pytest.raises(ValidationError, match=message):
+            flat_norm(SignedDiscreteMeasure([[0.0], [1.0]], [mass, -mass]),
+                      [[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValidationError, match=message):
+            w1_graph_beckmann(FlowGraph(2, [(0, 1, 1.0)], [mass, -mass]))
+
+    def test_masses_just_inside_int64_are_routed(self):
+        m = SignedDiscreteMeasure([[0.0], [1.0]], [9.2e9, -9.2e9])
+        assert flat_norm(m, [[0.0, 1.0], [1.0, 0.0]]) == 9.2e9
+        g = FlowGraph(3, [(0, 1, 1.0), (1, 2, 1.0)], [4.6e9, 4.6e9, -9.2e9])
+        assert w1_graph_beckmann(g)[0] == 4.6e9 + 2 * 4.6e9
 
     def test_unbalanced_rejected(self):
         with pytest.raises(UnbalancedError):
