@@ -42,9 +42,9 @@ from . import __version__
 from .errors import ConvergenceError, OTError, ValidationError
 from .measures import (CostSpec, DiscreteMeasure, GridDensity1D,
                        _trapezoid_cdf, as_number, build_cost_matrix,
-                       check_covariance, check_points, check_vector,
-                       load_measure_csv, measure_from_dict, product_coupling,
-                       read_json, require_key, write_text)
+                       check_covariance, check_keys, check_points,
+                       check_vector, load_measure_csv, measure_from_dict,
+                       product_coupling, read_json, require_key, write_text)
 
 
 # ---------------------------------------------------------------------------
@@ -380,15 +380,22 @@ def _cmd_divergence(args):
 
 
 # -- flow configs -----------------------------------------------------------
+#
+# Each config and nested spec names the keys it reads in one `check_keys`
+# call, before it reads any of them, so that a misspelled key is refused
+# and named.  Where a kind or a name selects what else is read, that one
+# key is read first.
 
 def _linear_preset(spec, dim):
     from . import dynamics
     name = require_key(spec, "name", "potential")
-    center = check_vector(spec.get("center", np.zeros(dim)), "center", dim)
     if name not in ("quadratic", "gaussian_well"):
         raise ValidationError(
             f"unknown potential {name!r}; expected quadratic or "
             "gaussian_well")
+    check_keys(spec, ("name", "center", "sigma") if name == "gaussian_well"
+               else ("name", "center"), "potential")
+    center = check_vector(spec.get("center", np.zeros(dim)), "center", dim)
     # A potential is a kernel with one end pinned at the center.
     k, grad_k = _kernel(name == "gaussian_well", spec, "gaussian_well sigma")
     return dynamics.FunctionalSpec.linear(
@@ -401,6 +408,8 @@ def _interaction_preset(spec, dim):
     if name not in ("quadratic", "gaussian"):
         raise ValidationError(
             f"unknown kernel {name!r}; expected quadratic or gaussian")
+    check_keys(spec, ("name", "sigma") if name == "gaussian" else ("name",),
+               "kernel")
     k, grad_k = _kernel(name == "gaussian", spec, "gaussian kernel sigma")
     return dynamics.FunctionalSpec.interaction(k, grad_k, dim=dim)
 
@@ -434,16 +443,17 @@ def _positions_trace(traj):
 
 def _flow_gradient(cfg, path):
     from . import dynamics
-    x0 = check_points(require_key(cfg, "x0", path), "x0")
     kind = require_key(cfg, "kind", path)
-    dim = x0.shape[1]
     if kind == "linear":
-        spec = _linear_preset(require_key(cfg, "potential", path), dim)
+        spec_key, preset = "potential", _linear_preset
     elif kind == "interaction":
-        spec = _interaction_preset(require_key(cfg, "kernel", path), dim)
+        spec_key, preset = "kernel", _interaction_preset
     else:
         raise ValidationError(
             f"unknown flow kind {kind!r}; expected linear or interaction")
+    check_keys(cfg, ("kind", spec_key, "x0", "dt", "T", "scheme"), path)
+    x0 = check_points(require_key(cfg, "x0", path), "x0")
+    spec = preset(require_key(cfg, spec_key, path), x0.shape[1])
     traj = dynamics.gradient_flow(spec, x0, dt=require_key(cfg, "dt", path),
                                   T=require_key(cfg, "T", path),
                                   scheme=cfg.get("scheme", "explicit"))
@@ -458,12 +468,14 @@ def _flow_gradient(cfg, path):
 
 def _flow_entropy1d(cfg, path):
     from . import dynamics
+    check_keys(cfg, ("grid", "density", "entropy", "dt", "T"), path)
     rho0 = GridDensity1D(require_key(cfg, "grid", path),
                          require_key(cfg, "density", path))
     spec = cfg.get("entropy", "shannon")
     if spec == "shannon":
         entropy = dynamics.GeneralizedEntropy.shannon()
     elif isinstance(spec, dict) and spec.get("name") == "power":
+        check_keys(spec, ("name", "q"), "entropy")
         entropy = dynamics.GeneralizedEntropy.power(
             require_key(spec, "q", path))
     else:
@@ -488,6 +500,8 @@ def _flow_entropy1d(cfg, path):
 
 def _flow_flowmatch(cfg, path):
     from . import dynamics
+    check_keys(cfg, ("source", "target", "coupling", "bandwidth", "x0", "dt"),
+               path)
     source = measure_from_dict(require_key(cfg, "source", path))
     target = measure_from_dict(require_key(cfg, "target", path))
     mode = cfg.get("coupling", "monge")
@@ -523,6 +537,7 @@ def _flow_flowmatch(cfg, path):
 
 def _flow_transformer(cfg, path):
     from . import dynamics
+    check_keys(cfg, ("tokens", "Q", "K", "V", "depth"), path)
     tokens = require_key(cfg, "tokens", path)
     traj = dynamics.transformer_flow(tokens, require_key(cfg, "Q", path),
                                      require_key(cfg, "K", path),
@@ -534,6 +549,8 @@ def _flow_transformer(cfg, path):
 
 def _flow_mlp(cfg, path):
     from . import dynamics
+    check_keys(cfg, ("features", "labels", "n_neurons", "dt", "T",
+                     "activation", "seed"), path)
     traj, risk = dynamics.mlp_flow(
         require_key(cfg, "features", path), require_key(cfg, "labels", path),
         n_neurons=require_key(cfg, "n_neurons", path),

@@ -20,10 +20,15 @@ per iteration that also give both marginals for the stop test.  Each stage
 starts with one log-domain f update and a kernel built at the result, so
 every kernel row sums to a_i.  When a scaling turns zero, non-finite or
 leaves [1e-50, 1e50] it is absorbed into the potentials, that half-update
-is redone in the log domain, and the kernel is rebuilt.  With
-``log_domain=False`` the same loop runs with this safeguard off, the plain
-scaling-domain algorithm, and an underflowed kernel row or an overflow is
-reported as a `ValidationError`.
+is redone in the log domain, and the kernel is rebuilt.  A rebuild is one
+exp pass over the matrix: with M = C - g - eps log b and m its row minima,
+the soft minimum's exponentials E = exp(-(M - m) / eps), with row sums S,
+give both f = m - eps log S and the kernel diag(a / S) E, formed in place
+(and likewise for a g update on C^T).  The returned plan is
+diag(u) K diag(v), so a solve holds the kernel and the plan and no other
+n x m array.  With ``log_domain=False`` the same loop runs with this
+safeguard off, the plain scaling-domain algorithm, and an underflowed
+kernel row or an overflow is reported as a `ValidationError`.
 
 The dual objective
 
@@ -41,9 +46,10 @@ violation fell over a 5-iteration window from iteration 7 on (Lehmann, von
 Renesse, Sambale and Uschmajew, "A note on overrelaxation in the Sinkhorn
 algorithm", arXiv:2012.12562), so omega < 1.82.  A relaxed half-step that
 would lower D, by the gain eps sum_i a_i [omega t_i - e^(-t_i)
-(e^(omega t_i) - 1)] with t = log(a / (K v) / u), is taken plain instead,
-so D never decreases.  Whatever omega, the stop test reads the marginals
-of the current iterates.
+(e^(omega t_i) - 1)] with t = log(a / (u K v)), is taken plain instead,
+so D never decreases; u K v is the row marginal the stop test read.
+Whatever omega, the stop test reads the marginals of the current
+iterates.
 
 An iteration updates only the scalings: the loop holds each potential as
 an absorbed potential and a scaling, and forms f = fh + eps log u and
@@ -121,12 +127,22 @@ def softmin(values, weights, epsilon) -> float:
     return m - epsilon * float(np.log(np.sum(w * np.exp(-(h - m) / epsilon))))
 
 
-def _softmin_update(C, h, log_w, epsilon):
-    """The log-domain update min^eps_w(C_i. - h) of each row's potential."""
-    M = C - h[None, :] - epsilon * log_w[None, :]
-    m = M.min(axis=1)
-    return m - epsilon * np.log(np.sum(np.exp(-(M - m[:, None]) / epsilon),
-                                       axis=1))
+def _soft_minimum(C, h, log_w, eps):
+    """The log-domain update min^eps_w(C_i. - h) of each row's potential,
+    with the exponentials it sums.
+
+    With M = C - h - eps log w and m its row minima, E = exp(-(M - m) / eps)
+    has row sums S and the update is m - eps log S.  Returns it, E (a new
+    array, formed in place) and S.
+    """
+    E = C - h[None, :]
+    E -= eps * log_w[None, :]
+    m = E.min(axis=1)
+    E -= m[:, None]
+    E /= -eps
+    np.exp(E, out=E)
+    S = np.sum(E, axis=1)
+    return m - eps * np.log(S), E, S
 
 
 def _gibbs_plan(C, f, g, epsilon, log_a, log_b):
@@ -135,12 +151,18 @@ def _gibbs_plan(C, f, g, epsilon, log_a, log_b):
                   + (f[:, None] + g[None, :] - C) / epsilon)
 
 
-def _absorbed(C, h, s, log_w, eps):
-    """The columns' potential h + eps log s with its scaling s absorbed,
-    and the rows' log-domain update min^eps_w(C_i. - that) + 0.0, which
-    is never -0.0."""
+def _absorbed(C, h, s, log_w, row_w, eps):
+    """Absorb the columns' scaling s into their potential h + eps log s and
+    take the rows' log-domain update f = min^eps_w(C_i. - h) + 0.0, which
+    is never -0.0.  Returns (h, f, K) with K the plan of (f, h), whose rows
+    sum to `row_w`: (row_w / S) E, built in place from the exponentials of
+    the soft minimum.  For the columns' update pass C.T and take the
+    transpose of K.
+    """
     h = h + eps * np.log(s)
-    return h, _softmin_update(C, h, log_w, eps) + 0.0
+    f, E, S = _soft_minimum(C, h, log_w, eps)
+    E *= (row_w / S)[:, None]
+    return h, f + 0.0, E
 
 
 # Scalings are absorbed into the potentials once they leave
@@ -185,11 +207,12 @@ def _relaxation(viol_from, viol_to):
     return 2.0 / (1.0 + (1.0 - rate) ** 0.5)
 
 
-def _relaxed(x, x_plain, marginal, target, omega):
-    """The over-relaxed scaling x (x_plain / x)**omega, or x_plain where that
-    would lower the dual objective.
+def _relaxed(x, Kx, marginal, target, omega):
+    """The over-relaxed scaling x (target / marginal)**omega, or the plain
+    target / Kx where that would lower the dual objective; ``marginal`` is
+    x * Kx.
 
-    With t = log(x_plain / x), the step multiplies the marginal by
+    With t = log(target / marginal), the step multiplies the marginal by
     e^(omega t) and raises D by eps * sum_i target_i [omega t_i -
     e^(-t_i) (e^(omega t_i) - 1)], which is eps * (omega <target, t> -
     <marginal, expm1(omega t)>) since marginal = target e^(-t).  The plain
@@ -197,11 +220,13 @@ def _relaxed(x, x_plain, marginal, target, omega):
     taking it whenever the relaxed gain is negative keeps D nondecreasing
     (Thibault, Chizat, Dossal and Papadakis, arXiv:1711.01851).
     """
-    t = np.log(x_plain / x)
+    t = np.log(target / marginal)
     growth = np.expm1(omega * t)
     if omega * (target @ t) - marginal @ growth >= 0.0:
-        return x * (growth + 1.0)
-    return x_plain
+        growth += 1.0
+        growth *= x
+        return growth
+    return target / Kx
 
 
 @dataclass(frozen=True)
@@ -429,13 +454,14 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     ones_a = np.ones(sub_a.size)
     ones_b = np.ones(sub_b.size)
 
-    def returned(f, g, eps):
+    def returned(f, g, K, u, v):
         """The potentials with the dual value split evenly between them,
-        the full plan they give, its row sums and its L1 marginal
-        violations."""
+        the full plan diag(u) K diag(v) they give, its row sums and its L1
+        marginal violations."""
         shift = 0.5 * (float(f @ sub_a) - float(g @ sub_b))
         f, g = f - shift, g + shift
-        plan = _gibbs_plan(sub_C, f, g, eps, log_a, log_b)
+        plan = K * u[:, None]
+        plan *= v
         if not full:
             sub_plan, plan = plan, np.zeros_like(C)
             plan[np.ix_(active_a, active_b)] = sub_plan
@@ -491,20 +517,18 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                 while iteration < config.max_iter:
                     iteration += 1
                     if K is not None:
-                        u_plain = sub_a / Kv
-                        u = (u_plain if omega == 1.0 else
-                             _relaxed(u, u_plain, row, sub_a, omega))
+                        u = (sub_a / Kv if omega == 1.0 else
+                             _relaxed(u, Kv, row, sub_a, omega))
                     if K is None or (safeguard and not _bounded(u)):
-                        gh, fh = _absorbed(sub_C, gh, v, log_b, eps)
-                        K = _gibbs_plan(sub_C, fh, gh, eps, log_a, log_b)
+                        gh, fh, K = _absorbed(sub_C, gh, v, log_b, sub_a, eps)
                         u, v = ones_a, ones_b
                     Ktu = K.T @ u
-                    v_plain = sub_b / Ktu
-                    v = (v_plain if omega == 1.0 else
-                         _relaxed(v, v_plain, v * Ktu, sub_b, omega))
+                    v = (sub_b / Ktu if omega == 1.0 else
+                         _relaxed(v, Ktu, v * Ktu, sub_b, omega))
                     if safeguard and not _bounded(v):
-                        fh, gh = _absorbed(sub_C.T, fh, u, log_a, eps)
-                        K = _gibbs_plan(sub_C, fh, gh, eps, log_a, log_b)
+                        fh, gh, K = _absorbed(sub_C.T, fh, u, log_a, sub_b,
+                                              eps)
+                        K = K.T
                         u, v = ones_a, ones_b
                         Ktu = K.sum(axis=0)
                     Kv = K @ v
@@ -524,7 +548,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
                         # The final stage stops only once the plan it
                         # returns meets the tolerance too.
                         if final_stage:
-                            out = returned(f, g, eps)
+                            out = returned(f, g, K, u, v)
                         converged = (not final_stage
                                      or max(out[4:]) <= config.marginal_tol)
                         if converged:
@@ -551,7 +575,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
             ) from exc
 
     if status != "optimal":
-        out = returned(f, g, eps)
+        out = returned(f, g, K, u, v)
     f, g, plan, rows, plan_viol_a, plan_viol_b = out
     mass = float(rows.sum())
 
@@ -563,11 +587,11 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     dropped_a = np.flatnonzero(aw == 0)
     dropped_b = np.flatnonzero(bw == 0)
     if dropped_a.size:
-        f_full[dropped_a] = _softmin_update(C[np.ix_(dropped_a, active_b)],
-                                            g, log_b, eps)
+        f_full[dropped_a] = _soft_minimum(C[np.ix_(dropped_a, active_b)],
+                                          g, log_b, eps)[0]
     if dropped_b.size:
-        g_full[dropped_b] = _softmin_update(C[np.ix_(active_a, dropped_b)].T,
-                                            f, log_a, eps)
+        g_full[dropped_b] = _soft_minimum(C[np.ix_(active_a, dropped_b)].T,
+                                          f, log_a, eps)[0]
 
     state = SinkhornState(
         f=f_full,
@@ -583,7 +607,7 @@ def sinkhorn(a, b, C, config: SinkhornConfig) -> SinkhornResult:
     atol = max(1.5 * max(plan_viol_a, plan_viol_b) + 1e-15, MARGINAL_TOL)
     coupling = Coupling(plan, aw, bw, atol=atol)
     cost_reg = float(f_full @ aw + g_full @ bw) - eps * (mass - 1.0)
-    cost_linear = float(np.sum(plan * C))
+    cost_linear = float(np.vdot(plan, C))
     return SinkhornResult(state, coupling, cost_reg, cost_linear)
 
 

@@ -51,8 +51,10 @@ Point measures travel as JSON ``{"points": [[...], ...], "weights": [...]}``
 or as CSV with one row per atom and the weight in the last column.  Grid
 densities travel as JSON ``{"grid": [...], "density": [...]}``.  One
 reader, `read_json`, reads every JSON file, one lookup, `require_key`,
-takes every required key, and one writer, `write_text`, writes every file
-in place, never emptying it first: here, in `otkit.w1` and in the CLI.
+takes every required key, one check, `check_keys`, refuses the keys an
+``ot flow`` config or its nested specs do not read, and one writer,
+`write_text`, writes every file in place, never emptying it first: here,
+in `otkit.w1` and in the CLI.
 Each raises `ValidationError` on a file or payload it cannot use.
 """
 
@@ -87,6 +89,7 @@ __all__ = [
     "read_text",
     "read_json",
     "require_key",
+    "check_keys",
     "write_text",
     "save_measure_json",
     "load_measure_json",
@@ -594,9 +597,12 @@ class Coupling:
             raise ValidationError(f"plan must be 2-D, got shape {plan.shape}")
         row = check_weights(row_marginal, "row marginal", n=plan.shape[0])
         col = check_weights(col_marginal, "column marginal", n=plan.shape[1])
-        if not np.all(np.isfinite(plan)):
+        # Both reductions carry a NaN through, and neither builds an n x m
+        # temporary.
+        lowest = np.minimum.reduce(plan, axis=None, initial=0.0)
+        highest = np.maximum.reduce(plan, axis=None, initial=0.0)
+        if not (np.isfinite(lowest) and np.isfinite(highest)):
             raise ValidationError("plan contains non-finite values")
-        lowest = plan.min(initial=0.0)
         if lowest < -EQUALITY_TOL:
             raise ValidationError(f"plan has negative entry {float(lowest)!r}")
         if lowest < 0.0:
@@ -893,6 +899,22 @@ def require_key(payload, key, where):
     if not isinstance(payload, dict) or key not in payload:
         raise ValidationError(f"{where} is missing required key {key!r}")
     return payload[key]
+
+
+def check_keys(payload, allowed, where):
+    """Refuse the first key of the JSON object ``payload`` that is not in
+    ``allowed`` with `ValidationError` naming ``where``, the key and the
+    allowed key closest to it.  Anything but an object is left for
+    `require_key` to refuse."""
+    if not isinstance(payload, dict):
+        return
+    for key in payload:
+        if key not in allowed:
+            import difflib  # only to word the error, off the cold start
+            closest = difflib.get_close_matches(key, allowed, n=1,
+                                                cutoff=0.0)[0]
+            raise ValidationError(f"{where} has unknown key {key!r}; the "
+                                  f"closest allowed key is {closest!r}")
 
 
 def write_text(path, text):

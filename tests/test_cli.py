@@ -287,6 +287,37 @@ class TestExitCodes:
         assert json.loads(err)["error"]["message"] == (
             "dt must be numeric, got a string")
 
+    @pytest.mark.parametrize("change, message", [
+        ({"scheme": None, "sheme": "implicit"},
+         "{path} has unknown key 'sheme'; the closest allowed key is "
+         "'scheme'"),
+        ({"kernel": {"name": "quadratic"}},
+         "{path} has unknown key 'kernel'; the closest allowed key is "
+         "'potential'"),
+        ({"potential": {"name": "quadratic", "sigma": 1.0}},
+         "potential has unknown key 'sigma'; the closest allowed key is "
+         "'name'"),
+        ({"kind": "interaction", "potential": None,
+          "kernel": {"name": "quadratic", "sigma": 1.0}},
+         "kernel has unknown key 'sigma'; the closest allowed key is "
+         "'name'"),
+    ], ids=["misspelled", "kernel-of-a-linear-flow",
+            "sigma-of-a-quadratic-potential", "sigma-of-a-quadratic-kernel"])
+    def test_a_key_the_flow_does_not_read_is_two(self, tmp_path, capsys,
+                                                 change, message):
+        """A gradient flow refuses a key it would not read: a misspelled
+        one, and the spec or width its kind or name does not use."""
+        config = {"kind": "linear", "potential": {"name": "quadratic"},
+                  "x0": [[1.0, 0.0], [0.0, 2.0]], "dt": 0.1, "T": 0.3,
+                  "scheme": "explicit"}
+        config.update(change)
+        cfg = write_json(tmp_path, "flow.json", {
+            key: value for key, value in config.items() if value is not None})
+        code, out, err = run_cli(["flow", "gradient", "--config", cfg],
+                                 capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert json.loads(err)["error"]["message"] == message.format(path=cfg)
+
     @pytest.mark.parametrize("base, change, name", [
         ("exact", {"weights": ["0.5", "0.5"]}, "weights"),
         ("exact", {"weights": [0.5, "0.5"]}, "weights"),
@@ -718,11 +749,11 @@ class TestTraceFilesMatchTheSolvers:
             capsys)
         assert code == want_code
 
-        builds = []
-        gibbs_plan = entropic._gibbs_plan
-        monkeypatch.setattr(entropic, "_gibbs_plan",
-                            lambda *args: builds.append(1) or
-                            gibbs_plan(*args))
+        absorptions = []
+        absorbed = entropic._absorbed
+        monkeypatch.setattr(entropic, "_absorbed",
+                            lambda *args: absorptions.append(1) or
+                            absorbed(*args))
         alpha, beta = measure_from_dict(a), measure_from_dict(b)
         C = build_cost_matrix(alpha, beta, CostSpec.sq_euclidean())
         state = entropic.sinkhorn(
@@ -731,8 +762,9 @@ class TestTraceFilesMatchTheSolvers:
                                     **config)).state
         assert state.iteration > entropic._TRACE_BLOCK
         if case == "absorptions":
-            # One kernel at the stage start and one for the returned plan.
-            assert len(builds) > 2
+            # One kernel at the stage start and more where the scalings
+            # left their bounds.
+            assert len(absorptions) > 1
         assert trace.read_text().splitlines(True) == canonical_lines(
             {"iter": rec.iteration, "viol_a": rec.viol_a,
              "viol_b": rec.viol_b, "dual": rec.dual,

@@ -234,8 +234,9 @@ def unit_square_instance(seed, n, m):
 
 
 def assert_matches_reference(a, b, C, cfg):
-    new = sinkhorn(a, b, C, cfg).state
-    ref = sinkhorn_log_domain(a, b, C, cfg).state
+    new_result = sinkhorn(a, b, C, cfg)
+    ref_result = sinkhorn_log_domain(a, b, C, cfg)
+    new, ref = new_result.state, ref_result.state
     assert len(new.trace) == new.iteration
     assert new.status == ref.status
     assert abs(new.iteration - ref.iteration) <= max(1, 0.01 * ref.iteration)
@@ -249,6 +250,13 @@ def assert_matches_reference(a, b, C, cfg):
         assert abs(rec.viol_b - want.viol_b) <= 1e-12
         assert abs(rec.dual - want.dual) <= 1e-12 * scale
         assert abs(rec.hilbert_step - want.hilbert_step) <= 1e-10
+    # The plan and the linear cost relative to their size; the regularized
+    # cost, a difference of terms of the potentials' size, like the dual.
+    new_plan, ref_plan = new_result.coupling.plan, ref_result.coupling.plan
+    assert np.abs(new_plan - ref_plan).max() <= 1e-12 * ref_plan.max()
+    assert (abs(new_result.cost_linear - ref_result.cost_linear)
+            <= 1e-12 * abs(ref_result.cost_linear))
+    assert abs(new_result.cost_reg - ref_result.cost_reg) <= 1e-12 * scale
 
 
 # One draw of the instance law that the absorbed-kernel loop is fuzzed on.
@@ -387,14 +395,15 @@ class TestOverrelaxation:
     def test_step_that_lowers_the_dual_is_taken_plain(self):
         # One atom whose row holds e^-5 of its mass: t = 5, and the step
         # with omega = 1.8 changes D by eps (9 - e^4 + e^-5) < 0.
-        x, target = np.array([1.0]), np.array([1.0])
-        marginal = np.exp([-5.0])
-        x_plain = target / marginal
-        assert _relaxed(x, x_plain, marginal, target, 1.8) is x_plain
+        # The marginal is x * Kx, and the plain step is target / Kx.
+        x, target = np.array([2.0]), np.array([1.0])
+        Kx = np.exp([-5.0]) / x
+        plain = _relaxed(x, Kx, x * Kx, target, 1.8)
+        assert plain.tobytes() == (target / Kx).tobytes()
         # With t = 0.5 the gain is positive and the step is over-relaxed.
-        marginal = np.exp([-0.5])
-        relaxed = _relaxed(x, target / marginal, marginal, target, 1.8)
-        assert_allclose(relaxed, np.exp([0.9]), rtol=1e-15)
+        Kx = np.exp([-0.5]) / x
+        relaxed = _relaxed(x, Kx, x * Kx, target, 1.8)
+        assert_allclose(relaxed, x * np.exp([0.9]), rtol=1e-15)
 
 
 class TestStageBoundary:
@@ -598,6 +607,27 @@ class TestTraceBlocks:
         records = kept_long - kept_short
         assert records > 0
         assert peak_long - peak_short <= records + 512 * 1024
+
+
+class TestPeakMemory:
+    def test_a_solve_holds_the_kernel_and_the_plan(self):
+        # The kernel is built from its soft minimum's exponentials and the
+        # plan from the scalings, in place: a solve holds at most the kernel
+        # and the plan it returns as n x m arrays, and no temporary of that
+        # size beyond them.
+        rng, C = unit_square_instance(3, 256, 256)
+        a = rng.exponential(size=256) + 1e-3
+        b = rng.exponential(size=256) + 1e-3
+        a, b = a / a.sum(), b / b.sum()
+        cfg = SinkhornConfig(epsilon=0.1 * float(C.mean()))
+        tracemalloc.start()
+        try:
+            res = sinkhorn(a, b, C, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.state.status == "optimal"
+        assert peak <= 2.5 * C.nbytes
 
 
 class TestDualIncrements:

@@ -188,7 +188,8 @@ def workdir(tmp_path_factory):
 
 def run_loader(workdir, loader, contents, monkeypatch):
     """Write ``contents`` as the fuzzed file of ``loader``, run its argv
-    with the ceiling lowered, and check the exit rule."""
+    with the ceiling lowered, check the exit rule and return the exit code
+    and the error message (None without one)."""
     argv = [str(workdir / tok) if tok in _GOOD
             else tok.replace("FILE", str(workdir / "FILE"))
             for tok in LOADERS[loader][0]]
@@ -207,7 +208,8 @@ def run_loader(workdir, loader, contents, monkeypatch):
     assert len(lines) <= 1, lines
     if lines or code:
         assert code in (2, 3) and "error" in json.loads(lines[0]), lines
-    return code
+        return code, json.loads(lines[0])["error"]["message"]
+    return code, None
 
 
 @pytest.mark.parametrize("loader", sorted(LOADERS))
@@ -278,4 +280,43 @@ FOUND = {
 @pytest.mark.parametrize("loader, contents", list(FOUND.values()),
                          ids=list(FOUND))
 def test_found_case_exits_two(workdir, loader, contents, monkeypatch):
-    assert run_loader(workdir, loader, contents, monkeypatch) == 2
+    assert run_loader(workdir, loader, contents, monkeypatch)[0] == 2
+
+
+# Every key a flow config or a nested spec of one reads.
+_READ_KEYS = {"x0", "kind", "potential", "kernel", "dt", "T", "scheme",
+              "name", "center", "sigma", "q", "grid", "density", "entropy",
+              "source", "target", "coupling", "bandwidth", "tokens", "Q",
+              "K", "V", "depth", "features", "labels", "n_neurons",
+              "activation", "seed"}
+# The keys read before the others, because their value selects what else
+# is read: renamed, they are reported missing.
+_SELECTORS = {"kind", "name"}
+
+
+@pytest.mark.parametrize("loader", sorted(name for name in LOADERS
+                                          if name.startswith("flow-")))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_key_the_flow_does_not_read_is_two(workdir, loader, data):
+    """A valid flow config with one key added to it or to a nested spec,
+    or one of its keys renamed, exits 2 naming the new key."""
+    config = copy.deepcopy(LOADERS[loader][1])
+    specs = [config] + [config[key] for key in ("potential", "kernel",
+                                                "entropy") if key in config]
+    spec = data.draw(st.sampled_from(specs))
+    key = data.draw(st.text(max_size=8).filter(
+        lambda k: k not in _READ_KEYS))
+    old = data.draw(st.sampled_from([None, *spec]))
+    if old is None:
+        spec[key] = data.draw(_LEAVES)
+    else:
+        renamed = {(key if k == old else k): v for k, v in spec.items()}
+        spec.clear()
+        spec.update(renamed)
+    with pytest.MonkeyPatch.context() as mp:
+        code, message = run_loader(workdir, loader, json.dumps(config).encode(),
+                                   mp)
+    assert code == 2
+    assert repr(key) in message or (
+        old in _SELECTORS and f"missing required key {old!r}" in message)

@@ -499,6 +499,15 @@ def test_the_ceiling_counts_every_element(monkeypatch, call):
     (lambda: check_covariance([[-1.0]]), "negative eigenvalue -1.0"),
     (lambda: Coupling([[-0.5, 0.5]], [0.0], [0.0, 0.0]),
      "negative entry -0.5"),
+    (lambda: Coupling([[0.5, np.nan]], [1.0], [0.5, 0.5]),
+     "plan contains non-finite values"),
+    (lambda: Coupling([[0.5], [np.inf]], [0.5, 0.5], [1.0]),
+     "plan contains non-finite values"),
+    # Non-finite before negative, whichever entry comes first.
+    (lambda: Coupling([[-0.5, -np.inf]], [0.0], [0.0, 0.0]),
+     "plan contains non-finite values"),
+    (lambda: Coupling([[-0.5, np.nan]], [0.0], [0.0, 0.0]),
+     "plan contains non-finite values"),
     (lambda: validate_metric([[0.0, -1.0], [-1.0, 0.0]]), ": D=-1.0"),
     (lambda: validate_metric([[0.0, 1.0], [1.0, 2.0]]), ": D=2.0"),
     (lambda: validate_metric([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0],
@@ -510,6 +519,8 @@ def test_the_ceiling_counts_every_element(monkeypatch, call):
 ], ids=["open-low", "open-low-at-bound", "integer-low", "open-interval",
         "closed-interval", "index", "float64-nan", "float64-inf",
         "float32-inf", "float32-low", "array", "covariance", "coupling",
+        "coupling-nan", "coupling-inf", "coupling-minus-inf",
+        "coupling-negative-and-nan",
         "metric-nonnegativity", "metric-zero-diagonal", "metric-triangle",
         "flow-graph-edge-pair", "flow-graph-edges-not-a-list"])
 def test_error_text_prints_plain_numbers(call, message):
